@@ -1,6 +1,9 @@
 package fscoherence
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -83,6 +86,57 @@ func TestGoldenTablesSerialVsParallel(t *testing.T) {
 		}
 		if got.String() != want.String() || got.Markdown() != want.Markdown() {
 			t.Fatalf("%s: rendered table differs between -j 1 and -j 8", b.name)
+		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/figures-scale0.25.csv from the current simulator")
+
+// goldenFigures pins every Experiments table at this scale.
+const goldenFigures = "testdata/figures-scale0.25.csv"
+
+// TestGoldenFigureTables byte-compares every reproduced table against the
+// checked-in CSV, so a shift in any modelled figure (a geomean moving by a
+// fraction of a percent included) fails tier-1. After an intended change to
+// the modelled results, rerun with -update and review the diff.
+func TestGoldenFigureTables(t *testing.T) {
+	r := NewRunner(2)
+	var b strings.Builder
+	for _, e := range Experiments {
+		if e.ID == "hybrid" {
+			continue // opt-in backend outside the paper's three protocols
+		}
+		b.WriteString("# " + e.ID + "\n")
+		b.WriteString(e.Gen(r, 0.25).CSV())
+		b.WriteByte('\n')
+	}
+	got := b.String()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenFigures), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFigures, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenFigures)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("figure tables differ from %s at line %d:\n got: %s\nwant: %s", goldenFigures, i+1, g, w)
+			}
 		}
 	}
 }
