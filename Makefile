@@ -33,18 +33,20 @@
 #                  SIGKILL-mid-run smoke test under -race.
 #   make sweep   — regenerate the paper's tables with the parallel engine.
 #   make fuzzsmoke — CI-sized protocol fuzzing: a fixed 60-seed corpus across
-#                  the three default protocols under fault injection, a
-#                  20-seed cell for the opt-in hybrid backend, plus the oracle
+#                  the three protocols under fault injection, plus the oracle
 #                  selfcheck (seeded bugs must be caught and shrunk). ~30s.
+#   make benchsmoke — the fsbench module's own tests (bench/ is a nested Go
+#                  module the root `go test ./...` cannot reach): its pinned
+#                  model-output goldens and the assembled-vs-run check. ~6s.
 #   make fuzz    — full fuzzing campaign (SEEDS=200 by default); not tier-1.
 
 GO ?= go
 GOFMT ?= gofmt
 SEEDS ?= 200
 
-.PHONY: ci check fmt test race equiv allocsmoke samplecheck ckptcheck bench benchdiff sweep fuzz fuzzsmoke specdocs speccheck
+.PHONY: ci check fmt test race equiv allocsmoke samplecheck ckptcheck bench benchdiff benchsmoke sweep fuzz fuzzsmoke specdocs speccheck
 
-ci: check race equiv allocsmoke samplecheck ckptcheck fuzzsmoke benchdiff
+ci: check race equiv allocsmoke samplecheck ckptcheck fuzzsmoke benchsmoke benchdiff
 
 check: fmt speccheck test
 
@@ -77,9 +79,7 @@ race:
 	$(GO) test -race ./...
 
 # Cross-engine determinism: every workload x protocol under both engines,
-# plus golden-trace and figure-table byte-equality, plus the table-driven
-# interpreter vs hand-written switch dispatch equivalence across
-# {naive,skip,parallel} x {flat,mesh} (engine_test.go).
+# plus golden-trace and figure-table byte-equality (engine_test.go).
 equiv:
 	$(GO) test -run 'TestEngine' -count=1 .
 
@@ -116,16 +116,17 @@ benchdiff:
 		echo "benchdiff: BENCH_6.json not captured (run 'make bench' first); skipping"; \
 	fi
 
+# The fsbench goldens pin Fig 14a, Fig 15 and two uGRID cells exactly.
+benchsmoke:
+	cd bench && $(GO) test ./...
+
 sweep:
 	$(GO) run ./cmd/fsexp -all
 
 # Fixed corpus + oracle selfcheck: deterministic, so a failure here is a real
-# regression, never flake. The hybrid cell fuzzes the opt-in update-push
-# backend, which the default three-protocol sweep leaves out.
-# EXPERIMENTS.md §"Protocol fuzzing".
+# regression, never flake. EXPERIMENTS.md §"Protocol fuzzing".
 fuzzsmoke:
 	$(GO) run ./cmd/fsfuzz -seeds 60
-	$(GO) run ./cmd/fsfuzz -protocol hybrid -seeds 20
 	$(GO) run ./cmd/fsfuzz -selfcheck
 
 fuzz:

@@ -101,8 +101,6 @@ func validateCheckpointable(opt Options) error {
 		return fmt.Errorf("checkpointing requires the two-level hierarchy (drop -l2kb)")
 	case opt.NonInclusiveLLC:
 		return fmt.Errorf("checkpointing requires the inclusive LLC (drop -noninclusive)")
-	case opt.Protocol == Hybrid:
-		return fmt.Errorf("checkpointing does not support the hybrid backend (update-push state is not serialized)")
 	}
 	return nil
 }
@@ -124,7 +122,6 @@ type ckptIdentity struct {
 func checkpointIdentity(bench string, opt Options, every uint64) uint64 {
 	opt.Engine = "skip" // all engines are byte-identical; checkpointed runs use skip
 	opt.Shards = 0
-	opt.SwitchDispatch = false // dispatch paths are byte-identical
 	if opt.Topology == "flat" {
 		opt.Topology = "" // one identity for the two spellings of the default
 	}

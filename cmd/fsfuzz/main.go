@@ -27,7 +27,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
+	"fscoherence/internal/coherence"
 	"fscoherence/internal/fuzz"
 	"fscoherence/internal/obs"
 	"fscoherence/internal/sim"
@@ -38,7 +40,7 @@ func main() {
 		seeds    = flag.Int("seeds", 200, "number of seeds in the campaign")
 		start    = flag.Uint64("start", 1, "first seed of the campaign")
 		seed     = flag.Uint64("seed", 0, "run exactly one seed (0 = full campaign)")
-		protocol = flag.String("protocol", "all", "protocol sweep: all (default three), every (incl. hybrid), baseline, fsdetect, fslite or hybrid")
+		protocol = flag.String("protocol", "all", "protocol sweep: all (default), baseline, fsdetect or fslite")
 		replay   = flag.String("replay", "", "replay a repro program file instead of fuzzing")
 		self     = flag.Bool("selfcheck", false, "verify the oracles detect seeded protocol bugs")
 		out      = flag.String("out", "fuzz-repros", "directory for shrunk repro files")
@@ -96,15 +98,11 @@ func protocols(flag string) ([]string, error) {
 	if flag == "all" {
 		return fuzz.Protocols, nil
 	}
-	if flag == "every" {
-		return fuzz.AllProtocols, nil
+	p, err := coherence.ParseProtocol(flag)
+	if err != nil {
+		return nil, fmt.Errorf("%w, or all for the full sweep", err)
 	}
-	for _, p := range fuzz.AllProtocols {
-		if p == flag {
-			return []string{p}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown protocol %q (want all, every, baseline, fsdetect, fslite or hybrid)", flag)
+	return []string{strings.ToLower(p.String())}, nil
 }
 
 func campaign(seeds int, start, one uint64, protoFlag, out string, jobs, budget int, progress, resume string, opt fuzz.Options) int {

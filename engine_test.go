@@ -232,51 +232,3 @@ func TestEngineFigTablesIdentical(t *testing.T) {
 		t.Fatalf("figure tables diverge between engines:\n--- naive ---\n%s\n--- skip ---\n%s", naive, skip)
 	}
 }
-
-// TestEngineDispatchEquivalence gates `make equiv` on the spec-driven
-// dispatch layer: across every engine × topology combination, routing
-// coherence messages through the table-driven interpreter built from
-// internal/coherence/spec (the default) and through the retained
-// hand-written switches (Options.SwitchDispatch) must produce byte-identical
-// results — same cycle count, same counter snapshot, same detection and
-// contention lists. The interpreter dispatches to the same handler methods
-// the switches call, so any divergence here is a hole in the spec tables.
-func TestEngineDispatchEquivalence(t *testing.T) {
-	for _, engine := range []string{"naive", "skip", "parallel"} {
-		for _, topo := range []string{"flat", "mesh"} {
-			for _, mode := range []Protocol{FSLite, Hybrid} {
-				engine, topo, mode := engine, topo, mode
-				t.Run(fmt.Sprintf("%s-%s-%v", engine, topo, mode), func(t *testing.T) {
-					t.Parallel()
-					opt := Options{Protocol: mode, Scale: engineEquivalenceScale, Engine: engine, Topology: topo}
-					table, err := Run("uRW", opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opt.SwitchDispatch = true
-					sw, err := Run("uRW", opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if table.Cycles != sw.Cycles {
-						t.Errorf("cycles diverge: table=%d switch=%d", table.Cycles, sw.Cycles)
-					}
-					ts, ss := table.Stats.Snapshot(), sw.Stats.Snapshot()
-					if !reflect.DeepEqual(ts, ss) {
-						for k, v := range ts {
-							if ss[k] != v {
-								t.Errorf("counter %s diverges: table=%d switch=%d", k, v, ss[k])
-							}
-						}
-					}
-					if !reflect.DeepEqual(table.Detections, sw.Detections) {
-						t.Errorf("detections diverge:\ntable:  %v\nswitch: %v", table.Detections, sw.Detections)
-					}
-					if !reflect.DeepEqual(table.Contended, sw.Contended) {
-						t.Errorf("contended lists diverge:\ntable:  %v\nswitch: %v", table.Contended, sw.Contended)
-					}
-				})
-			}
-		}
-	}
-}

@@ -508,37 +508,6 @@ func TableVRunTimes(r *Runner, scale float64) *Table {
 	return t
 }
 
-// HybridStudy evaluates the hybrid update-push backend head-to-head against
-// FSLite on the Fig 14a sweep: speedups over Baseline plus the raw count of
-// Upd copies the directory pushed per benchmark. The push column is the
-// diagnostic: write-write ping-pong (RC) pushes nothing because ownership
-// migrates core-to-core and the line never returns to the slice, so hybrid
-// degenerates to Baseline there, while read-involved sharing (uRW, SC, BS)
-// pushes copies to displaced readers. See EXPERIMENTS.md, "Comparing
-// protocol backends".
-func HybridStudy(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Hybrid", Title: "Hybrid update-push backend vs FSLite (speedup over baseline)",
-		Columns: []string{"fslite", "hybrid", "upd-pushes"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	hyb := r.SubmitBenches(benches, Options{Protocol: Hybrid, Scale: scale})
-	var sl, sh []float64
-	for i, b := range benches {
-		b0 := base[i].Must()
-		h := hyb[i].Must()
-		vl, vh := fsl[i].Must().Speedup(b0), h.Speedup(b0)
-		sl = append(sl, vl)
-		sh = append(sh, vh)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{
-			"fslite": vl, "hybrid": vh, "upd-pushes": float64(h.Stats.Get(stats.CtrFSUpdPushes)),
-		}})
-	}
-	t.GeoMean["fslite"] = geomean(sl)
-	t.GeoMean["hybrid"] = geomean(sh)
-	return t
-}
-
 // Experiments maps experiment IDs to their generators (used by cmd/fsexp).
 // Generators share one Runner per invocation, so reference cells repeated
 // across tables (every Baseline run, the FSLite defaults) simulate once.
@@ -564,5 +533,4 @@ var Experiments = []struct {
 	{"dos", DoSStudy, "interconnect DoS mitigation"},
 	{"ooo", OOOStudy, "out-of-order cores"},
 	{"tablev", TableVRunTimes, "per-application run times"},
-	{"hybrid", HybridStudy, "hybrid update-push backend head-to-head"},
 }

@@ -93,13 +93,6 @@ type dirLine struct {
 	data  []byte
 	txn   *dirTxn
 	pendq []*network.Msg
-
-	// Hybrid backend (PROTOCOL.md §4.4): upd latches the policy's repair
-	// directive on a flagged line, and updSet remembers the sharers the
-	// subsequent write invalidations displaced so pushUpdates can refresh
-	// them when the line next returns to the slice.
-	upd    bool
-	updSet coreSet
 }
 
 // memFill is a pending main-memory access.
@@ -463,34 +456,6 @@ func (d *Dir) tryForcedTermination(a memsys.Addr) bool {
 	return true
 }
 
-// handleSwitch is the retained hand-written dispatch (Params.SwitchDispatch);
-// the default path is the spec-table interpreter in dispatch.go, and
-// `make equiv` proves the two byte-identical.
-func (d *Dir) handleSwitch(m *network.Msg) {
-	switch m.Op {
-	case network.OpGetS, network.OpGetX, network.OpUpgrade, network.OpGetCHK, network.OpGetXCHK:
-		d.handleRequest(m)
-	case network.OpWB:
-		d.onWB(m)
-	case network.OpPrvWB:
-		d.onPrvWB(m)
-	case network.OpCtrlWB:
-		d.onCtrlWB(m)
-	case network.OpInvAck:
-		d.onInvAck(m)
-	case network.OpXferOwnerAck:
-		d.onXferOwnerAck(m)
-	case network.OpDataToDir:
-		d.onDataToDir(m)
-	case network.OpRepMD:
-		d.onRepMD(m)
-	case network.OpMDPhantom:
-		d.onMDPhantom(m)
-	default:
-		panic(fmt.Sprintf("dir %d: unexpected message %v", d.slice, m))
-	}
-}
-
 // requestorCore maps a request's originating node to its core index.
 func requestorCore(m *network.Msg) int { return int(m.Requestor) }
 
@@ -563,12 +528,6 @@ func (d *Dir) serve(e *memsys.Entry[dirLine], m *network.Msg) {
 		d.startPrvInit(e, m)
 		return
 	}
-	if privatize && d.mode == Hybrid {
-		// Hybrid repair: no episode — latch update mode and serve normally.
-		// The sharers the following writes invalidate accumulate in updSet
-		// and are refreshed by pushUpdates when the line returns home.
-		line.upd = true
-	}
 
 	switch m.Op {
 	case network.OpGetS:
@@ -640,7 +599,6 @@ func (d *Dir) serveGetX(e *memsys.Entry[dirLine], m *network.Msg, requestMD bool
 		n := others.Count()
 		others.ForEach(func(c int) {
 			d.stats.IncID(stats.IDDirInval)
-			d.noteUpdCandidate(line, c)
 			d.sendAfter(&network.Msg{Op: network.OpInv, Dst: d.params.L1Node(c), Addr: e.Tag, Requestor: m.Requestor, ReqMD: requestMD}, d.ctrlLat())
 		})
 		if d.policy != nil && n > 0 {
@@ -687,7 +645,6 @@ func (d *Dir) serveUpgrade(e *memsys.Entry[dirLine], m *network.Msg, requestMD b
 	n := others.Count()
 	others.ForEach(func(c int) {
 		d.stats.IncID(stats.IDDirInval)
-		d.noteUpdCandidate(line, c)
 		d.sendAfter(&network.Msg{Op: network.OpInv, Dst: d.params.L1Node(c), Addr: e.Tag, Requestor: m.Requestor, ReqMD: requestMD}, d.ctrlLat())
 	})
 	if d.policy != nil && n > 0 {
@@ -987,13 +944,7 @@ func (d *Dir) onWB(m *network.Msg) {
 			d.touchData(e)
 		}
 		d.setState(e, DirIdle)
-		// WBAck first: on the same control channel an Upd to the evictor
-		// FIFO-orders behind it, so its WB-buffer slot clears before the
-		// push could arrive.
 		d.sendAfter(&network.Msg{Op: network.OpWBAck, Dst: m.Src, Addr: e.Tag}, d.ctrlLat())
-		if d.pushUpdates(e) > 0 {
-			d.setState(e, DirShared)
-		}
 		return
 	}
 	switch txn.kind {
@@ -1152,49 +1103,10 @@ func (d *Dir) onXferOwnerAck(m *network.Msg) {
 		panic(fmt.Sprintf("dir %d: stray Xfer_Owner_ACK", d.slice))
 	}
 	// Ownership moved to the requestor (GetX intervention complete).
-	d.noteUpdCandidate(line, txn.oldOwner)
 	line.state = DirOwned
 	line.owner = requestorCore(txn.req)
 	line.sharers = coreSet{}
 	d.finishFwd(e, txn)
-}
-
-// noteUpdCandidate records a core displaced from a line in update mode
-// (Hybrid backend): pushUpdates refreshes it when the line returns home.
-func (d *Dir) noteUpdCandidate(line *dirLine, c int) {
-	if d.mode == Hybrid && line.upd {
-		line.updSet.Add(c)
-	}
-}
-
-// pushUpdates fans out Upd copies (PROTOCOL.md §4.4) to the cores the update
-// mode displaced, re-adding them to sharers at push time (superset-safe: a
-// core that drops the push is just a stale sharer, §6.1). It returns how many
-// copies were pushed. A line the policy has since marked truly shared leaves
-// update mode instead.
-func (d *Dir) pushUpdates(e *memsys.Entry[dirLine]) int {
-	line := &e.Payload
-	if d.mode != Hybrid || !line.upd || line.updSet.Empty() || !line.hasData {
-		return 0
-	}
-	if d.policy != nil && d.policy.TrueSharing(e.Tag) {
-		line.upd = false
-		line.updSet = coreSet{}
-		return 0
-	}
-	set := line.updSet
-	line.updSet = coreSet{}
-	pushed := 0
-	set.ForEach(func(c int) {
-		if line.sharers.Has(c) || (line.state == DirOwned && line.owner == c) {
-			return
-		}
-		d.stats.IncID(stats.IDFSUpdPushes)
-		d.sendAfter(&network.Msg{Op: network.OpUpd, Dst: d.params.L1Node(c), Addr: e.Tag, Data: cloneBytes(line.data)}, d.ctrlLat())
-		line.sharers.Add(c)
-		pushed++
-	})
-	return pushed
 }
 
 func (d *Dir) onDataToDir(m *network.Msg) {
@@ -1216,10 +1128,6 @@ func (d *Dir) onDataToDir(m *network.Msg) {
 			line.sharers.Add(txn.oldOwner)
 		}
 		line.sharers.Add(requestorCore(txn.req))
-		// Refresh displaced sharers while the line is home and shared; the
-		// wbRace-deferred WBAck in finishFwd means a same-channel Upd to the
-		// old owner lands before its ack and is dropped against the WB entry.
-		d.pushUpdates(e)
 		d.finishFwd(e, txn)
 	case txnPrvInit:
 		line.data = cloneBytes(m.Data)

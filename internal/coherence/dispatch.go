@@ -9,13 +9,12 @@ import (
 )
 
 // Table-driven message dispatch, built at package init from the protocol
-// tables in internal/coherence/spec. A message is dispatched by (observed
-// state, opcode): legal pairs invoke the handler the spec's transition rows
-// name (the handlers themselves enforce sub-case guards, so dispatch is
-// byte-identical to the hand-written switch), impossible pairs panic with
-// the spec's reason, and opcodes outside the FSM's event list panic like the
-// switch's default arm. The switch is retained behind Params.SwitchDispatch
-// and `make equiv` proves the two identical.
+// tables in internal/coherence/spec; it is the controllers' only dispatch
+// path. A message is dispatched by (observed state, opcode): legal pairs
+// invoke the handler the spec's transition rows name (the handlers
+// themselves enforce sub-case guards), impossible pairs panic with the
+// spec's reason, and opcodes outside the FSM's event list panic as
+// unexpected messages.
 
 type dispatchEntry struct {
 	legal bool
@@ -34,43 +33,55 @@ var (
 	dirActions [network.NumOps]func(*Dir, *network.Msg)
 	dirLegal   [numDirObs][network.NumOps]dispatchEntry
 
-	l1ObsIdx  map[string]int
-	dirObsIdx map[string]int
+	l1ObsNames  []string
+	dirObsNames []string
+
+	// Each controller enum resolved to its spec state index once, so
+	// dispatch indexes arrays instead of hashing state names per message.
+	l1TxnObs     [mshrWaitChk + 1]int
+	l1LineObs    [L1Prv + 1]int
+	l1WBObs      int
+	l1IObs       int
+	dirTxnObs    [txnEvict + 1]int
+	dirLineObs   [DirPrv + 1]int
+	dirAbsentObs int
 )
 
-// obsIdx resolves an observed-state name against the spec's state list. A
-// miss means a controller state exists that the spec tables don't cover —
-// a map lookup would silently alias it to index 0, so fail loudly instead.
-func obsIdx(idx map[string]int, fsm, name string) int {
-	i, ok := idx[name]
-	if !ok {
-		panic(fmt.Sprintf("protocol spec: observed state %s.%s is not in internal/coherence/spec", fsm, name))
+// specIndex returns the index of an observed-state name in the spec's state
+// list. A miss means a controller state exists that the spec tables don't
+// cover, so fail loudly at init rather than alias it to another state.
+func specIndex(fsm string, names []string, name string) int {
+	for i, n := range names {
+		if n == name {
+			return i
+		}
 	}
-	return i
+	panic(fmt.Sprintf("protocol spec: observed state %s.%s is not in internal/coherence/spec", fsm, name))
 }
 
+// buildDispatch fills actions and legal from f's tables and returns f's
+// observed-state names, which index legal.
 func buildDispatch[C any](f *spec.FSM, methods map[string]func(C, *network.Msg),
-	actions *[network.NumOps]func(C, *network.Msg)) (idx map[string]int, legal [][network.NumOps]dispatchEntry) {
+	actions *[network.NumOps]func(C, *network.Msg), legal [][network.NumOps]dispatchEntry) []string {
 	if err := f.Check(); err != nil {
 		panic(fmt.Sprintf("protocol spec: %v", err))
 	}
-	idx = make(map[string]int, len(f.States))
-	for i, s := range f.States {
-		idx[s.Name] = i
+	names := f.StateNames()
+	if len(names) != len(legal) {
+		panic(fmt.Sprintf("protocol spec: %s has %d observed states, dispatch expects %d", f.Name, len(names), len(legal)))
 	}
-	legal = make([][network.NumOps]dispatchEntry, len(f.States))
 	for _, tr := range f.Transitions {
 		fn, ok := methods[tr.Action]
 		if !ok {
 			panic(fmt.Sprintf("protocol spec: %s names unknown action %q for %v", f.Name, tr.Action, tr.Event))
 		}
 		actions[tr.Event] = fn // one action per event; FSM.Check enforced it
-		legal[idx[tr.State]][tr.Event] = dispatchEntry{legal: true}
+		legal[specIndex(f.Name, names, tr.State)][tr.Event] = dispatchEntry{legal: true}
 	}
 	for _, im := range f.Impossible {
-		legal[idx[im.State]][im.Event] = dispatchEntry{why: im.Why}
+		legal[specIndex(f.Name, names, im.State)][im.Event] = dispatchEntry{why: im.Why}
 	}
-	return idx, legal
+	return names
 }
 
 func init() {
@@ -88,14 +99,16 @@ func init() {
 		"onTRPrv":       (*L1).onTRPrv,
 		"onInvPrv":      (*L1).onInvPrv,
 		"onWBAck":       (*L1).onWBAck,
-		"onUpd":         (*L1).onUpd,
 	}
-	var l1leg [][network.NumOps]dispatchEntry
-	l1ObsIdx, l1leg = buildDispatch(spec.L1(), l1Methods, &l1Actions)
-	if len(l1leg) != numL1Obs {
-		panic("spec.L1 state count drifted from numL1Obs")
+	l1ObsNames = buildDispatch(spec.L1(), l1Methods, &l1Actions, l1Legal[:])
+	for v := range l1TxnObs {
+		l1TxnObs[v] = specIndex("L1", l1ObsNames, mshrState(v).String())
 	}
-	copy(l1Legal[:], l1leg)
+	for v := range l1LineObs {
+		l1LineObs[v] = specIndex("L1", l1ObsNames, L1State(v).String())
+	}
+	l1WBObs = specIndex("L1", l1ObsNames, "WB")
+	l1IObs = specIndex("L1", l1ObsNames, "I")
 
 	dirMethods := map[string]func(*Dir, *network.Msg){
 		"handleRequest":  (*Dir).handleRequest,
@@ -108,76 +121,68 @@ func init() {
 		"onRepMD":        (*Dir).onRepMD,
 		"onMDPhantom":    (*Dir).onMDPhantom,
 	}
-	var dirleg [][network.NumOps]dispatchEntry
-	dirObsIdx, dirleg = buildDispatch(spec.Dir(), dirMethods, &dirActions)
-	if len(dirleg) != numDirObs {
-		panic("spec.Dir state count drifted from numDirObs")
+	dirObsNames = buildDispatch(spec.Dir(), dirMethods, &dirActions, dirLegal[:])
+	for v := range dirTxnObs {
+		dirTxnObs[v] = specIndex("Dir", dirObsNames, dirTxnKind(v).String())
 	}
-	copy(dirLegal[:], dirleg)
+	for v := range dirLineObs {
+		dirLineObs[v] = specIndex("Dir", dirObsNames, DirState(v).String())
+	}
+	dirAbsentObs = specIndex("Dir", dirObsNames, "absent")
 }
 
 // observedState computes the spec state index governing dispatch for block a:
 // MSHR transaction > resident line (either private level) > WB entry > I.
-func (l *L1) observedState(a memsys.Addr) (int, string) {
+func (l *L1) observedState(a memsys.Addr) int {
 	if tx := l.mshrs[a]; tx != nil {
-		return obsIdx(l1ObsIdx, "L1", tx.state.String()), tx.state.String()
+		return l1TxnObs[tx.state]
 	}
 	if e := l.peekAny(a); e != nil && e.Payload.state != L1Invalid {
-		return obsIdx(l1ObsIdx, "L1", e.Payload.state.String()), e.Payload.state.String()
+		return l1LineObs[e.Payload.state]
 	}
 	if _, ok := l.wb[a]; ok {
-		return l1ObsIdx["WB"], "WB"
+		return l1WBObs
 	}
-	return l1ObsIdx["I"], "I"
+	return l1IObs
 }
 
 // observedState computes the spec state index for the slice: absent when no
 // entry exists, the transaction kind when busy, else the stable state.
-func (d *Dir) observedState(a memsys.Addr) (int, string) {
+func (d *Dir) observedState(a memsys.Addr) int {
 	e := d.llc.Peek(a) // Peek block-aligns and leaves LRU/stats untouched
 	if e == nil {
-		return dirObsIdx["absent"], "absent"
+		return dirAbsentObs
 	}
 	if tx := e.Payload.txn; tx != nil {
-		return obsIdx(dirObsIdx, "Dir", tx.kind.String()), tx.kind.String()
+		return dirTxnObs[tx.kind]
 	}
-	return obsIdx(dirObsIdx, "Dir", e.Payload.state.String()), e.Payload.state.String()
+	return dirLineObs[e.Payload.state]
 }
 
-// handle dispatches one incoming message through the spec tables (or the
-// retained hand-written switch under Params.SwitchDispatch).
+// handle dispatches one incoming message through the spec tables.
 func (l *L1) handle(m *network.Msg) {
-	if l.params.SwitchDispatch {
-		l.handleSwitch(m)
-		return
-	}
 	fn := l1Actions[m.Op]
 	if fn == nil {
 		panic(fmt.Sprintf("l1 %d: unexpected message %v", l.core, m))
 	}
-	idx, name := l.observedState(m.Addr)
+	idx := l.observedState(m.Addr)
 	if ent := l1Legal[idx][m.Op]; !ent.legal {
 		panic(fmt.Sprintf("l1 %d: protocol violation: %v observed in L1.%s (%s): %v",
-			l.core, m.Op, name, ent.why, m))
+			l.core, m.Op, l1ObsNames[idx], ent.why, m))
 	}
 	fn(l, m)
 }
 
-// handle dispatches one incoming message through the spec tables (or the
-// retained hand-written switch under Params.SwitchDispatch).
+// handle dispatches one incoming message through the spec tables.
 func (d *Dir) handle(m *network.Msg) {
-	if d.params.SwitchDispatch {
-		d.handleSwitch(m)
-		return
-	}
 	fn := dirActions[m.Op]
 	if fn == nil {
 		panic(fmt.Sprintf("dir %d: unexpected message %v", d.slice, m))
 	}
-	idx, name := d.observedState(m.Addr)
+	idx := d.observedState(m.Addr)
 	if ent := dirLegal[idx][m.Op]; !ent.legal {
 		panic(fmt.Sprintf("dir %d: protocol violation: %v observed in Dir.%s (%s): %v",
-			d.slice, m.Op, name, ent.why, m))
+			d.slice, m.Op, dirObsNames[idx], ent.why, m))
 	}
 	fn(d, m)
 }

@@ -723,81 +723,10 @@ func (l *L1) sendEvictionMD(blk memsys.Addr) {
 	}
 }
 
-// handleSwitch is the retained hand-written dispatch (Params.SwitchDispatch);
-// the default path is the spec-table interpreter in dispatch.go, and
-// `make equiv` proves the two byte-identical.
-func (l *L1) handleSwitch(m *network.Msg) {
-	switch m.Op {
-	case network.OpData, network.OpDataExcl:
-		l.onData(m)
-	case network.OpDataPrv:
-		l.onDataPrv(m)
-	case network.OpInvAck:
-		l.onInvAck(m)
-	case network.OpUpgradeAck:
-		l.onUpgradeAck(m)
-	case network.OpUpgradeNack:
-		l.onUpgradeNack(m)
-	case network.OpUpgAckPrv:
-		l.onUpgAckPrv(m)
-	case network.OpAckPrv:
-		l.onAckPrv(m)
-	case network.OpFwdGetS:
-		l.onFwdGetS(m)
-	case network.OpFwdGetX:
-		l.onFwdGetX(m)
-	case network.OpInv:
-		l.onInv(m)
-	case network.OpTRPrv:
-		l.onTRPrv(m)
-	case network.OpInvPrv:
-		l.onInvPrv(m)
-	case network.OpWBAck:
-		l.onWBAck(m)
-	case network.OpUpd:
-		l.onUpd(m)
-	default:
-		panic(fmt.Sprintf("l1 %d: unexpected message %v", l.core, m))
-	}
-}
-
 // onWBAck frees the writeback-buffer slot (a no-op when a stale ack arrives
 // after the block was re-acquired and the slot already recycled).
 func (l *L1) onWBAck(m *network.Msg) {
 	delete(l.wb, m.Addr)
-}
-
-// onUpd installs a Hybrid update push as a clean S copy. The push is
-// unsolicited, so it yields to anything already going on for the block: an
-// outstanding transaction, a writeback in flight or a resident copy all drop
-// it (the directory re-added us to sharers at push time, so a drop just
-// leaves the sharer list a superset, §6.1).
-func (l *L1) onUpd(m *network.Msg) {
-	if tx := l.mshrs[m.Addr]; tx != nil {
-		// One push race matters: an Inv consumed our S copy while our own
-		// Upgrade was outstanding, and the push re-added us to sharers
-		// before the directory served that Upgrade. The UpgradeAck is then
-		// behind this Upd on the same control channel, so reinstalling the
-		// (pinned, as the upgrade target) S copy here restores the line the
-		// completion upgrades in place. Every other transaction drops the
-		// push.
-		if tx.state == mshrWaitUpgrade && l.peekAny(m.Addr) == nil {
-			if _, ok := l.wb[m.Addr]; !ok {
-				l.stats.IncID(stats.IDFSUpdInstalls)
-				l.fill(m.Addr, m.Data, L1Shared, false, false)
-				l.cache.Pin(m.Addr)
-			}
-		}
-		return
-	}
-	if _, ok := l.wb[m.Addr]; ok {
-		return
-	}
-	if l.peekAny(m.Addr) != nil {
-		return
-	}
-	l.stats.IncID(stats.IDFSUpdInstalls)
-	l.fill(m.Addr, m.Data, L1Shared, false, false)
 }
 
 // finishTxn completes an MSHR: commit its access and release resources. The

@@ -10,7 +10,12 @@
 // defined here.
 package coherence
 
-import "fscoherence/internal/network"
+import (
+	"fmt"
+	"strings"
+
+	"fscoherence/internal/network"
+)
 
 // Protocol selects which coherence protocol a simulation runs.
 type Protocol int
@@ -23,11 +28,6 @@ const (
 	FSDetect
 	// FSLite adds on-the-fly repair through privatization (§V).
 	FSLite
-	// Hybrid repairs by pushing updates instead of privatizing: the
-	// directory remembers the sharers each write invalidates on a flagged
-	// line and refreshes them with Upd copies when the line next returns to
-	// the slice. Exact MESI SWMR is preserved (PROTOCOL.md §4.4).
-	Hybrid
 )
 
 func (p Protocol) String() string {
@@ -38,10 +38,22 @@ func (p Protocol) String() string {
 		return "FSDetect"
 	case FSLite:
 		return "FSLite"
-	case Hybrid:
-		return "Hybrid"
 	}
 	return "Protocol(?)"
+}
+
+// ParseProtocol resolves a protocol name, case-insensitively: baseline (or
+// mesi), fsdetect (or detect), fslite (or lite).
+func ParseProtocol(s string) (Protocol, error) {
+	switch strings.ToLower(s) {
+	case "baseline", "mesi":
+		return Baseline, nil
+	case "fsdetect", "detect":
+		return FSDetect, nil
+	case "fslite", "lite":
+		return FSLite, nil
+	}
+	return 0, fmt.Errorf("unknown protocol %q (want baseline, fsdetect or fslite)", s)
 }
 
 // Params describes the simulated memory system geometry and latencies.
@@ -99,12 +111,6 @@ type Params struct {
 	// HopLatency is the per-hop router+link latency for ring/mesh
 	// topologies (0 picks DefaultHopLatency; ignored when flat).
 	HopLatency uint64
-
-	// SwitchDispatch routes controller messages through the retained
-	// hand-written switch instead of the spec-table interpreter
-	// (dispatch.go). The two are proven byte-identical by `make equiv`;
-	// the flag exists for that proof and as an escape hatch.
-	SwitchDispatch bool
 }
 
 // DefaultHopLatency is the per-hop latency used by ring/mesh topologies when

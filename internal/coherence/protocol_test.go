@@ -178,3 +178,22 @@ func TestLLCRecallOfOwnedLine(t *testing.T) {
 		t.Fatalf("dirty data lost through recall: %d", v)
 	}
 }
+
+func TestParseProtocol(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Protocol
+	}{
+		{"baseline", Baseline}, {"MESI", Baseline},
+		{"fsdetect", FSDetect}, {"Detect", FSDetect},
+		{"FSLite", FSLite}, {"lite", FSLite},
+	} {
+		got, err := ParseProtocol(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	if _, err := ParseProtocol("hybrid"); err == nil {
+		t.Error(`ParseProtocol("hybrid") accepted an unknown protocol`)
+	}
+}

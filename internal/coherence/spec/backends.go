@@ -32,16 +32,5 @@ func Backends() []Backend {
 				"requests arbitrate overlap, and termination byte-merges the " +
 				"copies back.",
 		},
-		{
-			Name: "Hybrid", Flag: "hybrid",
-			Repair: "push updates",
-			Summary: "Update-on-falsely-shared-lines variant: instead of " +
-				"privatizing, the directory remembers the sharers each write " +
-				"invalidated on a flagged line (`updSet`) and pushes fresh " +
-				"`Upd` copies when the line is next downgraded to `Dir.S` or " +
-				"written back — invalidate-then-refresh, keeping exact MESI " +
-				"SWMR. Compares the paper's privatization against a classic " +
-				"update-style repair on the same detection metadata.",
-		},
 	}
 }

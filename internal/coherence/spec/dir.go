@@ -67,7 +67,7 @@ func Dir() *FSM {
 				"byte check against the SAM: join the episode with `Data_PRV` on *NoConflict*; otherwise mark true sharing and terminate → `Dir.PRV` / `Dir.PRV_TERM`"),
 			reqRows(network.OpGetX,
 				"`DataExcl` → `Dir.M`",
-				"`Inv` to the other sharers, `DataExcl(AckCount=n)` → `Dir.M` (Hybrid: invalidated sharers of a flagged line are remembered in `updSet` for a later `Upd` push)",
+				"`Inv` to the other sharers, `DataExcl(AckCount=n)` → `Dir.M`",
 				"`Fwd_GetX` to the owner → `Dir.FWD`",
 				"byte check: join with `Data_PRV` / terminate → `Dir.PRV` / `Dir.PRV_TERM`"),
 			reqRows(network.OpUpgrade,
@@ -87,7 +87,7 @@ func Dir() *FSM {
 				"from a current PRV sharer: SAM byte check → `Ack_PRV` / terminate; from a non-sharer: convert to a joining demand"),
 			[]Transition{
 				// WB.
-				t(dirM, network.OpWB, "from the current owner", "onWB", "absorb (update data if `Dirty`), `WBAck` → `Dir.I` — under Hybrid, pending `updSet` pushes fan out `Upd` copies instead → `Dir.S`"),
+				t(dirM, network.OpWB, "from the current owner", "onWB", "absorb (update data if `Dirty`), `WBAck` → `Dir.I`"),
 				t(dirFWD, network.OpWB, "from the old owner — its eviction raced the intervention", "onWB", "absorb, set `wbRace`, defer the `WBAck` to transaction completion; the intervention is served from the evictor's WB buffer (§6.4)"),
 				t(dirEVICT, network.OpWB, "", "onWB", "recall response (or racing eviction): absorb, ack, count toward `expect`; drop the line when complete"),
 				t(dirPRVINIT, network.OpWB, "the owner evicted before `TR_PRV` arrived", "onWB", "the writeback carries the awaited data (`dataSeen`)"),
@@ -116,7 +116,7 @@ func Dir() *FSM {
 				t(dirFWD, network.OpXferOwnerAck, "", "onXferOwnerAck", "ownership transferred (`Fwd_GetX`): record the new owner → `Dir.M`; a deferred `WBAck` (wbRace) is sent now, the pendq drains"),
 
 				// DataToDir.
-				t(dirFWD, network.OpDataToDir, "", "onDataToDir", "owner's copy on `Fwd_GetS`: absorb, sharers = {old owner (unless `wbRace`), requestor} → `Dir.S` — under Hybrid, pending `updSet` pushes fan out now"),
+				t(dirFWD, network.OpDataToDir, "", "onDataToDir", "owner's copy on `Fwd_GetS`: absorb, sharers = {old owner (unless `wbRace`), requestor} → `Dir.S`"),
 				t(dirPRVINIT, network.OpDataToDir, "", "onDataToDir", "the owner's data for the initiation (`dataSeen`); the initiation proceeds"),
 
 				// REP_MD / MD_Phantom — policy feed, tolerated everywhere.

@@ -71,7 +71,7 @@ func L1() *FSM {
 			network.OpInvAck, network.OpUpgradeAck, network.OpUpgradeNack,
 			network.OpUpgAckPrv, network.OpAckPrv,
 			network.OpFwdGetS, network.OpFwdGetX, network.OpInv,
-			network.OpTRPrv, network.OpInvPrv, network.OpWBAck, network.OpUpd,
+			network.OpTRPrv, network.OpInvPrv, network.OpWBAck,
 		},
 		Transitions: []Transition{
 			// Data (S grant) — shares the onData handler with DataExcl.
@@ -173,18 +173,6 @@ func L1() *FSM {
 			t(l1SMA, network.OpWBAck, "", "onWBAck", "clear the fig. 12 WB-buffer entry; the transaction lives on"),
 			t(l1PRVCHK, network.OpWBAck, "", "onWBAck", "clear the WB-buffer entry"),
 			t(l1WB, network.OpWBAck, "", "onWBAck", "writeback accepted → `L1.I`"),
-
-			// Upd (Hybrid): unsolicited pushed S copy.
-			t(l1I, network.OpUpd, "", "onUpd", "install the pushed block as a clean `L1.S` copy"),
-			t(l1S, network.OpUpd, "", "onUpd", "drop: already holding a copy"),
-			t(l1E, network.OpUpd, "", "onUpd", "drop: already holding a copy"),
-			t(l1M, network.OpUpd, "", "onUpd", "drop: already holding a copy"),
-			t(l1PRV, network.OpUpd, "", "onUpd", "drop: already holding a copy"),
-			t(l1ISD, network.OpUpd, "", "onUpd", "drop: a demand transaction is outstanding"),
-			t(l1IMAD, network.OpUpd, "", "onUpd", "drop: a demand transaction is outstanding"),
-			t(l1SMA, network.OpUpd, "", "onUpd", "drop: a demand transaction is outstanding"),
-			t(l1PRVCHK, network.OpUpd, "", "onUpd", "drop: a CHK transaction is outstanding"),
-			t(l1WB, network.OpUpd, "", "onUpd", "drop: a writeback is in flight"),
 		},
 		Impossible: cat(
 			imps(network.OpData, noTxn, l1I, l1S, l1E, l1M, l1PRV, l1WB),

@@ -186,10 +186,8 @@ func Render() string {
 	fmt.Fprintf(&b, "### 4.3 Transitions\n\n")
 	transitionRows(&b, dir)
 	fmt.Fprintf(&b, "\nOther termination triggers (§V-C): SAM-entry eviction and external-socket\naccess (`ExternalAccess`) queue *forced* terminations, drained each `Tick`\nwhen the entry is not busy.\n\n")
-	fmt.Fprintf(&b, "In FSDetect/FSLite/Hybrid, fetch requests feed the policy's FC counters\n(`OnFetchRequest`); the `Counted` flag stops a retried request from being\ncounted twice. The `REQ_MD` decision rides on invalidations and\ninterventions as the `ReqMD` header bit (§IV).\n\n")
+	fmt.Fprintf(&b, "In FSDetect/FSLite, fetch requests feed the policy's FC counters\n(`OnFetchRequest`); the `Counted` flag stops a retried request from being\ncounted twice. The `REQ_MD` decision rides on invalidations and\ninterventions as the `ReqMD` header bit (§IV).\n\n")
 	fmt.Fprintf(&b, "`Prv_WB` merges the responder's last-written bytes (SAM `MergeMask`) into\nthe merge target, and adds `Data − Base` for reduction-marked words (§VII);\nit is accepted during `Dir.PRV_TERM` (into `mergeBuf`), during\n`Dir.PRV_INIT` (an early-evicting joiner), and against a quiescent `Dir.PRV`\nentry (plain PRV eviction, §V-D — prunes the sharer set, keeping it exact).\n\n")
-	fmt.Fprintf(&b, "### 4.4 Hybrid update pushes\n\n")
-	fmt.Fprintf(&b, "Under `-protocol=hybrid` the privatize directive does not start an episode.\nInstead the directory latches `upd` on the flagged line and remembers, in\n`updSet`, every sharer its subsequent `Inv` fan-outs invalidate (plus the\nold owner displaced by a `Fwd_GetX`). When the line next returns to the\nslice — the owner's `DataToDir` downgrade or an absorbed `WB` — the slice\npushes an `Upd` copy of the fresh block to each remembered core that is not\nalready a sharer or the owner, re-adding it to `sharers` at push time (the\nsuperset invariant of §6.1 covers a core that drops the push). `Upd` rides\nthe **control** channel so it FIFO-orders behind any earlier `Inv` on the\nsame dir → core channel; a core with any transaction, WB entry or resident\ncopy drops it. Exact MESI SWMR is preserved: pushed copies are ordinary\n`L1.S` copies that the next write invalidates and acknowledges before\ncommitting, so every fuzzing oracle applies unchanged. Pushes and installs\nare counted in `fs.upd_pushes`/`fs.upd_installs`.\n\n")
 
 	return b.String()
 }

@@ -9,8 +9,7 @@
 //     an observed state exactly when the spec holds a Transition for the
 //     (state, event) pair, and dispatches to the handler the Transition
 //     names. Pairs carrying an Impossible marker panic with the marker's
-//     reason. The hand-written switch dispatch is retained behind
-//     Params.SwitchDispatch and proven byte-identical in `make equiv`.
+//     reason. The interpreter is the controllers' only dispatch path.
 //
 //   - Documentation. cmd/fsspec renders Render() into PROTOCOL.md §§2–4
 //     between generated-region markers; `make check` fails when the
@@ -20,8 +19,7 @@
 // Transition (possibly several rows with distinct guards) or an Impossible
 // marker; FSM.Check enforces this and spec_test.go gates it. Guards and
 // next-states are prose: legality and the action binding are the machine
-// contract, the handlers themselves enforce sub-case guards, so the
-// interpreter is byte-identical to the switch by construction.
+// contract; the handlers themselves enforce sub-case guards.
 //
 // The package depends only on internal/network, so protocol backends,
 // controllers and commands can all consume it without cycles.
@@ -70,8 +68,8 @@ type StateDoc struct {
 
 // FSM is one controller's complete transition table over its observed
 // states. Events lists every opcode the controller accepts; opcodes outside
-// the list are protocol errors regardless of state (the dispatcher treats
-// them like the hand-written switch's default panic).
+// the list are protocol errors regardless of state (the dispatcher panics
+// on them).
 type FSM struct {
 	Name        string
 	States      []StateDoc

@@ -67,11 +67,11 @@ func TestEventsArePartitioned(t *testing.T) {
 }
 
 // TestBackends checks the backend registry: unique names and flags, and the
-// four protocol enum values all represented.
+// three protocol enum values all represented.
 func TestBackends(t *testing.T) {
 	bs := Backends()
-	if len(bs) != 4 {
-		t.Fatalf("want 4 backends, got %d", len(bs))
+	if len(bs) != 3 {
+		t.Fatalf("want 3 backends, got %d", len(bs))
 	}
 	seen := make(map[string]bool)
 	for _, p := range bs {

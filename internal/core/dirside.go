@@ -93,8 +93,7 @@ func (d *DirSide) OnFetchRequest(addr memsys.Addr, core int) (requestMD, privati
 		m.fc++
 	}
 	d.evaluate(addr, m)
-	repair := d.cfg.Mode == coherence.FSLite || d.cfg.Mode == coherence.Hybrid
-	return d.WantMetadata(addr), m.flagged && repair
+	return d.WantMetadata(addr), m.flagged && d.cfg.Mode == coherence.FSLite
 }
 
 // OnInvalidationsSent updates IC (§IV).

@@ -156,7 +156,7 @@ type Program struct {
 	// execution depends solely on the fields below).
 	Seed uint64 `json:"seed"`
 
-	// Protocol is "baseline", "fsdetect", "fslite" or "hybrid".
+	// Protocol is "baseline", "fsdetect" or "fslite".
 	Protocol string `json:"protocol"`
 
 	// Hostile shrinks the caches and detection thresholds (tiny L1/LLC/SAM,
@@ -195,17 +195,11 @@ const maxWorkers = 7
 
 // Mode returns the coherence protocol the program runs under.
 func (p *Program) Mode() (coherence.Protocol, error) {
-	switch p.Protocol {
-	case "baseline", "mesi":
-		return coherence.Baseline, nil
-	case "fsdetect":
-		return coherence.FSDetect, nil
-	case "fslite":
-		return coherence.FSLite, nil
-	case "hybrid":
-		return coherence.Hybrid, nil
+	m, err := coherence.ParseProtocol(p.Protocol)
+	if err != nil {
+		return 0, fmt.Errorf("fuzz: %w", err)
 	}
-	return 0, fmt.Errorf("fuzz: unknown protocol %q", p.Protocol)
+	return m, nil
 }
 
 // Validate checks structural limits (thread count, op kinds).

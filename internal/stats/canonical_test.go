@@ -102,8 +102,6 @@ var ctrValueByIdent = map[string]string{
 	"CtrFSContended":       CtrFSContended,
 	"CtrFSPrvMerges":       CtrFSPrvMerges,
 	"CtrFSPrvCycles":       CtrFSPrvCycles,
-	"CtrFSUpdPushes":       CtrFSUpdPushes,
-	"CtrFSUpdInstalls":     CtrFSUpdInstalls,
 	"CtrSAMReplacements":   CtrSAMReplacements,
 	"CtrSAMLookups":        CtrSAMLookups,
 	"CtrPAMUpdates":        CtrPAMUpdates,

@@ -66,8 +66,6 @@ const (
 	IDFSContended
 	IDFSPrvMerges
 	IDFSPrvCycles
-	IDFSUpdPushes
-	IDFSUpdInstalls
 	IDSAMReplacements
 	IDSAMLookups
 	IDPAMUpdates
@@ -127,8 +125,6 @@ var idNames = [NumIDs]string{
 	IDFSContended:       CtrFSContended,
 	IDFSPrvMerges:       CtrFSPrvMerges,
 	IDFSPrvCycles:       CtrFSPrvCycles,
-	IDFSUpdPushes:       CtrFSUpdPushes,
-	IDFSUpdInstalls:     CtrFSUpdInstalls,
 	IDSAMReplacements:   CtrSAMReplacements,
 	IDSAMLookups:        CtrSAMLookups,
 	IDPAMUpdates:        CtrPAMUpdates,
@@ -446,8 +442,6 @@ const (
 	CtrFSContended       = "fs.contended_lines"
 	CtrFSPrvMerges       = "fs.prv_merges"
 	CtrFSPrvCycles       = "fs.prv_cycles"
-	CtrFSUpdPushes       = "fs.upd_pushes"
-	CtrFSUpdInstalls     = "fs.upd_installs"
 	CtrSAMReplacements   = "sam.valid_replacements"
 	CtrSAMLookups        = "sam.lookups"
 	CtrPAMUpdates        = "pam.updates"
@@ -518,8 +512,6 @@ func Canonical() []Counter {
 		{CtrFSContended, "lines classified as contended truly-shared"},
 		{CtrFSPrvMerges, "privatized per-core copies byte-merged back"},
 		{CtrFSPrvCycles, "cycles lines spent privatized (summed over completed episodes)"},
-		{CtrFSUpdPushes, "Upd copies pushed by the hybrid backend"},
-		{CtrFSUpdInstalls, "pushed Upd copies installed by cores"},
 		{CtrSAMReplacements, "SAM entries evicted while valid"},
 		{CtrSAMLookups, "SAM table lookups"},
 		{CtrPAMUpdates, "PAM metadata updates"},

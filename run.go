@@ -24,8 +24,11 @@ const (
 	Baseline = coherence.Baseline
 	FSDetect = coherence.FSDetect
 	FSLite   = coherence.FSLite
-	Hybrid   = coherence.Hybrid
 )
+
+// ParseProtocol resolves a protocol name, case-insensitively: baseline (or
+// mesi), fsdetect (or detect), fslite (or lite).
+func ParseProtocol(s string) (Protocol, error) { return coherence.ParseProtocol(s) }
 
 // Variant selects the workload data layout.
 type Variant = workload.Variant
@@ -136,12 +139,6 @@ type Options struct {
 	// default machine shape: skip engine, in-order cores, two-level inclusive
 	// hierarchy, no Verify/Obs/Forensics attachments.
 	Sample string
-
-	// SwitchDispatch routes coherence messages through the retained
-	// hand-written switch instead of the spec-table interpreter
-	// (internal/coherence/dispatch.go). The two are byte-identical
-	// (`make equiv`); the flag exists for that proof.
-	SwitchDispatch bool
 }
 
 // Result summarizes one run.
@@ -278,8 +275,6 @@ func validateMachine(opt Options) error {
 			return fmt.Errorf("-sample requires the two-level hierarchy (drop -l2kb)")
 		case opt.NonInclusiveLLC:
 			return fmt.Errorf("-sample requires the inclusive LLC (drop -noninclusive)")
-		case opt.Protocol == Hybrid:
-			return fmt.Errorf("-sample does not support the hybrid backend (Upd pushes have no warming fast path)")
 		}
 	}
 	return nil
@@ -337,7 +332,6 @@ func buildConfig(opt Options) sim.Config {
 		panic(fmt.Sprintf("fscoherence: %v", err))
 	}
 	cfg.Params.Topology = kind
-	cfg.Params.SwitchDispatch = opt.SwitchDispatch
 	cfg.Shards = opt.Shards
 	cfg.Obs = opt.Obs
 	cfg.Forensics = opt.Forensics

@@ -80,7 +80,7 @@ func (r *Runner) SetSample(spec string) { r.sample = spec }
 func sampleCompatible(opt Options) bool {
 	return (opt.Engine == "" || opt.Engine == "skip") &&
 		!opt.OOO && !opt.Verify && opt.Obs == nil && opt.Forensics == nil &&
-		opt.L2KB == 0 && !opt.NonInclusiveLLC && opt.Protocol != Hybrid
+		opt.L2KB == 0 && !opt.NonInclusiveLLC
 }
 
 // SampledCells returns every distinct cell that completed as an interval-

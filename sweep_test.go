@@ -103,9 +103,6 @@ func TestGoldenFigureTables(t *testing.T) {
 	r := NewRunner(2)
 	var b strings.Builder
 	for _, e := range Experiments {
-		if e.ID == "hybrid" {
-			continue // opt-in backend outside the paper's three protocols
-		}
 		b.WriteString("# " + e.ID + "\n")
 		b.WriteString(e.Gen(r, 0.25).CSV())
 		b.WriteByte('\n')
