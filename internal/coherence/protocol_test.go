@@ -193,7 +193,7 @@ func TestParseProtocol(t *testing.T) {
 			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	if _, err := ParseProtocol("hybrid"); err == nil {
-		t.Error(`ParseProtocol("hybrid") accepted an unknown protocol`)
+	if _, err := ParseProtocol("nosuch"); err == nil {
+		t.Error(`ParseProtocol("nosuch") accepted an unknown protocol`)
 	}
 }

@@ -3,7 +3,6 @@ package fscoherence
 import (
 	"flag"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -109,9 +108,6 @@ func TestGoldenFigureTables(t *testing.T) {
 	}
 	got := b.String()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenFigures), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(goldenFigures, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
