@@ -187,6 +187,60 @@ func TestEngineEquivalenceVerified(t *testing.T) {
 	}
 }
 
+// TestEngineDispatchEquivalence gates `make equiv` on the spec-driven
+// dispatch layer: on a read-involved false-sharing workload (uRW under
+// FSLite, whose privatization and merge paths exercise most of the spec
+// tables), every engine × topology combination must route each coherence
+// message through the table-driven interpreter without tripping an
+// illegal-pair panic or the oracle, and must produce results byte-identical
+// to the naive engine on the same topology without verification attached —
+// same cycle count, same counter snapshot, same detection and contention
+// lists. The naive cells therefore check that the oracle and SWMR scanner
+// observe dispatch without steering it.
+func TestEngineDispatchEquivalence(t *testing.T) {
+	for _, engine := range []string{"naive", "skip", "parallel"} {
+		for _, topo := range []string{"flat", "mesh"} {
+			engine, topo := engine, topo
+			t.Run(fmt.Sprintf("%s-%s-%v", engine, topo, FSLite), func(t *testing.T) {
+				t.Parallel()
+				ref, err := Run("uRW", Options{Protocol: FSLite, Scale: engineEquivalenceScale, Engine: "naive", Topology: topo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Run("uRW", Options{Protocol: FSLite, Scale: engineEquivalenceScale, Engine: engine, Topology: topo, Verify: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Violations) != 0 {
+					t.Fatalf("oracle violations: %v", got.Violations)
+				}
+				if ref.Cycles != got.Cycles {
+					t.Errorf("cycles diverge: naive=%d %s=%d", ref.Cycles, engine, got.Cycles)
+				}
+				rs, gs := ref.Stats.Snapshot(), got.Stats.Snapshot()
+				if !reflect.DeepEqual(rs, gs) {
+					for k, v := range rs {
+						if gs[k] != v {
+							t.Errorf("counter %s diverges: naive=%d %s=%d", k, v, engine, gs[k])
+						}
+					}
+					for k, v := range gs {
+						if _, ok := rs[k]; !ok {
+							t.Errorf("counter %s only under %s (=%d)", k, engine, v)
+						}
+					}
+				}
+				if !reflect.DeepEqual(ref.Detections, got.Detections) {
+					t.Errorf("detections diverge:\nnaive: %v\n%s: %v", ref.Detections, engine, got.Detections)
+				}
+				if !reflect.DeepEqual(ref.Contended, got.Contended) {
+					t.Errorf("contended lists diverge:\nnaive: %v\n%s: %v", ref.Contended, engine, got.Contended)
+				}
+			})
+		}
+	}
+}
+
 // traceUnder runs the golden lock workload (LR under FSLite) with the full
 // observability attachment on the given engine and returns the exported
 // Chrome trace bytes.
