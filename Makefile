@@ -13,15 +13,6 @@
 #   make test    — build + unit tests only (fast inner loop).
 #   make race    — race-detector pass only.
 #   make equiv   — cross-engine equivalence tests only.
-#   make bench   — run the Benchmark* suite (-benchmem, one iteration each)
-#                  and capture the parsed results into BENCH_6.json. Includes
-#                  the sampled 10^9-access mesh-64 cell (~1 min).
-#   make benchdiff — compare BENCH_6.json against the previous snapshot
-#                  (BENCH_5.json); fails on a >15% regression in any tracked
-#                  deterministic metric (allocs/op, B/op, modelled results —
-#                  wall-clock ns/op is excluded as CI noise). Part of make ci;
-#                  skipped with a notice if BENCH_6.json has not been
-#                  captured on this machine.
 #   make samplecheck — the interval-sampling validation gate: sampled
 #                  estimates must land within tolerance of full reference
 #                  runs, and must be byte-identical across -j worker counts.
@@ -44,9 +35,9 @@ GO ?= go
 GOFMT ?= gofmt
 SEEDS ?= 200
 
-.PHONY: ci check fmt test race equiv allocsmoke samplecheck ckptcheck bench benchdiff benchsmoke sweep fuzz fuzzsmoke specdocs speccheck
+.PHONY: ci check fmt test race equiv allocsmoke samplecheck ckptcheck benchsmoke sweep fuzz fuzzsmoke specdocs speccheck
 
-ci: check race equiv allocsmoke samplecheck ckptcheck fuzzsmoke benchsmoke benchdiff
+ci: check race equiv allocsmoke samplecheck ckptcheck fuzzsmoke benchsmoke
 
 check: fmt speccheck test
 
@@ -103,18 +94,6 @@ ckptcheck:
 	$(GO) test -run 'TestCheckpoint|TestCadence|TestCorrupt|TestMissingResume|TestWrongIdentity|TestWarmState|TestJournal|TestLoadJournal' -count=1 .
 	$(GO) test -count=1 ./internal/checkpoint/
 	$(GO) test -race -run 'TestKillResumeSmoke|TestSupervised|TestBackoffDeterministic|TestPrimeMemo' -count=1 . ./internal/runner/
-
-bench:
-	$(GO) test -bench . -benchmem -benchtime=1x -run '^$$' ./... | $(GO) run ./cmd/benchjson -out BENCH_6.json
-
-# Regression gate over the checked-in snapshots. BENCH_6.json is machine-
-# dependent, so the diff only runs when a local capture exists.
-benchdiff:
-	@if [ -f BENCH_6.json ]; then \
-		$(GO) run ./cmd/benchjson -diff BENCH_6.json -prev BENCH_5.json; \
-	else \
-		echo "benchdiff: BENCH_6.json not captured (run 'make bench' first); skipping"; \
-	fi
 
 # The fsbench goldens pin Fig 14a, Fig 15 and two uGRID cells exactly.
 benchsmoke:

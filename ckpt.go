@@ -78,31 +78,11 @@ func (c RunControl) enabled() bool {
 }
 
 // CheckpointCompatible reports whether a cell's options support
-// checkpoint/restore (mirrors validateCheckpointable; sweeps use it to skip
-// checkpointing on incompatible cells instead of failing them).
+// checkpoint/restore (sweeps use it to skip checkpointing on incompatible
+// cells instead of failing them).
 func CheckpointCompatible(opt Options) bool {
-	return validateCheckpointable(opt) == nil
-}
-
-// validateCheckpointable rejects options whose state cannot be fully
-// serialized. The engine is not checked here: naive/parallel are
-// byte-identical to skip and fall back with a warning instead.
-func validateCheckpointable(opt Options) error {
-	switch {
-	case opt.OOO:
-		return fmt.Errorf("checkpointing supports only the in-order core model")
-	case opt.Verify:
-		return fmt.Errorf("checkpointing is incompatible with -verify: oracle state is not serialized")
-	case opt.Obs != nil:
-		return fmt.Errorf("checkpointing is incompatible with observability attachments")
-	case opt.Forensics != nil:
-		return fmt.Errorf("checkpointing is incompatible with forensics recording")
-	case opt.L2KB > 0:
-		return fmt.Errorf("checkpointing requires the two-level hierarchy (drop -l2kb)")
-	case opt.NonInclusiveLLC:
-		return fmt.Errorf("checkpointing requires the inclusive LLC (drop -noninclusive)")
-	}
-	return nil
+	_, _, err := buildConfig(opt, DefaultCheckpointEvery)
+	return err == nil
 }
 
 // ckptIdentity is the hashed identity of a checkpointed execution: the
@@ -175,32 +155,16 @@ func RunControlled(bench string, opt Options, ctl RunControl) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := validateMachine(opt); err != nil {
-		return nil, err
-	}
 	if opt.Scale == 0 {
 		opt.Scale = 1
 	}
-	var warnings []string
-	if ctl.enabled() {
-		if err := validateCheckpointable(opt); err != nil {
-			return nil, err
-		}
-		switch opt.Engine {
-		case "", "skip":
-		default:
-			// naive and parallel are byte-identical to skip, so falling back
-			// preserves every result while making the state serializable.
-			warnings = append(warnings,
-				fmt.Sprintf("checkpointing runs under the skip engine (requested %q is byte-identical; falling back)", opt.Engine))
-			opt.Engine = "skip"
-		}
-		if ctl.CheckpointEvery == 0 {
-			ctl.CheckpointEvery = DefaultCheckpointEvery
-		}
+	if ctl.enabled() && ctl.CheckpointEvery == 0 {
+		ctl.CheckpointEvery = DefaultCheckpointEvery
 	}
-
-	cfg := buildConfig(opt)
+	cfg, warnings, err := buildConfig(opt, ctl.CheckpointEvery)
+	if err != nil {
+		return nil, err
+	}
 	// Cancellation is independent of checkpointing: a supervised cell polls
 	// its watchdog even when its options cannot checkpoint.
 	cfg.Cancel = ctl.Cancel
@@ -208,7 +172,6 @@ func RunControlled(bench string, opt Options, ctl RunControl) (*Result, error) {
 	var cacheFile string
 	if ctl.enabled() {
 		identity = checkpointIdentity(bench, opt, ctl.CheckpointEvery)
-		cfg.CheckpointEvery = ctl.CheckpointEvery
 		if ctl.CacheDir != "" {
 			cacheFile = cacheFilePath(ctl.CacheDir, bench, identity)
 		}

@@ -40,21 +40,15 @@ import (
 	"time"
 
 	"fscoherence"
-	"fscoherence/internal/obs"
+	"fscoherence/cmd/internal/cli"
 	"fscoherence/internal/profiling"
-	"fscoherence/internal/sample"
 	"fscoherence/internal/stats"
 )
 
 func main() {
 	var (
 		all      = flag.Bool("all", false, "run every experiment")
-		engine   = flag.String("engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference) | parallel (conservative parallel)")
-		cores    = flag.Int("cores", 0, "scale the machine to this many cores (0 = Table II 8-core default; up to 256)")
-		topology = flag.String("topology", "", "interconnect: flat (default) | ring | mesh")
-		shards   = flag.Int("shards", 0, "parallel engine worker count (0 = one per 8 cores)")
 		exp      = flag.String("exp", "", "run a single experiment by ID (fig2, fig13, ...)")
-		scale    = flag.Float64("scale", 1.0, "workload size multiplier")
 		jobs     = flag.Int("j", runtime.NumCPU(), "max concurrent simulations (1 = serial)")
 		verbose  = flag.Bool("v", false, "report each simulation cell's timing on stderr")
 		progress = flag.String("progress", "", "stream JSONL progress records (one per cell) to this file; - for stderr")
@@ -64,39 +58,32 @@ func main() {
 		listExp  = flag.Bool("list", false, "list experiment IDs")
 		table2   = flag.Bool("config", false, "print the simulated system configuration (Table II)")
 		table3   = flag.Bool("benchmarks", false, "print the benchmark list (Table III)")
-		traceOut = flag.String("trace", "", "write a Chrome trace of one instrumented cell (-trace-bench under -trace-protocol)")
-		metrics  = flag.String("metrics", "", "write interval metrics CSV of the instrumented cell")
-		filter   = flag.String("trace-filter", "", "restrict traced events: addr=0x...,core=N,class=net|prv|...")
-		trBench  = flag.String("trace-bench", "LR", "benchmark for the instrumented cell")
-		trProto  = flag.String("trace-protocol", "fslite", "protocol for the instrumented cell")
-		sampled  = flag.String("sample", "", "interval sampling spec detailed:warming in committed accesses (e.g. 50k:950k); timing metrics become estimates with 95% CIs")
+		trBench  = flag.String("trace-bench", "LR", "benchmark for the instrumented cell of -trace/-metrics")
+		trProto  = flag.String("trace-protocol", "fslite", "protocol for the instrumented cell of -trace/-metrics")
 		journal  = flag.String("journal", "", "append one JSONL record per completed/failed cell to this campaign journal")
 		resume   = flag.String("resume", "", "prime completed cells from this campaign journal (usually the same file as -journal) so only unfinished work reruns")
 		timeout  = flag.Duration("timeout", 0, "per-attempt wall-clock watchdog for each cell (0 = none)")
 		retries  = flag.Int("retries", 0, "additional attempts after a cell fails, panics or times out")
 		backoff  = flag.Duration("backoff", 0, "base retry delay, doubled per attempt with deterministic jitter")
 		ckptDir  = flag.String("checkpoint-dir", "", "warm-state cache directory: compatible cells checkpoint into it and auto-resume after a crash")
-		ckptN    = flag.String("checkpoint-every", "", "checkpoint cadence in committed L1D accesses for -checkpoint-dir (e.g. 1m; default 1m)")
 	)
+	fl := cli.Register(cli.Scale | cli.Machine | cli.Sample | cli.Trace | cli.Checkpoint)
 	prof := profiling.AddFlags()
 	flag.Parse()
-	if *engine != "skip" && *engine != "naive" && *engine != "parallel" {
-		fmt.Fprintf(os.Stderr, "fsexp: unknown -engine %q (want skip, naive or parallel)\n", *engine)
-		os.Exit(1)
+
+	// One engine for the whole invocation: cells shared between tables
+	// (e.g. every Baseline reference run) are simulated exactly once. The
+	// machine and -sample flags become its defaults.
+	eng := fscoherence.NewRunner(*jobs)
+	def, err := fl.Options()
+	if err != nil {
+		fatal(err)
 	}
-	if *sampled != "" {
-		if _, err := sample.ParseSpec(*sampled); err != nil {
-			fmt.Fprintln(os.Stderr, "fsexp:", err)
-			os.Exit(1)
-		}
-		if *engine != "skip" {
-			fmt.Fprintf(os.Stderr, "fsexp: -sample requires the skip engine, not -engine=%s\n", *engine)
-			os.Exit(1)
-		}
+	if err := eng.SetDefaults(def); err != nil {
+		fatal(err)
 	}
 	if err := prof.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "fsexp:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer prof.Stop()
 
@@ -127,28 +114,16 @@ func main() {
 		selected["fig2"], selected["fig14a"], selected["fig14b"], selected["fig15"] = true, true, true, true
 	}
 
-	// One engine for the whole invocation: cells shared between tables
-	// (e.g. every Baseline reference run) are simulated exactly once.
-	eng := fscoherence.NewRunner(*jobs)
-	eng.SetEngine(*engine)
-	eng.SetMachine(*cores, *topology, *shards)
-	eng.SetSample(*sampled)
 	if *timeout > 0 || *retries > 0 || *backoff > 0 {
 		eng.SetSupervision(*timeout, *retries, *backoff)
 	}
 	if *ckptDir != "" {
-		var every uint64
-		if *ckptN != "" {
-			n, err := sample.ParseCount(*ckptN)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fsexp: -checkpoint-every:", err)
-				os.Exit(1)
-			}
-			every = n
+		every, err := fl.CheckpointInterval()
+		if err != nil {
+			fatal(err)
 		}
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "fsexp:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		eng.SetCheckpointDir(*ckptDir, every)
 	}
@@ -157,16 +132,14 @@ func main() {
 	if *resume != "" {
 		primed, err := eng.ResumeJournal(*resume)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsexp:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "[resume: %d completed cell(s) primed from %s]\n", primed, *resume)
 	}
 	if *journal != "" {
 		j, err := fscoherence.OpenJournal(*journal)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsexp:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer j.Close()
 		eng.SetJournal(j)
@@ -176,8 +149,7 @@ func main() {
 		if *progress != "-" {
 			fh, err := os.Create(*progress)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "fsexp:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			defer fh.Close()
 			w = fh
@@ -202,7 +174,7 @@ func main() {
 		}
 		ran++
 		start := time.Now()
-		t, err := genTable(eng, e.Gen, *scale)
+		t, err := genTable(eng, e.Gen, fl.Scale)
 		if err != nil {
 			// A broken cell fails only its experiment; the sweep continues.
 			failed++
@@ -211,13 +183,11 @@ func main() {
 		}
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "fsexp:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			path := filepath.Join(*outDir, e.ID+".csv")
 			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "fsexp:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 		}
 		switch {
@@ -235,8 +205,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *traceOut != "" || *metrics != "" {
-		traceCell(eng, *trBench, *trProto, *scale, *traceOut, *metrics, *filter)
+	if fl.Traced() {
+		traceCell(eng, *trBench, *trProto, fl)
 	}
 
 	eng.Wait()
@@ -254,8 +224,7 @@ func main() {
 			m["runs"], m["cycles"], m["cycles.max.peak"], m["detections"], m["contended"])
 	}
 	if err := prof.Stop(); err != nil {
-		fmt.Fprintln(os.Stderr, "fsexp:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "fsexp: %d experiment(s) failed\n", failed)
@@ -292,41 +261,25 @@ func printSampledCells(eng *fscoherence.Runner) {
 // trace and metrics. The cell's Options carry the Obs pointer, so it is a
 // distinct memo key and always executes (with deterministic results, the
 // trace is byte-identical for any -j).
-func traceCell(eng *fscoherence.Runner, bench, protocol string, scale float64, traceOut, metricsOut, filterSpec string) {
+func traceCell(eng *fscoherence.Runner, bench, protocol string, fl *cli.Flags) {
 	p, err := fscoherence.ParseProtocol(protocol)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsexp: -trace-protocol:", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("-trace-protocol: %w", err))
 	}
-	f, err := obs.ParseFilter(filterSpec, fscoherence.DefaultBlockSize())
+	o, err := fl.Obs()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsexp:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	o := obs.New(obs.Config{Filter: f})
-	if _, err := eng.Run(bench, fscoherence.Options{Protocol: p, Scale: scale, Obs: o}); err != nil {
-		fmt.Fprintln(os.Stderr, "fsexp:", err)
-		os.Exit(1)
+	res, err := eng.Run(bench, fscoherence.Options{Protocol: p, Scale: fl.Scale, Obs: o})
+	if err != nil {
+		fatal(err)
 	}
-	write := func(path string, fn func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		fh, err := os.Create(path)
-		if err == nil {
-			err = fn(fh)
-		}
-		if cerr := fh.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsexp:", err)
-			os.Exit(1)
-		}
+	for _, w := range res.Warnings {
+		fmt.Fprintf(os.Stderr, "fsexp: warning: traced %s/%v: %s\n", bench, p, w)
 	}
-	write(traceOut, func(fh *os.File) error { return obs.WriteChromeTrace(fh, o.Tracer.Events()) })
-	write(metricsOut, func(fh *os.File) error { return o.Metrics.WriteCSV(fh) })
-	fmt.Fprintf(os.Stderr, "[traced %s/%s: %d events]\n", bench, protocol, o.Tracer.Total())
+	if err := cli.Export(o, fl.Trace, fl.Metrics); err != nil {
+		fatal(err)
+	}
 }
 
 // genTable runs one table builder, converting a failed cell's panic
@@ -338,6 +291,11 @@ func genTable(r *fscoherence.Runner, gen func(*fscoherence.Runner, float64) *fsc
 		}
 	}()
 	return gen(r, scale), nil
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "fsexp:", err)
+	os.Exit(1)
 }
 
 func printConfig() {

@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"fscoherence/cmd/internal/cli"
 	"fscoherence/internal/coherence"
 	"fscoherence/internal/fuzz"
 	"fscoherence/internal/obs"
@@ -197,19 +198,9 @@ func doReplay(path, traceOut string, opt fuzz.Options) int {
 	}
 	fmt.Printf("replaying %s\n%s\n", path, p)
 	out := fuzz.Execute(p, opt)
-	if o != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsfuzz:", err)
-			return 2
-		}
-		if err := obs.WriteChromeTrace(f, o.Tracer.Events()); err != nil {
-			fmt.Fprintln(os.Stderr, "fsfuzz:", err)
-			return 2
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "[trace: %d events -> %s; open in Perfetto]\n",
-			len(o.Tracer.Events()), traceOut)
+	if err := cli.Export(o, traceOut, ""); err != nil {
+		fmt.Fprintln(os.Stderr, "fsfuzz:", err)
+		return 2
 	}
 	if out.Failure != nil {
 		fmt.Printf("reproduced after %d cycles:\n%v\n", out.Cycles, out.Failure)

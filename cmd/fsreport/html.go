@@ -122,7 +122,12 @@ type campaignRow struct {
 // buildHTMLData assembles the full report model: the FSLite detail run's
 // recorder (heatmaps, timelines, repair efficacy), the FSDetect accuracy
 // sweep and the campaign summary.
-func buildHTMLData(bench, variant string, v fscoherence.Variant, scale float64, rep report) (*htmlData, error) {
+//
+// detail is the detail run's options: the selected benchmark under FSLite
+// with a flight recorder attached, so the report shows repairs, not just
+// detections.
+func buildHTMLData(bench, variant string, detail fscoherence.Options, rep report) (*htmlData, error) {
+	scale := detail.Scale
 	d := &htmlData{
 		Benchmark: bench,
 		Variant:   variant,
@@ -131,15 +136,11 @@ func buildHTMLData(bench, variant string, v fscoherence.Variant, scale float64, 
 		Rep:       rep,
 	}
 
-	// Detail run: the selected benchmark under FSLite with the flight
-	// recorder attached, so the report shows repairs, not just detections.
-	rec := forensics.New()
-	res, err := fscoherence.Run(bench, fscoherence.Options{
-		Protocol: fscoherence.FSLite, Variant: v, Scale: scale, Forensics: rec,
-	})
+	res, err := fscoherence.Run(bench, detail)
 	if err != nil {
 		return nil, err
 	}
+	rec := detail.Forensics
 	d.BlockSize = rec.BlockSize()
 	d.Lines, d.LinesDropped = detailLines(rec, res.GroundTruth)
 

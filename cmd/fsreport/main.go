@@ -3,7 +3,9 @@
 // counts and the supporting protocol statistics — the "detector as a
 // diagnostics tool" use case of §II. The JSON schema includes per-line
 // detection timelines and the L1D miss-latency histogram, both sourced from
-// the unified observability layer.
+// the unified observability layer. -trace and -metrics export the FSDetect
+// run, whose tracer keeps detector events only unless -trace-filter names
+// others.
 //
 // Usage:
 //
@@ -20,94 +22,64 @@ import (
 	"os"
 
 	"fscoherence"
-	"fscoherence/internal/obs"
+	"fscoherence/cmd/internal/cli"
+	"fscoherence/internal/forensics"
 )
 
 func main() {
 	var (
-		bench    = flag.String("bench", "RC", "benchmark code (fsrun -list shows all)")
-		scale    = flag.Float64("scale", 1.0, "workload size multiplier")
-		asJSON   = flag.Bool("json", false, "emit machine-readable JSON")
-		variant  = flag.String("variant", "default", "default | padded | huron")
-		traceOut = flag.String("trace", "", "also write the FSDetect run's Chrome trace-event JSON to this file")
-		metrics  = flag.String("metrics", "", "also write the FSDetect run's interval metrics CSV to this file")
-		filter   = flag.String("trace-filter", "", "override the trace filter (default: detector events only)")
-		htmlOut  = flag.String("html", "", "write a self-contained HTML forensics report (heatmaps, timelines, accuracy) to this file")
-		sampled  = flag.String("sample", "", "interval sampling spec detailed:warming in committed accesses (e.g. 50k:950k); incompatible with -trace/-metrics/-html")
+		bench   = flag.String("bench", "RC", "benchmark code (fsrun -list shows all)")
+		asJSON  = flag.Bool("json", false, "emit machine-readable JSON")
+		htmlOut = flag.String("html", "", "write a self-contained HTML forensics report (heatmaps, timelines, accuracy) to this file")
 	)
+	fl := cli.Register(cli.Scale | cli.Variant | cli.Sample | cli.Trace)
 	flag.Parse()
-	if *sampled != "" {
-		// Sampled runs carry no observability: warming commits emit no events.
-		switch {
-		case *traceOut != "":
-			fatal(fmt.Errorf("-sample is incompatible with -trace (warming emits no events)"))
-		case *metrics != "":
-			fatal(fmt.Errorf("-sample is incompatible with -metrics (warming emits no events)"))
-		case *filter != "":
-			fatal(fmt.Errorf("-sample is incompatible with -trace-filter (warming emits no events)"))
-		case *htmlOut != "":
-			fatal(fmt.Errorf("-sample is incompatible with -html (forensics needs the fully-timed run)"))
-		}
-	}
 
-	v := fscoherence.LayoutDefault
-	switch *variant {
-	case "padded":
-		v = fscoherence.LayoutPadded
-	case "huron":
-		v = fscoherence.LayoutHuron
-	}
-
-	o := detectionObs()
-	if *filter != "" {
-		f, err := obs.ParseFilter(*filter, fscoherence.DefaultBlockSize())
-		if err != nil {
-			fatal(err)
-		}
-		o = obs.New(obs.Config{Filter: f})
-	}
-	if *sampled != "" {
-		o = nil // warming commits emit no events; timelines are omitted
-	}
-
-	base, err := fscoherence.Run(*bench, fscoherence.Options{Protocol: fscoherence.Baseline, Variant: v, Scale: *scale, Sample: *sampled})
+	opt, err := fl.Options()
 	if err != nil {
 		fatal(err)
 	}
-	det, err := fscoherence.Run(*bench, fscoherence.Options{Protocol: fscoherence.FSDetect, Variant: v, Scale: *scale, Obs: o, Sample: *sampled})
+	base, det := opt, opt
+	base.Protocol, det.Protocol = fscoherence.Baseline, fscoherence.FSDetect
+	// The FSDetect run records detector events for the line timelines,
+	// unless it is sampled (warming emits no events) and nothing asked for
+	// them; -trace-filter overrides what it records.
+	switch {
+	case fl.Filter != "":
+		if det.Obs, err = fl.Obs(); err != nil {
+			fatal(err)
+		}
+	case fl.Traced() || opt.Sample == "":
+		det.Obs = detectionObs()
+	}
+	// The HTML detail run: FSLite with the flight recorder attached.
+	detail := opt
+	detail.Protocol, detail.Forensics = fscoherence.FSLite, forensics.New()
+	runs := []fscoherence.Options{base, det}
+	if *htmlOut != "" {
+		runs = append(runs, detail)
+	}
+	for _, o := range runs {
+		if err := o.Validate(); err != nil {
+			fatal(err)
+		}
+	}
+
+	baseRes, err := fscoherence.Run(*bench, base)
 	if err != nil {
 		fatal(err)
 	}
-
-	rep := buildReport(*bench, base, det)
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteChromeTrace(f, o.Tracer.Events()); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	detRes, err := fscoherence.Run(*bench, det)
+	if err != nil {
+		fatal(err)
 	}
-	if *metrics != "" {
-		f, err := os.Create(*metrics)
-		if err != nil {
-			fatal(err)
-		}
-		if err := o.Metrics.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	rep := buildReport(*bench, baseRes, detRes)
+	if err := cli.Export(det.Obs, fl.Trace, fl.Metrics); err != nil {
+		fatal(err)
 	}
 
 	if *htmlOut != "" {
-		data, err := buildHTMLData(*bench, *variant, v, *scale, rep)
+		data, err := buildHTMLData(*bench, fl.Variant, detail, rep)
 		if err != nil {
 			fatal(err)
 		}
@@ -134,7 +106,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("FSDetect report for %s (%s layout)\n", rep.Benchmark, *variant)
+	fmt.Printf("FSDetect report for %s (%s layout)\n", rep.Benchmark, fl.Variant)
 	if s := rep.Sampled; s != nil {
 		cyc := s.Estimates["sim.cycles"]
 		fmt.Printf("  run length          %.0f ± %.0f cycles (95%% CI; sampled %s, %d windows, %.2f%% detail; detection overhead %.2f%%)\n",

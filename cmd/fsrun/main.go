@@ -35,9 +35,8 @@ import (
 	"strings"
 
 	"fscoherence"
-	"fscoherence/internal/obs"
+	"fscoherence/cmd/internal/cli"
 	"fscoherence/internal/profiling"
-	"fscoherence/internal/sample"
 	"fscoherence/internal/stats"
 )
 
@@ -46,34 +45,37 @@ func main() {
 		bench    = flag.String("bench", "RC", "benchmark code (see -list)")
 		protocol = flag.String("protocol", "baseline", "baseline | fsdetect | fslite")
 		mode     = flag.String("mode", "", "alias for -protocol")
-		variant  = flag.String("variant", "default", "default | padded | huron")
-		scale    = flag.Float64("scale", 1.0, "workload size multiplier")
 		jobs     = flag.Int("j", runtime.NumCPU(), "max concurrent simulations for -compare (1 = serial)")
 		compare  = flag.Bool("compare", false, "run all three protocols and print speedups")
 		verify   = flag.Bool("verify", false, "enable oracle and SWMR verification")
 		list     = flag.Bool("list", false, "list available benchmarks")
 		full     = flag.Bool("stats", false, "dump all counters")
-		traceOut = flag.String("trace", "", "write Chrome trace-event JSON to this file (open in Perfetto)")
-		metrics  = flag.String("metrics", "", "write interval metrics CSV to this file")
-		filter   = flag.String("trace-filter", "", "restrict traced events: addr=0x...,core=N,class=net|l1|dir|detect|prv|commit|oracle")
 		counters = flag.Bool("counters", false, "after the run, dump every canonical counter (zeros included) in sorted order")
 		ctrTable = flag.Bool("counter-table", false, "print the canonical counter-name documentation table and exit")
-		engine   = flag.String("engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference) | parallel (conservative parallel)")
-		cores    = flag.Int("cores", 0, "scale the machine to this many cores (0 = Table II 8-core default; up to 256)")
-		topology = flag.String("topology", "", "interconnect: flat (default) | ring | mesh")
-		shards   = flag.Int("shards", 0, "parallel engine worker count (0 = one per 8 cores)")
-		sampled  = flag.String("sample", "", "interval sampling spec detailed:warming in committed accesses (e.g. 50k:950k); timing metrics become estimates with 95% CIs")
 		ckpt     = flag.String("checkpoint", "", "write periodic checkpoints to this file (atomic; each boundary's write replaces the last)")
-		ckptN    = flag.String("checkpoint-every", "", "checkpoint cadence in committed L1D accesses (e.g. 1m, 500k; default 1m when checkpointing)")
 		resume   = flag.String("resume", "", "resume from this checkpoint file; corrupt or mismatched files fall back to a cold run with a warning")
 	)
+	fl := cli.Register(cli.Scale | cli.Variant | cli.Machine | cli.Sample | cli.Trace | cli.Checkpoint)
 	prof := profiling.AddFlags()
 	flag.Parse()
 	if *mode != "" {
 		*protocol = *mode
 	}
-	if *engine != "skip" && *engine != "naive" && *engine != "parallel" {
-		fatal(fmt.Errorf("unknown -engine %q (want skip, naive or parallel)", *engine))
+	opt, err := fl.Options()
+	if err != nil {
+		fatal(err)
+	}
+	if opt.Protocol, err = fscoherence.ParseProtocol(*protocol); err != nil {
+		fatal(err)
+	}
+	opt.Verify = *verify
+	if fl.Traced() {
+		if opt.Obs, err = fl.Obs(); err != nil {
+			fatal(err)
+		}
+	}
+	if err := opt.Validate(); err != nil {
+		fatal(err)
 	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
@@ -100,69 +102,59 @@ func main() {
 		return
 	}
 
-	v, err := parseVariant(*variant)
-	if err != nil {
-		fatal(err)
-	}
-	p, err := fscoherence.ParseProtocol(*protocol)
-	if err != nil {
-		fatal(err)
-	}
-	o := buildObs(*traceOut, *metrics, *filter)
-
 	var ctl fscoherence.RunControl
-	if *ckpt != "" || *ckptN != "" || *resume != "" {
+	if *ckpt != "" || fl.CheckpointEvery != "" || *resume != "" {
 		if *compare {
 			fatal(fmt.Errorf("-checkpoint/-resume apply to a single run; drop -compare"))
 		}
 		ctl.CheckpointPath = *ckpt
 		ctl.Resume = *resume
-		if *ckptN != "" {
-			every, err := sample.ParseCount(*ckptN)
-			if err != nil {
-				fatal(fmt.Errorf("-checkpoint-every: %w", err))
-			}
-			ctl.CheckpointEvery = every
+		if ctl.CheckpointEvery, err = fl.CheckpointInterval(); err != nil {
+			fatal(err)
 		}
 	}
 
 	if *compare {
 		// The three protocol runs are independent cells: fan them out. The
 		// observability attachment goes to the cell -protocol/-mode selects.
-		obsFor := func(pr fscoherence.Protocol) *obs.Obs {
-			if pr == p {
-				return o
-			}
-			return nil
-		}
 		eng := fscoherence.NewRunner(*jobs)
-		eng.SetEngine(*engine)
-		eng.SetMachine(*cores, *topology, *shards)
-		eng.SetSample(*sampled)
-		baseF := eng.Submit(*bench, fscoherence.Options{Protocol: fscoherence.Baseline, Variant: v, Scale: *scale, Verify: *verify, Obs: obsFor(fscoherence.Baseline)})
-		detF := eng.Submit(*bench, fscoherence.Options{Protocol: fscoherence.FSDetect, Variant: v, Scale: *scale, Verify: *verify, Obs: obsFor(fscoherence.FSDetect)})
-		fslF := eng.Submit(*bench, fscoherence.Options{Protocol: fscoherence.FSLite, Variant: v, Scale: *scale, Verify: *verify, Obs: obsFor(fscoherence.FSLite)})
-		base, det, fsl := collect(baseF), collect(detF), collect(fslF)
-		fmt.Printf("benchmark %s (%s layout, scale %.2f)\n\n", *bench, v, *scale)
+		var futs []*fscoherence.Future
+		for _, p := range []fscoherence.Protocol{fscoherence.Baseline, fscoherence.FSDetect, fscoherence.FSLite} {
+			cell := opt
+			cell.Protocol = p
+			if p != opt.Protocol {
+				cell.Obs = nil
+			}
+			futs = append(futs, eng.Submit(*bench, cell))
+		}
+		var rs []*fscoherence.Result
+		for _, f := range futs {
+			rs = append(rs, collect(f))
+		}
+		base, fsl := rs[0], rs[2]
+		fmt.Printf("benchmark %s (%s layout, scale %.2f)\n\n", *bench, opt.Variant, opt.Scale)
 		fmt.Printf("%-10s %12s %10s %10s %12s %14s\n", "PROTOCOL", "CYCLES", "SPEEDUP", "L1D MISS", "NET MSGS", "ENERGY (norm)")
-		for _, r := range []*fscoherence.Result{base, det, fsl} {
+		for _, r := range rs {
 			fmt.Printf("%-10v %12d %10.3f %9.2f%% %12d %14.3f\n",
 				r.Protocol, r.Cycles, r.Speedup(base), 100*r.MissFraction,
 				r.Stats.Get("net.messages"), r.NormalizedEnergy(base))
 		}
 		printDetections(fsl)
-		printSampled([]*fscoherence.Result{base, det, fsl})
+		printSampled(rs)
 		if *counters {
-			printCounterColumns([]*fscoherence.Result{base, det, fsl})
+			printCounterColumns(rs)
 		}
-		writeObs(o, *traceOut, *metrics)
+		if err := cli.Export(opt.Obs, fl.Trace, fl.Metrics); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
-	r := run(*bench, fscoherence.Options{Protocol: p, Variant: v, Scale: *scale, Verify: *verify, Engine: *engine,
-		Cores: *cores, Topology: *topology, Shards: *shards, Obs: o, Sample: *sampled}, ctl)
-	writeObs(o, *traceOut, *metrics)
-	fmt.Printf("benchmark %s under %v (%s layout)\n", *bench, p, v)
+	r := run(*bench, opt, ctl)
+	if err := cli.Export(opt.Obs, fl.Trace, fl.Metrics); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("benchmark %s under %v (%s layout)\n", *bench, opt.Protocol, opt.Variant)
 	if s := r.Sampled; s != nil {
 		cyc := s.Estimates[stats.CtrCycles]
 		fmt.Printf("cycles          %.0f ± %.0f (95%% CI, coverage %.2f%%, %d windows)\n",
@@ -230,61 +222,10 @@ func printCounterColumns(rs []*fscoherence.Result) {
 	}
 }
 
-// buildObs assembles the observability attachment requested by the -trace /
-// -metrics / -trace-filter flags, or nil when neither output is wanted.
-func buildObs(traceOut, metricsOut, filterSpec string) *obs.Obs {
-	if traceOut == "" && metricsOut == "" {
-		return nil
-	}
-	f, err := obs.ParseFilter(filterSpec, fscoherence.DefaultBlockSize())
-	if err != nil {
-		fatal(err)
-	}
-	return obs.New(obs.Config{Filter: f})
-}
-
-// writeObs exports the trace and metrics files after a run.
-func writeObs(o *obs.Obs, traceOut, metricsOut string) {
-	if o == nil {
-		return
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteChromeTrace(f, o.Tracer.Events()); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[trace: %d events -> %s (%d seen, %d dropped); open in Perfetto]\n",
-			len(o.Tracer.Events()), traceOut, o.Tracer.Total(), o.Tracer.Dropped())
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := o.Metrics.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[metrics: %d samples, %d histograms -> %s]\n",
-			len(o.Metrics.Samples()), len(o.Metrics.Histograms()), metricsOut)
-	}
-}
-
 func run(bench string, opt fscoherence.Options, ctl fscoherence.RunControl) *fscoherence.Result {
 	r, err := fscoherence.RunControlled(bench, opt, ctl)
 	if err != nil {
 		fatal(err)
-	}
-	for _, w := range r.Warnings {
-		fmt.Fprintln(os.Stderr, "fsrun: warning:", w)
 	}
 	return checked(r)
 }
@@ -299,7 +240,11 @@ func collect(f *fscoherence.Future) *fscoherence.Result {
 	return checked(r)
 }
 
+// checked prints the run's warnings and fails on verification violations.
 func checked(r *fscoherence.Result) *fscoherence.Result {
+	for _, w := range r.Warnings {
+		fmt.Fprintln(os.Stderr, "fsrun: warning:", w)
+	}
 	if len(r.Violations) > 0 {
 		fatal(fmt.Errorf("verification failed: %s", strings.Join(r.Violations, "; ")))
 	}
@@ -315,18 +260,6 @@ func printDetections(r *fscoherence.Result) {
 		fmt.Printf("  %v  episodes=%d writers=%v readers=%v (first at cycle %d)\n",
 			d.Addr, d.Episodes, d.Writers, d.Readers, d.Cycle)
 	}
-}
-
-func parseVariant(s string) (fscoherence.Variant, error) {
-	switch strings.ToLower(s) {
-	case "default", "":
-		return fscoherence.LayoutDefault, nil
-	case "padded", "manual":
-		return fscoherence.LayoutPadded, nil
-	case "huron":
-		return fscoherence.LayoutHuron, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
 }
 
 func fatal(err error) {

@@ -276,7 +276,9 @@ func TestEngineGoldenTraceIdentical(t *testing.T) {
 func TestEngineFigTablesIdentical(t *testing.T) {
 	render := func(engine string) string {
 		r := NewRunner(0)
-		r.SetEngine(engine)
+		if err := r.SetDefaults(Options{Engine: engine}); err != nil {
+			t.Fatal(err)
+		}
 		return Fig14Speedup(r, engineEquivalenceScale).String() +
 			Fig13MissFractions(r, engineEquivalenceScale).String()
 	}

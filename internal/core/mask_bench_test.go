@@ -4,46 +4,12 @@ import (
 	"testing"
 
 	"fscoherence/internal/coherence"
-	"fscoherence/internal/memsys"
 	"fscoherence/internal/stats"
 )
 
-// Micro-benchmarks for the batched byte-mask hot paths (the data-layout round
-// riding along with the sampling engine): the closed-form PAM grain mask, the
-// PAM permission check and invalidation take, and the packed SAM merge-mask
-// expansion. Each batched benchmark is paired with a *LoopRef twin running the
-// pre-optimization per-grain/per-byte reference loop, so `benchjson -diff`
-// tracks both the optimized path and the speedup ratio across snapshots.
-
-// maskLoopRef is the replaced per-grain PAM mask loop.
-func maskLoopRef(p *PAM, off, size int) uint64 {
-	lo, hi := p.cfg.grainRange(off, size)
-	if hi < lo {
-		return 0
-	}
-	var m uint64
-	for g := lo; g <= hi; g++ {
-		m |= 1 << uint(g)
-	}
-	return m
-}
-
-// mergeMaskLoopRef is the replaced []bool per-byte MergeMask expansion.
-func mergeMaskLoopRef(d *DirSide, addr memsys.Addr, core int) []bool {
-	mask := make([]bool, d.cfg.BlockSize)
-	e := d.sam.peek(addr)
-	if e == nil {
-		return mask
-	}
-	for g := 0; g < d.cfg.grains(); g++ {
-		if e.lastWriter[g] == int16(core) {
-			for b := g * d.cfg.Granularity; b < (g+1)*d.cfg.Granularity; b++ {
-				mask[b] = true
-			}
-		}
-	}
-	return mask
-}
+// Micro-benchmarks for the batched byte-mask hot paths: the closed-form PAM
+// grain mask, the PAM permission check and invalidation take, and the packed
+// SAM merge-mask expansion.
 
 func benchPAM(gran int) *PAM {
 	p := NewPAM(pamCfg(gran), 0, stats.NewSet())
@@ -59,15 +25,6 @@ func BenchmarkPAMMask(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {
 		acc ^= p.mask(i%56, 8)
-	}
-	sinkU64 = acc
-}
-
-func BenchmarkPAMMaskLoopRef(b *testing.B) {
-	p := benchPAM(1)
-	var acc uint64
-	for i := 0; i < b.N; i++ {
-		acc ^= maskLoopRef(p, i%56, 8)
 	}
 	sinkU64 = acc
 }
@@ -115,18 +72,6 @@ func BenchmarkSAMMergeMask(b *testing.B) {
 		acc ^= d.MergeMask(0x2000, i%8)
 	}
 	sinkU64 = acc
-}
-
-func BenchmarkSAMMergeMaskLoopRef(b *testing.B) {
-	d := benchDirSide(1)
-	n := 0
-	for i := 0; i < b.N; i++ {
-		m := mergeMaskLoopRef(d, 0x2000, i%8)
-		if m[(i%8)*8] {
-			n++
-		}
-	}
-	sinkInt = n
 }
 
 var (

@@ -74,35 +74,14 @@ func DecodeMachineState(data []byte) (*MachineState, error) {
 	return ms, nil
 }
 
-// checkpointable reports whether the system supports checkpoint/restore,
-// with the reason when it cannot. The supported shape matches the sampling
-// gate — sequential skip engine, in-order cores, two-level inclusive
-// hierarchy — and additionally excludes every attachment whose state is not
-// serialized: oracles, observers, fault plans, tracing, metrics, forensics.
+// checkpointable reports whether the system may snapshot or restore: it
+// must have been built for checkpointing (Config.CheckpointEvery or
+// CheckpointSink), which the compatibility table (compat.go) then vetted.
 func (s *System) checkpointable() error {
-	switch {
-	case s.par != nil:
-		return fmt.Errorf("sim: checkpointing requires a sequential engine")
-	case s.cfg.Engine == EngineNaive:
-		return fmt.Errorf("sim: checkpointing requires the skip engine")
-	case s.cfg.OOO:
-		return fmt.Errorf("sim: checkpointing requires in-order cores")
-	case s.cfg.Params.L2Entries > 0:
-		return fmt.Errorf("sim: checkpointing requires a two-level hierarchy (no private L2)")
-	case s.cfg.Params.NonInclusiveLLC:
-		return fmt.Errorf("sim: checkpointing requires an inclusive LLC")
-	case s.oracle != nil || s.observerInstalled:
-		return fmt.Errorf("sim: checkpointing is incompatible with commit observers and the load oracle")
-	case s.cfg.CheckSWMR:
-		return fmt.Errorf("sim: checkpointing is incompatible with SWMR scanning (scan state is not serialized)")
-	case s.cfg.Faults != nil:
-		return fmt.Errorf("sim: checkpointing is incompatible with fault injection (fault clocks are not serialized)")
-	case s.tracer != nil || s.metrics != nil:
-		return fmt.Errorf("sim: checkpointing is incompatible with observability attachments")
-	case s.cfg.Forensics != nil:
-		return fmt.Errorf("sim: checkpointing is incompatible with forensics recording")
+	if !checkpointing.on(s.cfg) {
+		return fmt.Errorf("%w: checkpointing requires Config.CheckpointEvery or CheckpointSink", ErrUnsupported)
 	}
-	return nil
+	return s.supported()
 }
 
 // Snapshot captures the machine state at a drained boundary. For sampled
@@ -243,9 +222,6 @@ func (s *System) emitCheckpoint(name string, smp *SampleState) error {
 // its own deterministic execution — a resumed run is byte-identical to an
 // uninterrupted run with the same cadence.
 func (s *System) runCheckpointed(name string, maxCycles uint64) (*Result, error) {
-	if err := s.checkpointable(); err != nil {
-		return nil, err
-	}
 	st := s.stats
 	every := s.cfg.CheckpointEvery
 	cores := make([]*cpu.InOrder, len(s.cores))

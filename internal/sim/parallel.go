@@ -38,23 +38,10 @@ import (
 	"fscoherence/internal/stats"
 )
 
-// parallelShards decides whether cfg can run under the parallel engine and
-// with how many shards; 0 means "construct sequentially" (the run falls back
-// to EngineSkip). Fault injection, observability attachments and the
-// verification oracles are inherently order-sensitive mid-cycle, so those
-// configurations stay sequential; their engine equivalence is covered by the
-// naive-vs-skip matrix.
+// parallelShards picks the worker count for a configuration the
+// compatibility table (compat.go) admitted to the parallel engine.
 func parallelShards(cfg Config) int {
-	if cfg.Engine != EngineParallel {
-		return 0
-	}
-	if cfg.Faults != nil || cfg.Obs != nil || cfg.Forensics != nil || cfg.CheckOracle || cfg.CheckSWMR {
-		return 0
-	}
 	p := cfg.Params
-	if minDeliveryLatency(p) < 1 {
-		return 0
-	}
 	k := cfg.Shards
 	if k <= 0 {
 		// One shard per 8 cores: big machines parallelize, the Table II

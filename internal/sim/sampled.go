@@ -49,28 +49,6 @@ type SampledRun struct {
 // machine).
 func (s *System) SetBoundaryHook(fn func(cycle uint64)) { s.boundaryHook = fn }
 
-// sampleable reports whether the system can run under Config.Sample, with
-// the reason when it cannot. The sampled loop supports exactly the configuration
-// the warmer models: sequential skip engine, in-order cores, two-level
-// inclusive hierarchy, no observers or oracles (warming commits bypass them).
-func (s *System) sampleable() error {
-	switch {
-	case s.par != nil:
-		return fmt.Errorf("sim: sampling requires a sequential engine")
-	case s.cfg.Engine == EngineNaive:
-		return fmt.Errorf("sim: sampling requires the skip engine")
-	case s.cfg.OOO:
-		return fmt.Errorf("sim: sampling requires in-order cores")
-	case s.cfg.Params.L2Entries > 0:
-		return fmt.Errorf("sim: sampling requires a two-level hierarchy (no private L2)")
-	case s.cfg.Params.NonInclusiveLLC:
-		return fmt.Errorf("sim: sampling requires an inclusive LLC")
-	case s.oracle != nil || s.observerInstalled:
-		return fmt.Errorf("sim: sampling is incompatible with commit observers and the load oracle")
-	}
-	return nil
-}
-
 // runSampled is the interval-sampling run loop: detailed windows measured by
 // the ordinary skip-engine cycle loop alternate with functional-warming
 // windows that commit operations through coherence.Warmer with no timing.
@@ -78,14 +56,6 @@ func (s *System) sampleable() error {
 // accesses retired), so warming always starts from — and detailed execution
 // always resumes into — a quiescent architectural state.
 func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
-	if err := s.sampleable(); err != nil {
-		return nil, err
-	}
-	if s.cfg.CheckpointSink != nil || s.resumedSample != nil {
-		if err := s.checkpointable(); err != nil {
-			return nil, err
-		}
-	}
 	spec := s.cfg.Sample
 	st := s.stats
 	warmer := coherence.NewWarmer(s.cfg.Params, s.cfg.Mode, s.l1s, s.dirs, s.mem)

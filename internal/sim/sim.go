@@ -42,8 +42,8 @@ const (
 	// bounded by the network's minimum delivery latency, with all network
 	// traffic replayed in global order at epoch barriers (see parallel.go).
 	// Byte-identical to the sequential engines; configurations it cannot
-	// parallelize (fault injection, observability, verification oracles)
-	// fall back to EngineSkip at construction.
+	// parallelize (fault injection, observability, verification oracles,
+	// checkpointing) fall back to EngineSkip at construction (compat.go).
 	EngineParallel
 )
 
@@ -101,7 +101,7 @@ type Config struct {
 	// timing; see coherence.Warmer). Timing-domain counters are estimated from
 	// the detailed windows with confidence intervals (Result.Sampled); all
 	// other counters accrue exactly. Requires the in-order two-level inclusive
-	// machine with no observers (see sampled.go for the full gating).
+	// machine with no observers (compat.go holds the full table).
 	Sample sample.Spec
 
 	// CheckpointEvery enables periodic checkpointing: for detailed runs, a
@@ -110,7 +110,7 @@ type Config struct {
 	// extra drains). 0 disables. The cadence is part of the run's semantics:
 	// drains perturb timing, so byte-equality is defined per cadence (see
 	// checkpoint.go). Requires the same machine shape as sampling plus no
-	// oracles/observers/faults/obs/forensics.
+	// oracles/observers/faults/obs/forensics (compat.go).
 	CheckpointEvery uint64
 
 	// CheckpointSink receives the machine state at each checkpoint boundary.
@@ -225,6 +225,10 @@ type System struct {
 	// par, when non-nil, holds the conservative parallel engine's shard
 	// structure (EngineParallel; see parallel.go).
 	par *parRunner
+
+	// unsupported is the compatibility table's rejection of cfg (compat.go),
+	// returned by Run.
+	unsupported error
 }
 
 // SetCommitTrace installs a commit hook (testing/debugging). The hook is fed
@@ -321,13 +325,13 @@ func New(cfg Config, wl Workload) *System {
 		s.oracle = memsys.NewOracle(p.BlockSize)
 	}
 
-	// The parallel engine gives every shard its own deferred-mode network
-	// front, stats set, clock and memory partition; configurations it cannot
-	// handle construct sequentially and run under EngineSkip instead.
-	if k := parallelShards(cfg); k > 0 {
-		s.par = newParRunner(s, k)
-	} else if cfg.Engine == EngineParallel {
-		s.cfg.Engine = EngineSkip
+	// The compatibility table picks the engine; an unsupported combination
+	// builds sequentially and Run returns the error. The parallel engine
+	// gives every shard its own deferred-mode network front, stats set,
+	// clock and memory partition.
+	s.cfg.Engine, _, s.unsupported = Check(cfg)
+	if s.unsupported == nil && s.cfg.Engine == EngineParallel {
+		s.par = newParRunner(s, parallelShards(cfg))
 	}
 	// netFor/statsFor/nowFor/memFor route each component's wiring to its
 	// owning shard (identity wiring under the sequential engines).
@@ -515,6 +519,9 @@ func (s *System) Run(name string) (*Result, error) {
 			c.Stop()
 		}
 	}()
+	if err := s.supported(); err != nil {
+		return nil, err
+	}
 	maxCycles := s.cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 500_000_000
@@ -526,9 +533,6 @@ func (s *System) Run(name string) (*Result, error) {
 		return s.runCheckpointed(name, maxCycles)
 	}
 	if s.par != nil {
-		if s.cycleHook != nil || s.observerInstalled {
-			panic("sim: cycle hooks and commit observers are not supported by EngineParallel")
-		}
 		cycle, err := s.par.run(name, maxCycles)
 		if err != nil {
 			return nil, err

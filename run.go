@@ -2,6 +2,7 @@ package fscoherence
 
 import (
 	"fmt"
+	"strings"
 
 	"fscoherence/internal/coherence"
 	"fscoherence/internal/core"
@@ -39,6 +40,25 @@ const (
 	LayoutPadded  = workload.VariantPadded
 	LayoutHuron   = workload.VariantHuron
 )
+
+// ParseVariant resolves a layout name, case-insensitively: default (or the
+// empty string), padded (or manual), huron.
+func ParseVariant(s string) (Variant, error) {
+	switch strings.ToLower(s) {
+	case "default", "":
+		return LayoutDefault, nil
+	case "padded", "manual":
+		return LayoutPadded, nil
+	case "huron":
+		return LayoutHuron, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q (want default, padded or huron)", s)
+}
+
+// ErrUnsupported is wrapped by every error that rejects an Options
+// combination the simulator cannot run (internal/sim/compat.go holds the
+// rules).
+var ErrUnsupported = sim.ErrUnsupported
 
 // Detection re-exports the FSDetect report entry.
 type Detection = core.Detection
@@ -96,9 +116,10 @@ type Options struct {
 	// Engine selects the simulation loop: "" or "skip" for the quiescence-
 	// skipping engine (the default), "naive" for the cycle-stepped reference
 	// loop, "parallel" for the conservative parallel engine (shards the
-	// machine across OS threads; falls back to skip for configurations it
-	// cannot shard — fault plans, observability, oracles). All three are
-	// cycle-exact and produce byte-identical results.
+	// machine across OS threads; falls back to skip, with a warning in
+	// Result.Warnings, for configurations it cannot shard — observability,
+	// oracles, checkpointing). All three are cycle-exact and produce
+	// byte-identical results.
 	Engine string
 
 	// Cores scales the machine to an n-core big-machine configuration
@@ -137,7 +158,8 @@ type Options struct {
 	// metrics come back as estimates with confidence intervals
 	// (Result.Sampled); all other counters are exact. Sampling requires the
 	// default machine shape: skip engine, in-order cores, two-level inclusive
-	// hierarchy, no Verify/Obs/Forensics attachments.
+	// hierarchy, no Verify/Obs/Forensics attachments (Validate reports a
+	// violation).
 	Sample string
 }
 
@@ -186,9 +208,9 @@ type Result struct {
 	// window counts and detail coverage. Nil for fully-timed runs.
 	Sampled *SampledRun
 
-	// Warnings reports non-fatal degradations of a crash-resilient run
-	// (RunControlled): an engine fallback for checkpointing, or a rejected
-	// checkpoint that forced a cold start.
+	// Warnings reports non-fatal degradations of the run: an engine that
+	// fell back to skip (the compatibility table's fallback rows), or a
+	// rejected checkpoint that forced a cold start.
 	Warnings []string
 }
 
@@ -237,51 +259,19 @@ func (r *Result) NormalizedEnergy(base *Result) float64 {
 	return r.Energy / base.Energy
 }
 
-// validateMachine rejects unsupported machine-shape options with an error,
-// so the CLIs report bad -engine/-topology/-cores values cleanly instead of
-// panicking (buildConfig's panics remain as backstops for callers that
-// bypass Run).
-func validateMachine(opt Options) error {
-	switch opt.Engine {
-	case "", "skip", "naive", "parallel":
-	default:
-		return fmt.Errorf("unknown engine %q (want \"skip\", \"naive\" or \"parallel\")", opt.Engine)
-	}
-	if _, err := network.ParseTopoKind(opt.Topology); err != nil {
-		return err
-	}
-	if c := opt.Cores; c != 0 && (c < 1 || c > memsys.MaxCores || c&(c-1) != 0) {
-		return fmt.Errorf("unsupported core count %d (want a power of two up to %d)", c, memsys.MaxCores)
-	}
-	if opt.Sample != "" {
-		if _, err := sample.ParseSpec(opt.Sample); err != nil {
-			return err
-		}
-		// The warming fast path models exactly the default machine: in-order
-		// cores over a two-level inclusive hierarchy with no observers. Reject
-		// everything else up front with a useful message.
-		switch {
-		case opt.Engine != "" && opt.Engine != "skip":
-			return fmt.Errorf("-sample requires the skip engine, not %q", opt.Engine)
-		case opt.OOO:
-			return fmt.Errorf("-sample supports only the in-order core model")
-		case opt.Verify:
-			return fmt.Errorf("-sample is incompatible with -verify: warming commits bypass the golden-memory oracle")
-		case opt.Obs != nil:
-			return fmt.Errorf("-sample is incompatible with observability attachments: warming commits emit no events")
-		case opt.Forensics != nil:
-			return fmt.Errorf("-sample is incompatible with forensics recording: warming commits emit no events")
-		case opt.L2KB > 0:
-			return fmt.Errorf("-sample requires the two-level hierarchy (drop -l2kb)")
-		case opt.NonInclusiveLLC:
-			return fmt.Errorf("-sample requires the inclusive LLC (drop -noninclusive)")
-		}
-	}
-	return nil
+// Validate reports whether opt can run: every field parses, and the
+// compatibility table accepts the combination (an error wrapping
+// ErrUnsupported when it does not). The CLIs call it before any cell runs.
+func (opt Options) Validate() error {
+	_, _, err := buildConfig(opt, 0)
+	return err
 }
 
-// buildConfig translates Options into the simulator configuration.
-func buildConfig(opt Options) sim.Config {
+// buildConfig translates Options into the simulator configuration, with
+// checkpointing every `every` committed accesses (0 = off), and applies the
+// compatibility table: it returns the table's fallback warnings, or its
+// rejection.
+func buildConfig(opt Options, every uint64) (sim.Config, []string, error) {
 	cfg := sim.DefaultConfig(opt.Protocol)
 	if opt.L1KB > 0 {
 		cfg.Params.L1Entries = opt.L1KB * 1024 / cfg.Params.BlockSize
@@ -322,27 +312,30 @@ func buildConfig(opt Options) sim.Config {
 	case "parallel":
 		cfg.Engine = sim.EngineParallel
 	default:
-		panic(fmt.Sprintf("fscoherence: unknown engine %q (want \"skip\", \"naive\" or \"parallel\")", opt.Engine))
+		return cfg, nil, fmt.Errorf("unknown engine %q (want \"skip\", \"naive\" or \"parallel\")", opt.Engine)
 	}
-	if opt.Cores > 0 {
-		cfg.Params = cfg.Params.ScaleToCores(opt.Cores)
+	if c := opt.Cores; c != 0 {
+		if c < 1 || c > memsys.MaxCores || c&(c-1) != 0 {
+			return cfg, nil, fmt.Errorf("unsupported core count %d (want a power of two up to %d)", c, memsys.MaxCores)
+		}
+		cfg.Params = cfg.Params.ScaleToCores(c)
 	}
 	kind, err := network.ParseTopoKind(opt.Topology)
 	if err != nil {
-		panic(fmt.Sprintf("fscoherence: %v", err))
+		return cfg, nil, err
 	}
 	cfg.Params.Topology = kind
 	cfg.Shards = opt.Shards
 	cfg.Obs = opt.Obs
 	cfg.Forensics = opt.Forensics
 	if opt.Sample != "" {
-		spec, err := sample.ParseSpec(opt.Sample)
-		if err != nil {
-			panic(fmt.Sprintf("fscoherence: %v", err))
+		if cfg.Sample, err = sample.ParseSpec(opt.Sample); err != nil {
+			return cfg, nil, err
 		}
-		cfg.Sample = spec
 	}
-	return cfg
+	cfg.CheckpointEvery = every
+	_, warnings, err := sim.Check(cfg)
+	return cfg, warnings, err
 }
 
 // Run executes benchmark bench (a workload code such as "RC"; see

@@ -328,3 +328,23 @@ func TestReductionRunDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic reduction run: %d vs %d", a.Cycles, b.Cycles)
 	}
 }
+
+// TestParseVariant mirrors coherence.TestParseProtocol for layout names.
+func TestParseVariant(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Variant
+	}{
+		{"", LayoutDefault}, {"default", LayoutDefault}, {"DEFAULT", LayoutDefault},
+		{"padded", LayoutPadded}, {"Manual", LayoutPadded},
+		{"huron", LayoutHuron}, {"HURON", LayoutHuron},
+	} {
+		got, err := ParseVariant(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	if _, err := ParseVariant("bogus"); err == nil {
+		t.Error(`ParseVariant("bogus") accepted an unknown layout`)
+	}
+}

@@ -91,7 +91,9 @@ func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 	}
 	snap := func(workers int) []map[string]uint64 {
 		r := NewRunner(workers)
-		r.SetSample("5k:15k")
+		if err := r.SetDefaults(Options{Sample: "5k:15k"}); err != nil {
+			t.Fatal(err)
+		}
 		var futs []*Future
 		for _, c := range cells {
 			futs = append(futs, r.Submit(c.bench, c.opt))

@@ -27,11 +27,7 @@ import (
 // historical serial harness exactly.
 type Runner struct {
 	eng       *runner.Engine
-	engine    string
-	cores     int
-	topology  string
-	shards    int
-	sample    string
+	defaults  Options // machine fields only; see SetDefaults
 	ckptDir   string
 	ckptEvery uint64
 
@@ -60,27 +56,24 @@ func NewRunner(workers int) *Runner {
 // Workers returns the concurrency bound.
 func (r *Runner) Workers() int { return r.eng.Workers() }
 
-// SetEngine sets the default simulation engine ("skip" or "naive") applied to
-// submitted cells that do not specify one. cmd/fsexp's -engine flag uses it to
-// rerun entire tables under the naive reference loop; results are identical
-// either way (the engines are proven equivalent), only wall-clock differs.
-func (r *Runner) SetEngine(engine string) { r.engine = engine }
-
-// SetSample sets a default -sample interval spec ("detailed:warming" in
-// committed accesses) applied to submitted cells that do not specify one.
-// cmd/fsexp's -sample flag uses it to rerun entire tables under interval
+// SetDefaults sets the machine defaults that submitted cells leaving them
+// zero inherit: Engine, Cores, Topology, Shards and Sample. Every other field
+// of def is ignored. cmd/fsexp's machine and -sample flags use it to rerun
+// entire tables on another engine, a big machine or under interval
 // sampling; cells that ran sampled register in SampledCells for the
-// estimate report. Cells whose options are incompatible with sampling
-// (OOO cores, private L2s, non-inclusive LLC, verification or observability
-// attachments) run fully timed instead, so mixed sweeps still complete.
-func (r *Runner) SetSample(spec string) { r.sample = spec }
-
-// sampleCompatible reports whether a cell may run under interval sampling
-// (mirrors validateMachine's -sample gating).
-func sampleCompatible(opt Options) bool {
-	return (opt.Engine == "" || opt.Engine == "skip") &&
-		!opt.OOO && !opt.Verify && opt.Obs == nil && opt.Forensics == nil &&
-		opt.L2KB == 0 && !opt.NonInclusiveLLC
+// estimate report. A cell whose own options cannot sample (OOO cores,
+// private L2s, non-inclusive LLC, verification or observability
+// attachments) runs fully timed instead, so mixed sweeps still complete.
+// SetDefaults returns Validate's error, and changes nothing, when the
+// defaults themselves cannot run together (e.g. sampling on the naive
+// engine).
+func (r *Runner) SetDefaults(def Options) error {
+	def = Options{Engine: def.Engine, Cores: def.Cores, Topology: def.Topology, Shards: def.Shards, Sample: def.Sample}
+	if err := def.Validate(); err != nil {
+		return err
+	}
+	r.defaults = def
+	return nil
 }
 
 // SampledCells returns every distinct cell that completed as an interval-
@@ -101,14 +94,6 @@ func (r *Runner) SampledCells() []*Result {
 		return out[i].Variant < out[j].Variant
 	})
 	return out
-}
-
-// SetMachine sets default machine-shape fields (core count, interconnect
-// topology, parallel shard count) applied to submitted cells that do not
-// specify them. cmd/fsexp's -cores/-topology/-shards flags use it to rerun
-// entire tables on big-machine configurations.
-func (r *Runner) SetMachine(cores int, topology string, shards int) {
-	r.cores, r.topology, r.shards = cores, topology, shards
 }
 
 // SetSupervision installs the per-cell supervision policy: a wall-clock
@@ -172,26 +157,31 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 	if opt.Scale == 0 {
 		opt.Scale = 1
 	}
+	d := r.defaults
 	if opt.Engine == "" {
-		opt.Engine = r.engine
+		opt.Engine = d.Engine
 	}
 	if opt.Engine == "" {
 		opt.Engine = "skip"
 	}
 	if opt.Cores == 0 {
-		opt.Cores = r.cores
+		opt.Cores = d.Cores
 	}
 	if opt.Topology == "" {
-		opt.Topology = r.topology
+		opt.Topology = d.Topology
 	}
 	if opt.Topology == "flat" {
 		opt.Topology = "" // one cell for the two spellings of the default
 	}
 	if opt.Shards == 0 {
-		opt.Shards = r.shards
+		opt.Shards = d.Shards
 	}
-	if opt.Sample == "" && r.sample != "" && sampleCompatible(opt) {
-		opt.Sample = r.sample
+	if opt.Sample == "" && d.Sample != "" {
+		sampled := opt
+		sampled.Sample = d.Sample
+		if sampled.Validate() == nil {
+			opt = sampled
+		}
 	}
 	key := cellKey{Bench: bench, Opt: opt}
 	h := r.eng.DoSupervised(key, func(seed uint64, att *runner.Attempt) (any, error) {
