@@ -55,7 +55,7 @@ func Register(groups Group) *Flags {
 		flag.StringVar(&f.Engine, "engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference) | parallel (conservative parallel)")
 		flag.IntVar(&f.Cores, "cores", 0, "scale the machine to this many cores (0 = Table II 8-core default; up to 256)")
 		flag.StringVar(&f.Topology, "topology", "", "interconnect: flat (default) | ring | mesh")
-		flag.IntVar(&f.Shards, "shards", 0, "parallel engine worker count (0 = one per 8 cores)")
+		flag.IntVar(&f.Shards, "shards", 0, "parallel engine worker count (0 = one per 8 cores, at most GOMAXPROCS)")
 	}
 	if groups&Sample != 0 {
 		flag.StringVar(&f.Sample, "sample", "", "interval sampling spec detailed:warming in committed accesses (e.g. 50k:950k); timing metrics become estimates with 95% CIs")

@@ -15,46 +15,68 @@ import (
 // most expensive test in the suite at larger scales.
 const engineEquivalenceScale = 0.2
 
+// engineShapes are the machine shapes every engine must agree on: the
+// Table II machine, out-of-order cores, a private L2 and a non-inclusive
+// LLC. The last two shrink the L1 to 4 KB; with the default 32 KB L1 no
+// workload evicts at test scale, so neither shape would change a counter.
+var engineShapes = []struct {
+	name string
+	opt  Options
+}{
+	{"Table II", Options{}},
+	{"OOO", Options{OOO: true}},
+	{"L2 256KB", Options{L1KB: 4, L2KB: 256}},
+	{"non-inclusive LLC", Options{L1KB: 4, NonInclusiveLLC: true}},
+}
+
 // TestEngineEquivalence is the tentpole acceptance test: for every registered
-// workload under all three protocol modes, the quiescence-skipping engine and
-// the naive cycle-stepped loop must produce identical cycle counts, identical
-// counter snapshots, and identical detection lists. Skipping is a pure
-// wall-clock optimization; any divergence here is a missed or late wake-up.
+// workload under all three protocol modes and every machine shape, the
+// quiescence-skipping engine, the parallel engine and the naive
+// cycle-stepped loop must produce identical cycle counts, identical counter
+// snapshots, and identical detection lists. Skipping is a pure wall-clock
+// optimization; any divergence here is a missed or late wake-up.
 func TestEngineEquivalence(t *testing.T) {
 	for _, bench := range workload.Names() {
 		for _, mode := range []Protocol{Baseline, FSDetect, FSLite} {
 			bench, mode := bench, mode
 			t.Run(fmt.Sprintf("%s-%v", bench, mode), func(t *testing.T) {
 				t.Parallel()
-				naive, err := Run(bench, Options{Protocol: mode, Scale: engineEquivalenceScale, Engine: "naive"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				skip, err := Run(bench, Options{Protocol: mode, Scale: engineEquivalenceScale, Engine: "skip"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if naive.Cycles != skip.Cycles {
-					t.Errorf("cycles diverge: naive=%d skip=%d", naive.Cycles, skip.Cycles)
-				}
-				ns, ss := naive.Stats.Snapshot(), skip.Stats.Snapshot()
-				if !reflect.DeepEqual(ns, ss) {
-					for k, v := range ns {
-						if ss[k] != v {
-							t.Errorf("counter %s diverges: naive=%d skip=%d", k, v, ss[k])
+				for _, shape := range engineShapes {
+					var naive *Result
+					for _, engine := range []string{"naive", "skip", "parallel"} {
+						opt := shape.opt
+						opt.Protocol, opt.Scale, opt.Engine = mode, engineEquivalenceScale, engine
+						got, err := Run(bench, opt)
+						if err != nil {
+							t.Fatalf("%s %s: %v", shape.name, engine, err)
+						}
+						if naive == nil {
+							naive = got
+							continue
+						}
+						if naive.Cycles != got.Cycles {
+							t.Errorf("%s: cycles diverge: naive=%d %s=%d", shape.name, naive.Cycles, engine, got.Cycles)
+						}
+						ns, gs := naive.Stats.Snapshot(), got.Stats.Snapshot()
+						if !reflect.DeepEqual(ns, gs) {
+							for k, v := range ns {
+								if gs[k] != v {
+									t.Errorf("%s: counter %s diverges: naive=%d %s=%d", shape.name, k, v, engine, gs[k])
+								}
+							}
+							for k, v := range gs {
+								if _, ok := ns[k]; !ok {
+									t.Errorf("%s: counter %s only under %s (=%d)", shape.name, k, engine, v)
+								}
+							}
+						}
+						if !reflect.DeepEqual(naive.Detections, got.Detections) {
+							t.Errorf("%s: detections diverge:\nnaive: %v\n%s: %v", shape.name, naive.Detections, engine, got.Detections)
+						}
+						if !reflect.DeepEqual(naive.Contended, got.Contended) {
+							t.Errorf("%s: contended lists diverge:\nnaive: %v\n%s: %v", shape.name, naive.Contended, engine, got.Contended)
 						}
 					}
-					for k, v := range ss {
-						if _, ok := ns[k]; !ok {
-							t.Errorf("counter %s only under skip (=%d)", k, v)
-						}
-					}
-				}
-				if !reflect.DeepEqual(naive.Detections, skip.Detections) {
-					t.Errorf("detections diverge:\nnaive: %v\nskip:  %v", naive.Detections, skip.Detections)
-				}
-				if !reflect.DeepEqual(naive.Contended, skip.Contended) {
-					t.Errorf("contended lists diverge:\nnaive: %v\nskip:  %v", naive.Contended, skip.Contended)
 				}
 			})
 		}

@@ -189,15 +189,6 @@ func (s *System) Restore(ms *MachineState) error {
 	return nil
 }
 
-// pollCancel folds the external cancellation flag (Config.Cancel, set by the
-// runner's watchdog) into the stop-reason mechanism. Polled once per loop
-// iteration in every engine, so a timed-out cell stops within one quantum.
-func (s *System) pollCancel() {
-	if s.stopReason == "" && s.cfg.Cancel != nil && s.cfg.Cancel() {
-		s.stopReason = "canceled"
-	}
-}
-
 // emitCheckpoint snapshots the drained machine and hands it to the sink. A
 // sink error aborts the run via ErrStopped (the supervisor uses this to stop
 // a run whose checkpoint can no longer be written; tests use it to simulate
@@ -212,77 +203,4 @@ func (s *System) emitCheckpoint(name string, smp *SampleState) error {
 		return fmt.Errorf("%w: checkpoint sink: %v at cycle %d (%s)", ErrStopped, err, s.cycle, name)
 	}
 	return nil
-}
-
-// runCheckpointed is the detailed run loop with periodic checkpoint
-// boundaries: ordinary timed windows of cfg.CheckpointEvery committed L1D
-// accesses alternate with drains (issue held, outstanding accesses retired)
-// at which the machine state is snapshotted and handed to the sink. The
-// drain cycles charge to the run like any other stall, so a given cadence is
-// its own deterministic execution — a resumed run is byte-identical to an
-// uninterrupted run with the same cadence.
-func (s *System) runCheckpointed(name string, maxCycles uint64) (*Result, error) {
-	st := s.stats
-	every := s.cfg.CheckpointEvery
-	cores := make([]*cpu.InOrder, len(s.cores))
-	for i, c := range s.cores {
-		cores[i] = c.(*cpu.InOrder)
-	}
-	for {
-		// Timed window: the ordinary skip-engine loop, until the access
-		// budget is spent or the workload finishes.
-		winAcc := st.GetID(stats.IDL1DAccesses)
-		finished := false
-		for st.GetID(stats.IDL1DAccesses)-winAcc < every {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if s.done() {
-				finished = true
-				break
-			}
-			s.skipAhead(maxCycles)
-		}
-		if finished {
-			break
-		}
-
-		// Drain: hold issue on every core and let in-flight accesses retire.
-		for _, c := range cores {
-			c.HoldIssue(true)
-		}
-		for !s.drained() {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s, draining)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if !s.drained() {
-				s.skipAhead(maxCycles)
-			}
-		}
-
-		if s.cfg.CheckpointSink != nil {
-			if err := s.emitCheckpoint(name, nil); err != nil {
-				return nil, err
-			}
-		}
-		if s.boundaryHook != nil {
-			s.boundaryHook(s.cycle)
-		}
-		for _, c := range cores {
-			c.HoldIssue(false)
-		}
-	}
-	return s.buildResult(name), nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"fscoherence/internal/coherence"
@@ -78,6 +79,34 @@ func TestCheckRows(t *testing.T) {
 		}
 		if eng != tc.engine || (len(warns) > 0) != tc.warn {
 			t.Errorf("%s: engine %v warnings %q, want engine %v warning %v", tc.name, eng, warns, tc.engine, tc.warn)
+		}
+	}
+}
+
+// TestParallelShardsDefault: the default shard count is one per 8 cores,
+// capped at GOMAXPROCS; an explicit Shards stays as given, within the core
+// count and 16.
+func TestParallelShardsDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		cores, shards, procs, want int
+	}{
+		{8, 0, 4, 1},
+		{64, 0, 1, 1},
+		{64, 0, 2, 2},
+		{64, 0, 16, 8},
+		{256, 0, 64, 16},
+		{64, 5, 2, 5},
+		{64, 32, 2, 16},
+		{8, 12, 2, 8},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		cfg := DefaultConfig(coherence.FSLite)
+		cfg.Params = cfg.Params.ScaleToCores(tc.cores)
+		cfg.Shards = tc.shards
+		if got := parallelShards(cfg); got != tc.want {
+			t.Errorf("cores=%d shards=%d GOMAXPROCS=%d: %d shards, want %d",
+				tc.cores, tc.shards, tc.procs, got, tc.want)
 		}
 	}
 }

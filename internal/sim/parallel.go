@@ -2,16 +2,16 @@ package sim
 
 // Conservative parallel discrete-event engine (-engine=parallel).
 //
-// The machine is partitioned into K shards, each owning a contiguous range
-// of cores (with their L1s) and of LLC/directory slices. Components interact
-// across shards only through network messages, and the network guarantees a
-// minimum delivery latency L (the flat fabric's Latency, or one hop on a
-// ring/mesh — see PROTOCOL.md §"Network timing & lookahead"). A message sent
-// at cycle c can therefore never need delivery before c+L, which makes L a
-// conservative lookahead: the engine advances time in epochs of width L, and
-// within an epoch every shard simulates its own components independently on
-// its own OS thread, running the same quiescence-skipping loop the
-// sequential EngineSkip uses — restricted to local events.
+// The machine is partitioned into K shards (shard.go), each owning a
+// contiguous range of cores (with their L1s) and of LLC/directory slices.
+// Components interact across shards only through network messages, and the
+// network guarantees a minimum delivery latency L (the flat fabric's Latency,
+// or one hop on a ring/mesh — see PROTOCOL.md §"Network timing & lookahead").
+// A message sent at cycle c can therefore never need delivery before c+L,
+// which makes L a conservative lookahead: the engine advances time in epochs
+// of width L, and within an epoch every shard simulates its own components
+// independently on its own OS thread with the shard stepping code the skip
+// engine runs — step and nextLocal — restricted to local events.
 //
 // Correctness (byte-identical results, proven by TestEngineEquivalence*)
 // rests on deferred-send replay: during an epoch a shard's network front
@@ -25,40 +25,31 @@ package sim
 // each message into the destination shard's inbox. Per-shard statistics sets
 // merge deterministically at the end of the run; the in-flight peak, the
 // only globally order-sensitive counter, is maintained by the master network
-// during replay.
+// during replay. Even with one shard the engine defers and replays.
 
 import (
 	"fmt"
 	"runtime"
 
 	"fscoherence/internal/coherence"
-	"fscoherence/internal/cpu"
 	"fscoherence/internal/memsys"
 	"fscoherence/internal/network"
 	"fscoherence/internal/stats"
 )
 
 // parallelShards picks the worker count for a configuration the
-// compatibility table (compat.go) admitted to the parallel engine.
+// compatibility table (compat.go) admitted to the parallel engine. An
+// explicit Shards stays as given (within the core count and 16); the default
+// is one shard per 8 cores, capped at GOMAXPROCS so that no two shards queue
+// for one scheduler thread. The Table II 8-core default degenerates to a
+// single shard, which still exercises the deferred-replay path.
 func parallelShards(cfg Config) int {
 	p := cfg.Params
 	k := cfg.Shards
 	if k <= 0 {
-		// One shard per 8 cores: big machines parallelize, the Table II
-		// 8-core default degenerates to a single shard (still exercising
-		// the deferred-replay path).
-		k = p.Cores / 8
+		k = min(p.Cores/8, runtime.GOMAXPROCS(0))
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > p.Cores {
-		k = p.Cores
-	}
-	if k > 16 {
-		k = 16
-	}
-	return k
+	return max(1, min(k, p.Cores, 16))
 }
 
 // minDeliveryLatency mirrors network.MinDeliveryLatency from Params alone
@@ -70,58 +61,25 @@ func minDeliveryLatency(p coherence.Params) uint64 {
 	return p.NetLatency
 }
 
-// parShard is one worker's slice of the machine.
-type parShard struct {
-	id    int
-	clock uint64 // local current cycle; read by component Now closures
-
-	net   *network.Network // deferred-mode network front
-	rec   *network.Recorder
-	stats *stats.Set
-	mem   *memsys.Memory // backing memory for this shard's slices
-
-	dirs     []*coherence.Dir
-	dirRank  []int32
-	l1s      []*coherence.L1
-	l1Rank   []int32
-	cores    []cpu.Core
-	coreRank []int32
-
-	now        uint64 // last cycle stepped or skipped over
-	lastActive uint64 // last cycle actually stepped (a local event fired)
-	quiet      bool   // all local components idle at epoch end
-	l1Act      []bool // per-step scratch: which L1s ticked this cycle
-
-	// Cached NextEvent per component, refreshed after each tick (a
-	// component's wake-up only moves when it ticks; the zero value marks
-	// everything due so the first stepped cycle ticks the full shard and
-	// seeds the caches).
-	dirNext  []uint64
-	l1Next   []uint64
-	coreNext []uint64
-
-	cmd chan uint64 // epoch-end commands from the coordinator
-}
-
 // parRunner coordinates the shard workers.
 type parRunner struct {
 	s       *System
-	shards  []*parShard
+	shards  []*shard
 	recs    []*network.Recorder
-	owner   []*parShard // NodeID -> owning shard
+	owner   []*shard // NodeID -> owning shard
 	done    chan int
 	deliver func(m *network.Msg, readyAt uint64)
 	started bool
 }
 
 // newParRunner builds the shard skeletons (networks, stats sets, recorders,
-// memory partitions) before component construction; bind() attaches the
+// memory partitions) before component construction; bindShards attaches the
 // components afterwards.
 func newParRunner(s *System, k int) *parRunner {
 	p := s.cfg.Params
 	pr := &parRunner{s: s, done: make(chan int, k)}
 	for i := 0; i < k; i++ {
-		sh := &parShard{
+		sh := &shard{
 			id:    i,
 			net:   network.New(p.Nodes(), p.NetLatency, p.BlockSize, stats.NewSet()),
 			rec:   &network.Recorder{},
@@ -133,7 +91,7 @@ func newParRunner(s *System, k int) *parRunner {
 		pr.shards = append(pr.shards, sh)
 		pr.recs = append(pr.recs, sh.rec)
 	}
-	pr.owner = make([]*parShard, p.Nodes())
+	pr.owner = make([]*shard, p.Nodes())
 	for i := 0; i < p.Cores; i++ {
 		pr.owner[i] = pr.shards[i*k/p.Cores]
 	}
@@ -144,35 +102,6 @@ func newParRunner(s *System, k int) *parRunner {
 		pr.owner[m.Dst].net.Deliver(m, readyAt)
 	}
 	return pr
-}
-
-// bind distributes the constructed components to their shards and assigns
-// global tick ranks matching the sequential stepCycle order: directory
-// slices first, then L1s, then cores.
-func (pr *parRunner) bind() {
-	s := pr.s
-	p := s.cfg.Params
-	k := len(pr.shards)
-	for j, d := range s.dirs {
-		sh := pr.shards[j*k/p.Slices]
-		sh.dirs = append(sh.dirs, d)
-		sh.dirRank = append(sh.dirRank, int32(j))
-	}
-	for i, l := range s.l1s {
-		sh := pr.shards[i*k/p.Cores]
-		sh.l1s = append(sh.l1s, l)
-		sh.l1Rank = append(sh.l1Rank, int32(p.Slices+i))
-	}
-	for i, c := range s.cores {
-		sh := pr.shards[i*k/p.Cores]
-		sh.cores = append(sh.cores, c)
-		sh.coreRank = append(sh.coreRank, int32(p.Slices+p.Cores+i))
-	}
-	for _, sh := range pr.shards {
-		sh.dirNext = make([]uint64, len(sh.dirs))
-		sh.l1Next = make([]uint64, len(sh.l1s))
-		sh.coreNext = make([]uint64, len(sh.cores))
-	}
 }
 
 // start launches one worker goroutine per shard.
@@ -211,7 +140,7 @@ func (pr *parRunner) stop() {
 // the epoch happens at a cycle >= E, so its delivery deadline is >= E+W and
 // the conservative lookahead still holds. When the whole machine is idle
 // until some distant E this collapses arbitrarily many W-wide epochs into
-// one, recovering the global idle-skipping the sequential EngineSkip enjoys.
+// one, recovering the whole-machine idle skipping of the skip engine.
 func (pr *parRunner) run(name string, maxCycles uint64) (uint64, error) {
 	inline := runtime.GOMAXPROCS(0) == 1
 	if !inline {
@@ -288,18 +217,18 @@ func (pr *parRunner) mergeStats() {
 }
 
 // serve is the worker loop: run one epoch per command.
-func (sh *parShard) serve(done chan<- int) {
+func (sh *shard) serve(done chan<- int) {
 	for end := range sh.cmd {
 		sh.runEpoch(end)
 		done <- sh.id
 	}
 }
 
-// runEpoch advances the shard's components through cycles [sh.now+1, end)
-// with the same event-driven skipping the sequential EngineSkip performs,
-// restricted to local events: component wake-ups and already-delivered
-// message arrivals. All sends land in the recorder for barrier replay.
-func (sh *parShard) runEpoch(end uint64) {
+// runEpoch advances the shard's components through cycles [sh.now+1, end),
+// stepping only cycles with local events — component wake-ups and
+// already-delivered message arrivals — as the skip engine does. All sends
+// land in the recorder for barrier replay.
+func (sh *shard) runEpoch(end uint64) {
 	now := sh.now
 	for {
 		wake := sh.nextLocal()
@@ -315,9 +244,7 @@ func (sh *parShard) runEpoch(end uint64) {
 			}
 		}
 		if d := wake - now - 1; d > 0 {
-			for _, c := range sh.cores {
-				c.SkipIdle(d)
-			}
+			sh.skipIdle(d)
 		}
 		now = wake
 		sh.step(now)
@@ -326,111 +253,12 @@ func (sh *parShard) runEpoch(end uint64) {
 	// Idle through the rest of the epoch, compensating per-cycle stall
 	// accounting exactly as a sequential skip over the same span would.
 	if e := end - 1; e > now {
-		d := e - now
-		for _, c := range sh.cores {
-			c.SkipIdle(d)
-		}
+		sh.skipIdle(e - now)
 		now = e
 	}
 	sh.now = now
-	sh.quiet = sh.isQuiet()
-}
-
-// nextLocal reports the earliest cycle at which any local component has
-// self-driven work or a delivered message becomes consumable (values <=
-// sh.now mean leftover same-cycle work). Component wake-ups come from the
-// per-component caches — a component's NextEvent only changes when it ticks,
-// and step refreshes the cache after every tick — so the scan is a flat
-// uint64 min, not a round of interface calls. The coordinator also polls
-// this at the epoch barrier to stretch the next epoch.
-func (sh *parShard) nextLocal() uint64 {
-	wake := sh.net.NextArrival()
-	for _, v := range sh.dirNext {
-		if v < wake {
-			wake = v
-		}
-	}
-	for _, v := range sh.l1Next {
-		if v < wake {
-			wake = v
-		}
-	}
-	for _, v := range sh.coreNext {
-		if v < wake {
-			wake = v
-		}
-	}
-	return wake
-}
-
-// step runs one local cycle in sequential component order, labelling each
-// component's recorded network operations with its global tick rank.
-//
-// Within a stepped cycle only components that are due run: a component whose
-// cached NextEvent lies beyond c would tick as a pure no-op (that is exactly
-// the contract whole-machine skipping is built on), so its tick is elided.
-// Three details keep that sound. An elided core still needs the per-cycle
-// stall accounting a no-op tick would have performed, which SkipIdle(1)
-// supplies. A core and its L1 always tick as a pair — a core Submit
-// schedules completions against its L1's clock (and a retry can only clear
-// after L1 state changes), while an L1 completion can unblock its core the
-// same cycle — so either being due ticks both (bind distributes l1s[i] and
-// cores[i] by the same index formula, so they pair up); the L1's cache is
-// refreshed after its core ticks, since the core's Submit schedules into the
-// L1. And delivered network arrivals are consumed inside L1/Dir ticks, so
-// any due arrival runs every L1 and directory.
-func (sh *parShard) step(c uint64) {
-	sh.clock = c
-	sh.net.SetCycle(c)
-	arrivals := sh.net.NextArrival() <= c
-	for i, d := range sh.dirs {
-		if arrivals || sh.dirNext[i] <= c {
-			sh.rec.Begin(c, sh.dirRank[i])
-			d.Tick(c)
-			sh.dirNext[i] = d.NextEvent(c)
-		}
-	}
-	if cap(sh.l1Act) < len(sh.l1s) {
-		sh.l1Act = make([]bool, len(sh.l1s))
-	}
-	l1Act := sh.l1Act[:len(sh.l1s)]
-	for i, l := range sh.l1s {
-		l1Act[i] = arrivals || sh.l1Next[i] <= c || sh.coreNext[i] <= c
-		if l1Act[i] {
-			sh.rec.Begin(c, sh.l1Rank[i])
-			l.Tick(c)
-		}
-	}
-	for i, co := range sh.cores {
-		if l1Act[i] {
-			sh.rec.Begin(c, sh.coreRank[i])
-			co.Tick(c)
-			sh.coreNext[i] = co.NextEvent(c)
-			sh.l1Next[i] = sh.l1s[i].NextEvent(c)
-		} else {
-			co.SkipIdle(1)
-		}
-	}
-}
-
-// isQuiet reports whether every local component has fully drained. Undelivered
-// cross-shard traffic is tracked by the master network's in-flight count, so
-// the coordinator's quiescence check is quiet-everywhere && nothing in flight.
-func (sh *parShard) isQuiet() bool {
-	for _, c := range sh.cores {
-		if !c.Finished() {
-			return false
-		}
-	}
-	for _, l := range sh.l1s {
-		if !l.Idle() {
-			return false
-		}
-	}
-	for _, d := range sh.dirs {
-		if !d.Idle() {
-			return false
-		}
-	}
-	return true
+	// Undelivered cross-shard traffic is tracked by the master network's
+	// in-flight count, so the coordinator's quiescence check is
+	// quiet-everywhere && nothing in flight.
+	sh.quiet = sh.finished() && sh.idle()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"fscoherence/internal/coherence"
@@ -14,8 +15,8 @@ import (
 // driver, which would mask what this test measures — the engine itself).
 // Under FSLite the falsely shared lines privatize during warmup, after which
 // every access hits locally: the measured epochs exercise the full scan /
-// skip / record / barrier-replay machinery with the protocol quiesced, so any
-// allocation seen is the engine's own.
+// skip / step machinery (and, in parallel, record / barrier replay) with the
+// protocol quiesced, so any allocation seen is the engine's own.
 func allocThreads(n int) []cpu.ThreadFunc {
 	var ths []cpu.ThreadFunc
 	for t := 0; t < n; t++ {
@@ -33,38 +34,57 @@ func allocThreads(n int) []cpu.ThreadFunc {
 	return ths
 }
 
-// TestParallelEpochDoesNotAllocate drives the parallel engine's epoch
-// machinery inline (no worker goroutines, so the measurement sees every
-// allocation) and checks the steady-state loop — per-shard event-driven
-// stepping, deferred-send recording, and the barrier replay/merge — is
-// allocation-free once recorder buffers, message freelists and inbox rings
-// have warmed up. `make allocsmoke` runs this alongside the network
-// round-trip check.
+// TestParallelEpochDoesNotAllocate checks that the steady-state stepping
+// loop of both skipping engines is allocation-free once recorder buffers,
+// message freelists and inbox rings have warmed up. Under the parallel engine
+// it drives the epoch machinery inline (no worker goroutines, so the
+// measurement sees every allocation): per-shard event-driven stepping,
+// deferred-send recording, and the barrier replay/merge. Under the skip
+// engine it runs advance over fixed access budgets: the one-shard stepping,
+// the wake-up cache reset and the idle skip. `make allocsmoke` runs this
+// alongside the network round-trip check.
 func TestParallelEpochDoesNotAllocate(t *testing.T) {
-	cfg := DefaultConfig(coherence.FSLite)
-	cfg.Params = cfg.Params.ScaleToCores(16)
-	cfg.Params.Topology = network.TopoMesh
-	cfg.Engine = EngineParallel
-	cfg.Shards = 4
-	s := New(cfg, Workload{Name: "par-alloc", Threads: allocThreads(16)})
-	if s.par == nil {
-		t.Fatal("parallel engine not constructed")
-	}
-	pr := s.par
-	w := s.net.MinDeliveryLatency()
-	next := uint64(1)
-	epoch := func() {
-		end := next + w
-		for _, sh := range pr.shards {
-			sh.runEpoch(end)
-		}
-		s.net.Replay(pr.recs, pr.deliver)
-		next = end
-	}
-	for i := 0; i < 2000; i++ {
-		epoch() // warm-up: privatization episodes establish, pools fill
-	}
-	if n := testing.AllocsPerRun(500, epoch); n > 0 {
-		t.Fatalf("steady-state epoch allocated %.2f allocs/op", n)
+	for _, tc := range []struct {
+		name   string
+		engine Engine
+	}{{"parallel", EngineParallel}, {"skip", EngineSkip}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(coherence.FSLite)
+			cfg.Params = cfg.Params.ScaleToCores(16)
+			cfg.Params.Topology = network.TopoMesh
+			cfg.Engine = tc.engine
+			cfg.Shards = 4
+			s := New(cfg, Workload{Name: "alloc", Threads: allocThreads(16)})
+			defer s.Stop()
+			var epoch func()
+			if tc.engine == EngineParallel {
+				pr := s.par
+				if pr == nil {
+					t.Fatal("parallel engine not constructed")
+				}
+				w := s.net.MinDeliveryLatency()
+				next := uint64(1)
+				epoch = func() {
+					end := next + w
+					for _, sh := range pr.shards {
+						sh.runEpoch(end)
+					}
+					s.net.Replay(pr.recs, pr.deliver)
+					next = end
+				}
+			} else {
+				epoch = func() {
+					if _, err := s.advance("alloc", math.MaxUint64, false, 64); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 2000; i++ {
+				epoch() // warm-up: privatization episodes establish, pools fill
+			}
+			if n := testing.AllocsPerRun(500, epoch); n > 0 {
+				t.Fatalf("steady-state epoch allocated %.2f allocs/op", n)
+			}
+		})
 	}
 }

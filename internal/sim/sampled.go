@@ -11,17 +11,17 @@ import (
 	"fscoherence/internal/stats"
 )
 
-// sampledTimingIDs are the timing-domain counters that only accrue while the
-// detailed engine runs; the sampled loop estimates their whole-run values by
-// ratio extrapolation. Cycles are handled separately (the clock is not a
-// counter slot during the run). Every other counter accrues functionally in
-// warming windows too and stays exact.
 // warmQuantum caps the operations one core commits per warming round. Large
 // enough to amortize the per-quantum coroutine switch to noise, small enough
 // that spin-wait loops (locks, barriers) hand off within a round and windows
 // land near their spec.
 const warmQuantum = 256
 
+// sampledTimingIDs are the timing-domain counters that only accrue while the
+// detailed engine runs; the sampled loop estimates their whole-run values by
+// ratio extrapolation. Cycles are handled separately (the clock is not a
+// counter slot during the run). Every other counter accrues functionally in
+// warming windows too and stays exact.
 var sampledTimingIDs = []stats.ID{
 	stats.IDStallCycles,
 	stats.IDNetMessages,
@@ -44,94 +44,86 @@ type SampledRun struct {
 	Estimates map[string]stats.Estimate
 }
 
-// SetBoundaryHook installs a function invoked at every sampling window
-// boundary after the drain (testing: invariant oracles see a quiescent
-// machine).
+// SetBoundaryHook installs a function invoked at every window boundary of a
+// sampled or checkpointed run: after each drain and, when sampling, after
+// each warming window (testing: invariant oracles see a quiescent machine).
 func (s *System) SetBoundaryHook(fn func(cycle uint64)) { s.boundaryHook = fn }
 
-// runSampled is the interval-sampling run loop: detailed windows measured by
-// the ordinary skip-engine cycle loop alternate with functional-warming
-// windows that commit operations through coherence.Warmer with no timing.
-// Every window boundary drains the machine first (issue held, outstanding
-// accesses retired), so warming always starts from — and detailed execution
-// always resumes into — a quiescent architectural state.
+// runSampled is the windowed run loop shared by interval sampling and
+// periodic checkpointing. Timed windows of Sample.Detailed committed L1D
+// accesses — CheckpointEvery for a checkpointed run — each end in a drain
+// (issue held on every core, in-flight accesses retired), so every window
+// boundary finds the machine architecturally quiescent. A sampled run
+// records each window in its estimators, then commits the next
+// Sample.Warming accesses functionally through coherence.Warmer with no
+// timing; a checkpointed run goes straight on to its next window. Drains
+// charge to the run like any other stall, so a checkpoint cadence is its own
+// deterministic execution: a resumed run is byte-identical to an
+// uninterrupted run with the same cadence. A sampled run checkpoints at its
+// existing post-warming boundaries, so checkpointing it perturbs nothing.
 func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 	spec := s.cfg.Sample
+	sampling := spec.Enabled()
 	st := s.stats
-	warmer := coherence.NewWarmer(s.cfg.Params, s.cfg.Mode, s.l1s, s.dirs, s.mem)
-
 	cores := make([]*cpu.InOrder, len(s.cores))
-	sinks := make([]*warmSink, len(s.cores))
 	for i, c := range s.cores {
 		cores[i] = c.(*cpu.InOrder)
-		sinks[i] = &warmSink{core: i, st: st, warmer: warmer}
 	}
-
-	var cycEst sample.Estimator
-	ests := make([]sample.Estimator, len(sampledTimingIDs))
-	snap := make([]uint64, len(sampledTimingIDs))
-
-	// A restored sampled run re-seeds its estimators from the checkpoint so
-	// the whole-run estimates match the uninterrupted run's exactly.
-	if rs := s.resumedSample; rs != nil {
-		cycEst.SetState(rs.CycWindows)
-		for i := range ests {
-			ests[i].SetState(rs.Ests[i])
+	hold := func(on bool) {
+		for _, c := range cores {
+			c.HoldIssue(on)
 		}
 	}
-	// Sampled runs checkpoint at existing post-warming boundaries (the
-	// machine is already drained there), so snapshotting perturbs nothing;
-	// CheckpointEvery only rate-limits which boundaries get one.
+
+	budget := s.cfg.CheckpointEvery
+	var (
+		warmer *coherence.Warmer
+		sinks  []*warmSink
+		cycEst sample.Estimator
+		ests   []sample.Estimator
+		snap   []uint64
+	)
+	if sampling {
+		budget = spec.Detailed
+		warmer = coherence.NewWarmer(s.cfg.Params, s.cfg.Mode, s.l1s, s.dirs, s.mem)
+		sinks = make([]*warmSink, len(s.cores))
+		for i := range sinks {
+			sinks[i] = &warmSink{core: i, st: st, warmer: warmer}
+		}
+		ests = make([]sample.Estimator, len(sampledTimingIDs))
+		snap = make([]uint64, len(sampledTimingIDs))
+		// A restored sampled run re-seeds its estimators from the checkpoint
+		// so the whole-run estimates match the uninterrupted run's exactly.
+		if rs := s.resumedSample; rs != nil {
+			cycEst.SetState(rs.CycWindows)
+			for i := range ests {
+				ests[i].SetState(rs.Ests[i])
+			}
+		}
+	}
+	// CheckpointEvery rate-limits which boundaries get a snapshot.
 	lastCkpt := st.GetID(stats.IDL1DAccesses)
 
 	for {
-		// Detailed window: the ordinary timed loop, until the access budget
-		// is spent or the workload finishes.
+		// Timed window, until the access budget is spent or the workload
+		// finishes; then the drain, whose cycles and traffic charge to the
+		// window.
 		winAcc := st.GetID(stats.IDL1DAccesses)
 		winCyc := s.cycle
-		for i, id := range sampledTimingIDs {
-			snap[i] = st.GetID(id)
+		for i := range snap {
+			snap[i] = st.GetID(sampledTimingIDs[i])
 		}
-		finished := false
-		for st.GetID(stats.IDL1DAccesses)-winAcc < spec.Detailed {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if s.done() {
-				finished = true
-				break
-			}
-			s.skipAhead(maxCycles)
+		finished, err := s.advance(name, maxCycles, false, budget)
+		if err != nil {
+			return nil, err
 		}
-
-		// Drain: hold issue on every core and let in-flight accesses retire.
-		// The drain's cycles and traffic charge to the detailed window.
-		for _, c := range cores {
-			c.HoldIssue(true)
-		}
-		for !s.drained() {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s, draining)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if !s.drained() {
-				s.skipAhead(maxCycles)
-			}
+		hold(true)
+		if _, err := s.advance(name, maxCycles, true, 0); err != nil {
+			return nil, err
 		}
 
 		// Record the window (a zero-access tail window carries no signal).
-		if acc := st.GetID(stats.IDL1DAccesses) - winAcc; acc > 0 {
+		if acc := st.GetID(stats.IDL1DAccesses) - winAcc; sampling && acc > 0 {
 			cycEst.Observe(s.cycle-winCyc, acc)
 			for i, id := range sampledTimingIDs {
 				ests[i].Observe(st.GetID(id)-snap[i], acc)
@@ -140,75 +132,80 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 		if s.boundaryHook != nil {
 			s.boundaryHook(s.cycle)
 		}
-		if finished || s.allFinished() {
-			for _, c := range cores {
-				c.HoldIssue(false)
-			}
+		if finished || sampling && s.seq.finished() {
+			hold(false)
 			break
 		}
 
-		// Warming window: commit operations functionally in round-robin
-		// quanta — each unfinished core runs up to warmQuantum operations
-		// inside its thread coroutine per round (one coroutine round trip per
-		// quantum, not per op), with the clock advancing one cycle per round
-		// (episode timestamps advance in compressed time). Tail rounds shrink
-		// the quantum to the remaining per-core budget so the window lands
-		// near its spec. Forced terminations drain each round, standing in
-		// for the directory Tick.
-		warmer.SetNow(s.cycle)
-		warmAcc := st.GetID(stats.IDL1DAccesses)
-		for {
-			cur := st.GetID(stats.IDL1DAccesses) - warmAcc
-			if cur >= spec.Warming {
-				break
-			}
-			q := (spec.Warming - cur) / uint64(len(cores))
-			if q == 0 {
-				q = 1
-			} else if q > warmQuantum {
-				q = warmQuantum
-			}
-			progress := false
-			for i, c := range cores {
-				if n, _ := c.WarmRun(sinks[i], q); n > 0 {
-					progress = true
+		if sampling {
+			// Warming window: commit operations functionally in round-robin
+			// quanta — each unfinished core runs up to warmQuantum operations
+			// inside its thread coroutine per round (one coroutine round trip
+			// per quantum, not per op), with the clock advancing one cycle per
+			// round (episode timestamps advance in compressed time). Tail
+			// rounds shrink the quantum to the remaining per-core budget so
+			// the window lands near its spec. Forced terminations drain each
+			// round, standing in for the directory Tick.
+			warmer.SetNow(s.cycle)
+			warmAcc := st.GetID(stats.IDL1DAccesses)
+			for {
+				cur := st.GetID(stats.IDL1DAccesses) - warmAcc
+				if cur >= spec.Warming {
+					break
+				}
+				q := (spec.Warming - cur) / uint64(len(cores))
+				if q == 0 {
+					q = 1
+				} else if q > warmQuantum {
+					q = warmQuantum
+				}
+				progress := false
+				for i, c := range cores {
+					if n, _ := c.WarmRun(sinks[i], q); n > 0 {
+						progress = true
+					}
+				}
+				s.cycle++
+				warmer.SetNow(s.cycle)
+				warmer.DrainForcedTerminations()
+				s.pollCancel()
+				if s.stopReason != "" {
+					return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
+				}
+				if !progress {
+					break
 				}
 			}
-			s.cycle++
-			warmer.SetNow(s.cycle)
-			warmer.DrainForcedTerminations()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if !progress {
-				break
+			if s.boundaryHook != nil {
+				s.boundaryHook(s.cycle)
 			}
 		}
-		if s.boundaryHook != nil {
-			s.boundaryHook(s.cycle)
-		}
-		// Post-warming boundary: the machine is drained (warming is purely
-		// functional), so this is a free checkpoint point.
+
+		// The machine is drained here (warming is purely functional), so
+		// this is a free checkpoint point.
 		if s.cfg.CheckpointSink != nil && st.GetID(stats.IDL1DAccesses)-lastCkpt >= s.cfg.CheckpointEvery {
-			smp := &SampleState{CycWindows: cycEst.State()}
-			for i := range ests {
-				smp.Ests = append(smp.Ests, ests[i].State())
+			var smp *SampleState
+			if sampling {
+				smp = &SampleState{CycWindows: cycEst.State()}
+				for i := range ests {
+					smp.Ests = append(smp.Ests, ests[i].State())
+				}
 			}
 			if err := s.emitCheckpoint(name, smp); err != nil {
 				return nil, err
 			}
 			lastCkpt = st.GetID(stats.IDL1DAccesses)
 		}
-		for _, c := range cores {
-			c.HoldIssue(false)
-		}
-		if s.allFinished() {
+		hold(false)
+		if sampling && s.seq.finished() {
 			break
 		}
 	}
 
 	res := s.buildResult(name)
+	if !sampling {
+		return res, nil
+	}
 	total := st.GetID(stats.IDL1DAccesses)
 	sr := &SampledRun{
 		Spec:      spec,
@@ -293,28 +290,5 @@ func (s *System) drained() bool {
 			return false
 		}
 	}
-	if s.net.Pending() != 0 {
-		return false
-	}
-	for _, l := range s.l1s {
-		if !l.Idle() {
-			return false
-		}
-	}
-	for _, d := range s.dirs {
-		if !d.Idle() {
-			return false
-		}
-	}
-	return true
-}
-
-// allFinished reports whether every thread has run to completion.
-func (s *System) allFinished() bool {
-	for _, c := range s.cores {
-		if !c.Finished() {
-			return false
-		}
-	}
-	return true
+	return s.net.Pending() == 0 && s.seq.idle()
 }

@@ -19,26 +19,30 @@ import (
 	"fscoherence/internal/stats"
 )
 
-// Engine selects the simulation loop strategy. Both engines are cycle-exact:
+// Engine selects the simulation loop strategy. All engines are cycle-exact:
 // they produce byte-identical results (cycle counts, counter snapshots,
 // traces, detections) for the same configuration and workload.
 type Engine int
 
 const (
-	// EngineSkip, the default, is the quiescence-skipping engine: when a tick
-	// round leaves nothing to do until some future cycle, the loop fast-
-	// forwards to that cycle instead of ticking idle rounds. Components report
-	// their earliest wake-up (NextEvent / NextArrival) and compensate skipped
-	// per-cycle bookkeeping via SkipIdle, so the skip is invisible.
+	// EngineSkip, the default, steps the whole machine as one shard
+	// (shard.go). A stepped cycle ticks only the components that are due —
+	// those whose cached wake-up (NextEvent) has come, and every L1 and
+	// directory slice when a message is deliverable — and the loop then
+	// fast-forwards to the cycle before the next wake-up. Cores credit the
+	// stall accounting of elided and skipped ticks via SkipIdle, so neither
+	// is visible. A run with a cycle hook or a zero network latency steps
+	// with the naive full tick instead (see advance).
 	EngineSkip Engine = iota
 
-	// EngineNaive ticks every component on every cycle — the reference loop
-	// the skipping engine is proven against (see TestEngineEquivalence).
+	// EngineNaive ticks every component on every cycle (stepCycle) — the
+	// reference the other engines are proven against (see
+	// TestEngineEquivalence).
 	EngineNaive
 
 	// EngineParallel is the conservative parallel discrete-event engine: it
 	// shards cores+L1s (and directory slices) across OS threads, each shard
-	// running its own quiescence-skipping loop over fixed lookahead epochs
+	// stepping with the skip engine's shard code over lookahead epochs
 	// bounded by the network's minimum delivery latency, with all network
 	// traffic replayed in global order at epoch barriers (see parallel.go).
 	// Byte-identical to the sequential engines; configurations it cannot
@@ -55,9 +59,9 @@ type Config struct {
 	// Engine selects the simulation loop (default EngineSkip).
 	Engine Engine
 
-	// Shards is the worker-thread count for EngineParallel (0 picks a
-	// core-count-based default; ignored by the sequential engines). Results
-	// are byte-identical across all shard counts.
+	// Shards is the worker-thread count for EngineParallel (0 picks one
+	// per 8 cores, at most GOMAXPROCS; ignored by the sequential engines).
+	// Results are byte-identical across all shard counts.
 	Shards int
 
 	// Core holds the FSDetect/FSLite tunables; ignored in Baseline mode.
@@ -214,17 +218,19 @@ type System struct {
 	// cycleHook, when set (tests), runs at the start of every cycle.
 	cycleHook func(cycle uint64)
 
-	// boundaryHook, when set (tests), runs at every sampling window boundary,
-	// right after the drain: the machine is architecturally quiescent when it
-	// fires, so invariant oracles may scan freely.
+	// boundaryHook, when set (tests), runs at every window boundary of a
+	// sampled or checkpointed run: the machine is architecturally quiescent
+	// when it fires, so invariant oracles may scan freely.
 	boundaryHook func(cycle uint64)
 
 	// stopReason, when non-empty, aborts the run loop (RequestStop).
 	stopReason string
 
 	// par, when non-nil, holds the conservative parallel engine's shard
-	// structure (EngineParallel; see parallel.go).
+	// structure (EngineParallel; see parallel.go). Otherwise seq holds the
+	// whole machine as the one shard the skip engine steps.
 	par *parRunner
+	seq *shard
 
 	// unsupported is the compatibility table's rejection of cfg (compat.go),
 	// returned by Run.
@@ -420,7 +426,10 @@ func New(cfg Config, wl Workload) *System {
 		}
 	}
 	if s.par != nil {
-		s.par.bind()
+		bindShards(s, s.par.shards)
+	} else {
+		s.seq = &shard{net: s.net}
+		bindShards(s, []*shard{s.seq})
 	}
 	// Checkpointing needs the result log armed from the very first committed
 	// operation so threads can be replayed at any later snapshot (and so a
@@ -526,39 +535,91 @@ func (s *System) Run(name string) (*Result, error) {
 	if maxCycles == 0 {
 		maxCycles = 500_000_000
 	}
-	if s.cfg.Sample.Enabled() {
+	if s.cfg.Sample.Enabled() || s.cfg.CheckpointEvery > 0 {
 		return s.runSampled(name, maxCycles)
 	}
-	if s.cfg.CheckpointEvery > 0 {
-		return s.runCheckpointed(name, maxCycles)
+	if _, err := s.advance(name, maxCycles, false, 0); err != nil {
+		return nil, err
 	}
+	return s.buildResult(name), nil
+}
+
+// advance runs timed cycles; every run mode calls it, and no other code
+// moves the clock in timed execution. The parallel engine hands the whole
+// run to its epoch coordinator. The sequential engines step one cycle at a
+// time: the skip engine through its shard, fast-forwarding to the next
+// wake-up after each step, and the naive engine with stepCycle's full tick.
+// A cycle hook or a zero network latency also needs the full tick: a hook
+// may create work outside any tick (Dir.ExternalAccess), and a zero-latency
+// send is consumed within its own cycle, after the shard read its arrivals.
+//
+// The loop returns when done (or, draining, drained) holds after a step,
+// with no skip after it; finished reports done. With budget > 0 it also
+// returns once budget L1D accesses have committed since entry, checked after
+// the step's skip. A drain that finds the machine drained steps no cycle.
+func (s *System) advance(name string, maxCycles uint64, draining bool, budget uint64) (finished bool, err error) {
 	if s.par != nil {
 		cycle, err := s.par.run(name, maxCycles)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		s.cycle = cycle
 		s.par.mergeStats()
-	} else {
-		for {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s)", ErrDeadlock, s.cycle, name)
+		return true, nil
+	}
+	if draining && s.drained() {
+		return false, nil
+	}
+	full := s.cfg.Engine == EngineNaive || s.cycleHook != nil || s.net.MinDeliveryLatency() == 0
+	// Work created outside a tick — issue held or released, warming, a
+	// restored checkpoint — is missing from the wake-up caches.
+	s.seq.wakeAll()
+	start := s.stats.GetID(stats.IDL1DAccesses)
+	for {
+		s.cycle++
+		if s.cycle > maxCycles {
+			if draining {
+				name += ", draining"
 			}
+			return false, fmt.Errorf("%w at cycle %d (%s)", ErrDeadlock, s.cycle, name)
+		}
+		if full {
 			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if s.done() {
-				break
-			}
-			if s.cfg.Engine == EngineSkip {
-				s.skipAhead(maxCycles)
+		} else {
+			s.seq.step(s.cycle)
+		}
+		if s.cfg.CheckSWMR && s.cycle%s.cfg.SWMRPeriod == 0 {
+			s.checkSWMR()
+		}
+		if m := s.metrics; m != nil && s.cycle%m.Interval == 0 {
+			m.Sample(s.cycle, s.stats.Snapshot())
+		}
+		s.pollCancel()
+		if s.stopReason != "" {
+			return false, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
+		}
+		if draining && s.drained() || !draining && s.done() {
+			return !draining, nil
+		}
+		if !full {
+			if t := s.lastIdle(maxCycles); t > s.cycle {
+				s.seq.skipIdle(t - s.cycle)
+				s.cycle = t
 			}
 		}
+		if budget > 0 && s.stats.GetID(stats.IDL1DAccesses)-start >= budget {
+			return false, nil
+		}
 	}
-	return s.buildResult(name), nil
+}
+
+// pollCancel folds the external cancellation flag (Config.Cancel, set by the
+// runner's watchdog) into the stop-reason mechanism. Polled once per loop
+// iteration in every engine, so a timed-out cell stops within one quantum.
+func (s *System) pollCancel() {
+	if s.stopReason == "" && s.cfg.Cancel != nil && s.cfg.Cancel() {
+		s.stopReason = "canceled"
+	}
 }
 
 // buildResult closes out observability and assembles the Result from the
@@ -591,9 +652,9 @@ func (s *System) buildResult(name string) *Result {
 	return res
 }
 
-// stepCycle runs one full simulation cycle: the per-cycle hook, every
-// component's Tick in deterministic order, then the cycle-boundary work
-// (SWMR scan, metrics sample).
+// stepCycle runs one full simulation cycle: the per-cycle hook, then every
+// component's Tick in rank order. It is the naive engine's step, the
+// reference the skip engine's elided step is proven against.
 func (s *System) stepCycle() {
 	s.net.SetCycle(s.cycle)
 	if s.cycleHook != nil {
@@ -608,93 +669,39 @@ func (s *System) stepCycle() {
 	for _, c := range s.cores {
 		c.Tick(s.cycle)
 	}
-	if s.cfg.CheckSWMR && s.cycle%s.cfg.SWMRPeriod == 0 {
-		s.checkSWMR()
-	}
-	if m := s.metrics; m != nil && s.cycle%m.Interval == 0 {
-		m.Sample(s.cycle, s.stats.Snapshot())
-	}
 }
 
-// skipAhead fast-forwards s.cycle over cycles in which no component can make
-// progress. It advances to one cycle before the earliest reported wake-up —
-// clamped so that SWMR-check and metrics-sampling boundary cycles are still
-// stepped (their output embeds cycle numbers, and byte-identical output across
-// engines is the contract) and so the MaxCycles deadlock error fires at the
-// same cycle as under the naive loop. Cores compensate per-cycle stall
-// counters for the skipped span via SkipIdle. A registered cycle hook
-// disables skipping entirely: the hook must observe every cycle.
-func (s *System) skipAhead(maxCycles uint64) {
-	if s.cycleHook != nil {
-		return
-	}
+// lastIdle returns the last cycle before the shard's next wake-up, the
+// target the skip engine fast-forwards to after a step (s.cycle itself when
+// the next cycle has work). It is clamped so that SWMR-check and
+// metrics-sampling boundary cycles are still stepped (their output embeds
+// cycle numbers, and byte-identical output across engines is the contract)
+// and so the MaxCycles deadlock error fires at the same cycle as under the
+// naive loop.
+func (s *System) lastIdle(maxCycles uint64) uint64 {
 	now := s.cycle
-	wake := s.net.NextArrival()
-	for _, d := range s.dirs {
-		if w := d.NextEvent(now); w < wake {
-			wake = w
-		}
-	}
-	for _, l := range s.l1s {
-		if w := l.NextEvent(now); w < wake {
-			wake = w
-		}
-	}
-	for _, c := range s.cores {
-		if w := c.NextEvent(now); w < wake {
-			wake = w
-		}
-	}
+	wake := s.seq.nextLocal()
 	if wake <= now+1 {
-		return // the very next cycle has (potential) work
+		return now
 	}
 	// done() just returned false, so an all-NoEvent round means deadlock:
 	// aim at maxCycles and let the loop trip the identical ErrDeadlock.
 	target := maxCycles
 	if wake != coherence.NoEvent && wake-1 < target {
-		target = wake - 1 // last fully idle cycle before the wake-up
+		target = wake - 1
 	}
 	if s.cfg.CheckSWMR {
-		if b := now - now%s.cfg.SWMRPeriod + s.cfg.SWMRPeriod; b-1 < target {
-			target = b - 1
-		}
+		target = min(target, now-now%s.cfg.SWMRPeriod+s.cfg.SWMRPeriod-1)
 	}
 	if m := s.metrics; m != nil {
-		if b := now - now%m.Interval + m.Interval; b-1 < target {
-			target = b - 1
-		}
+		target = min(target, now-now%m.Interval+m.Interval-1)
 	}
-	if target <= now {
-		return
-	}
-	delta := target - now
-	for _, c := range s.cores {
-		c.SkipIdle(delta)
-	}
-	s.cycle = target
+	return max(target, now)
 }
 
 // done reports whether every thread finished and the system quiesced.
 func (s *System) done() bool {
-	for _, c := range s.cores {
-		if !c.Finished() {
-			return false
-		}
-	}
-	if s.net.Pending() != 0 {
-		return false
-	}
-	for _, l := range s.l1s {
-		if !l.Idle() {
-			return false
-		}
-	}
-	for _, d := range s.dirs {
-		if !d.Idle() {
-			return false
-		}
-	}
-	return true
+	return s.seq.finished() && s.net.Pending() == 0 && s.seq.idle()
 }
 
 // checkSWMR validates the single-writer/multiple-reader invariant across all

@@ -135,7 +135,7 @@ type Options struct {
 	Topology string
 
 	// Shards overrides the parallel engine's worker count (0 = one shard
-	// per 8 cores). Ignored by the sequential engines.
+	// per 8 cores, at most GOMAXPROCS). Ignored by the sequential engines.
 	Shards int
 
 	// Obs attaches the unified observability layer (event tracing and
