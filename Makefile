@@ -1,9 +1,11 @@
 # Tier-1 verification for the fscoherence reproduction.
 #
-#   make ci      — the full tier-1 gate: formatting, vet, build, tests, the
-#                  race detector over every package, the cross-engine
-#                  equivalence suite (skip vs naive must be byte-identical),
-#                  and a zero-alloc smoke run of the network hot path.
+#   make ci      — the full tier-1 gate: formatting, the PROTOCOL.md drift
+#                  check (speccheck), vet, build, tests, the race detector
+#                  over every package, the cross-engine equivalence suite
+#                  (naive, skip and parallel must be byte-identical), the
+#                  zero-alloc smoke runs, samplecheck, ckptcheck, fuzzsmoke
+#                  and benchsmoke.
 #   make check   — static gate only: gofmt -l must be clean, PROTOCOL.md's
 #                  generated region must match internal/coherence/spec, the
 #                  spec package must godoc cleanly, then go vet and the unit
@@ -22,7 +24,8 @@
 #                  version-skewed / wrong-identity checkpoints must degrade to
 #                  cold runs; campaign journals must resume; plus a real
 #                  SIGKILL-mid-run smoke test under -race.
-#   make sweep   — regenerate the paper's tables with the parallel engine.
+#   make sweep   — regenerate the paper's tables (fsexp -all: the default
+#                  skip engine, cells run in parallel across NumCPU workers).
 #   make fuzzsmoke — CI-sized protocol fuzzing: a fixed 60-seed corpus across
 #                  the three protocols under fault injection, plus the oracle
 #                  selfcheck (seeded bugs must be caught and shrunk). ~30s.
@@ -69,14 +72,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Cross-engine determinism: every workload x protocol under both engines,
+# Cross-engine determinism: every workload x protocol under all three engines,
 # plus golden-trace and figure-table byte-equality (engine_test.go).
 equiv:
 	$(GO) test -run 'TestEngine' -count=1 .
 
-# The steady-state network round trip, the parallel engine's epoch loop and
-# the disabled forensics recorder must not allocate; the benchmark's
-# allocs/op plus the four tests gate it.
+# The steady-state network round trip and replay, the parallel and skip
+# stepping loops, the functional warmer and the disabled forensics recorder
+# must not allocate; the benchmark's allocs/op plus the five tests gate it.
 allocsmoke:
 	$(GO) test -run 'TestSendRecvDoesNotAllocate|TestReplayDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
 	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/

@@ -42,6 +42,7 @@ import (
 	"fscoherence"
 	"fscoherence/cmd/internal/cli"
 	"fscoherence/internal/profiling"
+	"fscoherence/internal/sim"
 	"fscoherence/internal/stats"
 )
 
@@ -299,17 +300,19 @@ func fatal(err error) {
 }
 
 func printConfig() {
+	c := sim.DefaultConfig(fscoherence.FSLite)
+	p, fs := c.Params, c.Core
 	fmt.Println("Table II — simulated system configuration")
-	fmt.Println("  cores            8 (in-order; 8-wide OOO for the -exp ooo study)")
-	fmt.Println("  L1D              32 KB per core, 8-way, 64 B lines, 3-cycle data access")
-	fmt.Println("  LLC              8 slices, 16-way, inclusive, 2-cycle tag + 8-cycle data")
-	fmt.Println("  interconnect     12-cycle base latency, per-class virtual-channel FIFO")
-	fmt.Println("  memory           120-cycle access latency")
+	fmt.Printf("  cores            %d (in-order; %d-wide OOO for the -exp ooo study)\n", p.Cores, c.OOOWidth)
+	fmt.Printf("  L1D              %d KB per core, %d-way, %d B lines, %d-cycle data access\n", p.L1Entries*p.BlockSize/1024, p.L1Ways, p.BlockSize, p.L1HitCycles)
+	fmt.Printf("  LLC              %d slices, %d-way, inclusive, %d-cycle tag + %d-cycle data\n", p.Slices, p.LLCWays, p.LLCTagCycles, p.LLCDataCycles)
+	fmt.Printf("  interconnect     %d-cycle base latency, per-class virtual-channel FIFO\n", p.NetLatency)
+	fmt.Printf("  memory           %d-cycle access latency\n", p.MemLatency)
 	fmt.Println("  PAM table        per-core, 1 entry per L1D line, R/W bit per byte + SEND_MD")
-	fmt.Println("  SAM table        128 entries per slice, 16-way LRU, per-byte last writer + readers + TS")
+	fmt.Printf("  SAM table        %d entries per slice, %d-way LRU, per-byte last writer + readers + TS\n", fs.SAMEntries, fs.SAMWays)
 	fmt.Println("  directory ext    7-bit FC and IC, PMMC, 2-bit hysteresis counter")
-	fmt.Println("  conflict check   2 cycles per PRV check")
-	fmt.Println("  thresholds       tauP = tauR1 = 16, tauR2 = 127")
+	fmt.Printf("  conflict check   %d cycles per PRV check\n", p.ChkCycles)
+	fmt.Printf("  thresholds       tauP = tauR1 = %d, tauR2 = %d\n", fs.TauP, fs.TauR2)
 }
 
 func printBenchmarks() {

@@ -302,7 +302,7 @@ func TestEngineFigTablesIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		return Fig14Speedup(r, engineEquivalenceScale).String() +
-			Fig13MissFractions(r, engineEquivalenceScale).String()
+			fig13.build(r, engineEquivalenceScale).String()
 	}
 	naive := render("naive")
 	skip := render("skip")

@@ -3,7 +3,7 @@ package fscoherence
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"fscoherence/internal/stats"
@@ -130,349 +130,213 @@ func geomean(vs []float64) float64 {
 	return math.Exp(sum / float64(len(vs)))
 }
 
-// Every table builder is two-phase: it first submits all of its simulation
-// cells to the engine (fanning them out across the worker pool), then
-// collects futures in row order. Collection order fixes the table layout, so
-// output is identical for any worker count; a cell that fails panics out of
-// the builder (Future.Must) and cmd/fsexp recovers per experiment.
-
-// Fig2ManualFix reproduces Figure 2: the speedup achieved by manually fixing
-// false sharing (padded layouts) over the unmodified baseline protocol.
-func Fig2ManualFix(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Fig 2", Title: "Speedup after manually fixing false sharing (baseline MESI)",
-		Columns: []string{"manual"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
-	man := r.SubmitBenches(benches, Options{Protocol: Baseline, Variant: LayoutPadded, Scale: scale})
-	var sp []float64
-	for i, b := range benches {
-		s := man[i].Must().Speedup(base[i].Must())
-		sp = append(sp, s)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"manual": s}})
-	}
-	t.GeoMean["manual"] = geomean(sp)
-	return t
-}
-
-// Fig13MissFractions reproduces Figure 13: the fraction of L1D accesses that
-// miss, for the false-sharing benchmarks under the baseline protocol.
-func Fig13MissFractions(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Fig 13", Title: "Fraction of L1D accesses that miss (baseline)",
-		Columns: []string{"miss-fraction"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	cells := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
+// mean is the arithmetic mean, which the paper reports for Fig. 13.
+func mean(vs []float64) float64 {
 	sum := 0.0
-	for i, b := range benches {
-		res := cells[i].Must()
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"miss-fraction": res.MissFraction}})
-		sum += res.MissFraction
+	for _, v := range vs {
+		sum += v
 	}
-	// The paper reports the arithmetic mean for Fig. 13.
-	t.GeoMean["miss-fraction"] = sum / float64(len(t.Rows))
-	return t
+	return sum / float64(len(vs))
 }
 
-// Fig14Speedup reproduces Figure 14a: FSDetect and FSLite speedups over the
-// baseline for the false-sharing benchmarks.
-func Fig14Speedup(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Fig 14a", Title: "Speedup of FSDetect and FSLite over baseline",
-		Columns: []string{"fsdetect", "fslite"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
-	det := r.SubmitBenches(benches, Options{Protocol: FSDetect, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	var sd, sl []float64
-	for i, b := range benches {
-		b0 := base[i].Must()
-		vd, vl := det[i].Must().Speedup(b0), fsl[i].Must().Speedup(b0)
-		sd = append(sd, vd)
-		sl = append(sl, vl)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"fsdetect": vd, "fslite": vl}})
-	}
-	t.GeoMean["fsdetect"] = geomean(sd)
-	t.GeoMean["fslite"] = geomean(sl)
-	return t
+// figure describes one reproduced table as data: its rows are benchmarks,
+// each run is one Options applied to every benchmark, and each column is a
+// function of a row's results, indexed like runs.
+type figure struct {
+	id, title string
+	benches   []string
+	runs      []Options
+	cols      []column
 }
 
-// Fig14Energy reproduces Figure 14b: cache-hierarchy energy of FSDetect and
-// FSLite normalized to the baseline.
-func Fig14Energy(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Fig 14b", Title: "Normalized energy of FSDetect and FSLite",
-		Columns: []string{"fsdetect", "fslite"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
-	det := r.SubmitBenches(benches, Options{Protocol: FSDetect, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	var ed, el []float64
-	for i, b := range benches {
-		b0 := base[i].Must()
-		vd, vl := det[i].Must().NormalizedEnergy(b0), fsl[i].Must().NormalizedEnergy(b0)
-		ed = append(ed, vd)
-		el = append(el, vl)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"fsdetect": vd, "fslite": vl}})
-	}
-	t.GeoMean["fsdetect"] = geomean(ed)
-	t.GeoMean["fslite"] = geomean(el)
-	return t
+// column is one table column: its value for a row, and an optional summary
+// over all rows (geomean, or mean for Fig. 13; nil reports none).
+type column struct {
+	name    string
+	val     func(rs []*Result) float64
+	summary func([]float64) float64
 }
 
-// Fig15NoFalseSharing reproduces Figure 15: FSLite speedup and normalized
-// energy for the applications without false sharing.
-func Fig15NoFalseSharing(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Fig 15", Title: "FSLite on applications without false sharing",
-		Columns: []string{"speedup", "energy"}, GeoMean: map[string]float64{}}
-	benches := NoFalseSharingBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	var sp, en []float64
-	for i, b := range benches {
-		b0, f0 := base[i].Must(), fsl[i].Must()
-		s, e := f0.Speedup(b0), f0.NormalizedEnergy(b0)
-		sp = append(sp, s)
-		en = append(en, e)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"speedup": s, "energy": e}})
+// build runs f at scale: it submits every run for every benchmark in run
+// order, then collects row by row, which fixes the layout for any worker
+// count. A failed cell panics out of build (Future.Must); cmd/fsexp recovers
+// per experiment.
+func (f figure) build(r *Runner, scale float64) *Table {
+	t := &Table{ID: f.id, Title: f.title, GeoMean: map[string]float64{}}
+	futs := make([][]*Future, len(f.runs))
+	for j, opt := range f.runs {
+		opt.Scale = scale
+		futs[j] = r.SubmitBenches(f.benches, opt)
 	}
-	t.GeoMean["speedup"] = geomean(sp)
-	t.GeoMean["energy"] = geomean(en)
-	return t
-}
-
-// Fig16TauP reproduces Figure 16: FSLite with privatization thresholds 32
-// and 64, relative to the default threshold of 16.
-func Fig16TauP(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Fig 16", Title: "FSLite sensitivity to the privatization threshold tauP (relative to tauP=16)",
-		Columns: []string{"tauP=32", "tauP=64"}, GeoMean: map[string]float64{}}
-	benches := []string{"BS", "LL", "LR", "LT", "RC", "SF", "SM"} // SC excluded (§VIII-B)
-	ref := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	t32 := r.SubmitBenches(benches, Options{Protocol: FSLite, TauP: 32, Scale: scale})
-	t64 := r.SubmitBenches(benches, Options{Protocol: FSLite, TauP: 64, Scale: scale})
-	var s32s, s64s []float64
-	for i, b := range benches {
-		r0 := ref[i].Must()
-		v32, v64 := t32[i].Must().Speedup(r0), t64[i].Must().Speedup(r0)
-		s32s = append(s32s, v32)
-		s64s = append(s64s, v64)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"tauP=32": v32, "tauP=64": v64}})
-	}
-	t.GeoMean["tauP=32"] = geomean(s32s)
-	t.GeoMean["tauP=64"] = geomean(s64s)
-	return t
-}
-
-// Fig17Huron reproduces Figure 17: manual fix, Huron and FSLite speedups
-// over baseline for the Huron-artifact benchmarks.
-func Fig17Huron(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Fig 17", Title: "Manual fix vs Huron vs FSLite (speedup over baseline)",
-		Columns: []string{"manual", "huron", "fslite"}, GeoMean: map[string]float64{}}
-	benches := HuronBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
-	man := r.SubmitBenches(benches, Options{Protocol: Baseline, Variant: LayoutPadded, Scale: scale})
-	hur := r.SubmitBenches(benches, Options{Protocol: Baseline, Variant: LayoutHuron, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	var sm, sh, sl []float64
-	for i, b := range benches {
-		b0 := base[i].Must()
-		vm, vh, vl := man[i].Must().Speedup(b0), hur[i].Must().Speedup(b0), fsl[i].Must().Speedup(b0)
-		sm = append(sm, vm)
-		sh = append(sh, vh)
-		sl = append(sl, vl)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"manual": vm, "huron": vh, "fslite": vl}})
-	}
-	t.GeoMean["manual"] = geomean(sm)
-	t.GeoMean["huron"] = geomean(sh)
-	t.GeoMean["fslite"] = geomean(sl)
-	return t
-}
-
-// NetworkTraffic reproduces the §VIII-B interconnect study: the reduction in
-// L1-originated request messages and total traffic under FSLite, plus the
-// metadata overhead.
-func NetworkTraffic(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Net", Title: "FSLite interconnect traffic relative to baseline (false-sharing apps)",
-		Columns: []string{"requests", "messages", "bytes", "metadata-share"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	var rq, ms, by []float64
-	for i, b := range benches {
-		b0, f0 := base[i].Must(), fsl[i].Must()
-		reqRatio := float64(f0.Stats.Get("net.msg.request")) / float64(b0.Stats.Get("net.msg.request"))
-		msgRatio := float64(f0.Stats.Get(stats.CtrNetMessages)) / float64(b0.Stats.Get(stats.CtrNetMessages))
-		byteRatio := float64(f0.Stats.Get(stats.CtrNetBytes)) / float64(b0.Stats.Get(stats.CtrNetBytes))
-		mdShare := float64(f0.Stats.Get("net.msg.metadata")) / float64(f0.Stats.Get(stats.CtrNetMessages))
-		rq = append(rq, reqRatio)
-		ms = append(ms, msgRatio)
-		by = append(by, byteRatio)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{
-			"requests": reqRatio, "messages": msgRatio, "bytes": byteRatio, "metadata-share": mdShare,
-		}})
-	}
-	t.GeoMean["requests"] = geomean(rq)
-	t.GeoMean["messages"] = geomean(ms)
-	t.GeoMean["bytes"] = geomean(by)
-	return t
-}
-
-// SAMSizeSensitivity reproduces the §VIII-B SAM-table study: FSLite with a
-// 256-entry SAM table relative to the default 128 entries, plus the fraction
-// of SAM insertions that replaced a valid entry.
-func SAMSizeSensitivity(r *Runner, scale float64) *Table {
-	t := &Table{ID: "SAM", Title: "FSLite sensitivity to SAM table size (256 vs 128 entries)",
-		Columns: []string{"speedup-256", "replace-frac-128"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	ref := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	big := r.SubmitBenches(benches, Options{Protocol: FSLite, SAMEntries: 256, Scale: scale})
-	var sp []float64
-	for i, b := range benches {
-		r0 := ref[i].Must()
-		v := big[i].Must().Speedup(r0)
-		repl := r0.Stats.Ratio(stats.CtrSAMReplacements, stats.CtrSAMLookups)
-		sp = append(sp, v)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{
-			"speedup-256": v, "replace-frac-128": repl,
-		}})
-	}
-	t.GeoMean["speedup-256"] = geomean(sp)
-	return t
-}
-
-// ReaderOptStudy reproduces the §VI/§VIII-B reader-metadata optimization
-// study: FSLite with the last-reader+overflow SAM encoding must privatize
-// the same blocks and match the performance of the full reader bit-vector.
-func ReaderOptStudy(r *Runner, scale float64) *Table {
-	t := &Table{ID: "ReaderOpt", Title: "Reader metadata optimization (last-reader+overflow vs full bit-vector)",
-		Columns: []string{"speedup", "privatizations-ratio"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	full := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	opt := r.SubmitBenches(benches, Options{Protocol: FSLite, ReaderOpt: true, Scale: scale})
-	var sp []float64
-	for i, b := range benches {
-		f0, o0 := full[i].Must(), opt[i].Must()
-		v := o0.Speedup(f0)
-		pr := 1.0
-		if p := f0.Stats.Get(stats.CtrFSPrivatized); p > 0 {
-			pr = float64(o0.Stats.Get(stats.CtrFSPrivatized)) / float64(p)
+	vals := make([][]float64, len(f.cols))
+	for i, b := range f.benches {
+		rs := make([]*Result, len(f.runs))
+		for j := range futs {
+			rs[j] = futs[j][i].Must()
 		}
-		sp = append(sp, v)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{
-			"speedup": v, "privatizations-ratio": pr,
-		}})
+		row := TableRow{Name: b, Values: map[string]float64{}}
+		for k, c := range f.cols {
+			row.Values[c.name] = c.val(rs)
+			vals[k] = append(vals[k], row.Values[c.name])
+		}
+		t.Rows = append(t.Rows, row)
 	}
-	t.GeoMean["speedup"] = geomean(sp)
+	for k, c := range f.cols {
+		t.Columns = append(t.Columns, c.name)
+		if c.summary != nil {
+			t.GeoMean[c.name] = c.summary(vals[k])
+		}
+	}
 	return t
 }
 
-// GranularityStudy reproduces the §VIII-B coarse-grain tracking study:
-// FSLite with 2- and 4-byte metadata grains relative to byte-grain tracking.
-func GranularityStudy(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Grain", Title: "FSLite with coarse-grain access tracking (relative to 1-byte grain)",
-		Columns: []string{"grain=2", "grain=4"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	ref := r.SubmitBenches(benches, Options{Protocol: FSLite, Scale: scale})
-	g2 := r.SubmitBenches(benches, Options{Protocol: FSLite, Granularity: 2, Scale: scale})
-	g4 := r.SubmitBenches(benches, Options{Protocol: FSLite, Granularity: 4, Scale: scale})
-	var g2s, g4s []float64
-	for i, b := range benches {
-		r0 := ref[i].Must()
-		v2, v4 := g2[i].Must().Speedup(r0), g4[i].Must().Speedup(r0)
-		g2s = append(g2s, v2)
-		g4s = append(g4s, v4)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"grain=2": v2, "grain=4": v4}})
-	}
-	t.GeoMean["grain=2"] = geomean(g2s)
-	t.GeoMean["grain=4"] = geomean(g4s)
-	return t
+// speedup is run i's speedup over run ref, and normEnergy its
+// cache-hierarchy energy normalized to run ref's.
+func speedup(name string, i, ref int) column {
+	return column{name, func(rs []*Result) float64 { return rs[i].Speedup(rs[ref]) }, geomean}
+}
+func normEnergy(name string, i, ref int) column {
+	return column{name, func(rs []*Result) float64 { return rs[i].NormalizedEnergy(rs[ref]) }, geomean}
 }
 
-// ISOStorageStudy reproduces the §VIII-B iso-storage comparison: FSLite with
-// a 32 KB L1D against the baseline protocol with a 128 KB L1D, across all 14
-// applications.
-func ISOStorageStudy(r *Runner, scale float64) *Table {
-	t := &Table{ID: "ISO", Title: "FSLite@32KB L1D vs baseline@128KB L1D (all applications)",
-		Columns: []string{"speedup"}, GeoMean: map[string]float64{}}
-	all := append(append([]string{}, FalseSharingBenchmarks()...), NoFalseSharingBenchmarks()...)
-	big := r.SubmitBenches(all, Options{Protocol: Baseline, L1KB: 128, Scale: scale})
-	fsl := r.SubmitBenches(all, Options{Protocol: FSLite, Scale: scale})
-	var sp []float64
-	for i, b := range all {
-		v := fsl[i].Must().Speedup(big[i].Must())
-		sp = append(sp, v)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"speedup": v}})
-	}
-	t.GeoMean["speedup"] = geomean(sp)
-	return t
+// counterRatio is run i's count of ctr relative to run ref's, and
+// metadataShare the fraction of run i's messages that carry metadata.
+func counterRatio(name, ctr string, i, ref int) column {
+	return column{name, func(rs []*Result) float64 {
+		return float64(rs[i].Stats.Get(ctr)) / float64(rs[ref].Stats.Get(ctr))
+	}, geomean}
+}
+func metadataShare(i int) column {
+	return column{"metadata-share", func(rs []*Result) float64 {
+		return float64(rs[i].Stats.Get("net.msg.metadata")) / float64(rs[i].Stats.Get(stats.CtrNetMessages))
+	}, nil}
 }
 
-// LargeL1Study reproduces the §VIII-B large-private-cache study: FSLite's
-// speedup with a 512 KB L1D (mimicking a mid-level cache).
-func LargeL1Study(r *Runner, scale float64) *Table {
-	t := &Table{ID: "BigL1", Title: "FSLite speedup with a 512KB private cache (false-sharing apps)",
-		Columns: []string{"speedup"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, L1KB: 512, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, L1KB: 512, Scale: scale})
-	var sp []float64
-	for i, b := range benches {
-		v := fsl[i].Must().Speedup(base[i].Must())
-		sp = append(sp, v)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"speedup": v}})
-	}
-	t.GeoMean["speedup"] = geomean(sp)
-	return t
-}
+var (
+	// Figure 2: manually fixing false sharing with padded layouts.
+	fig2 = figure{id: "Fig 2", title: "Speedup after manually fixing false sharing (baseline MESI)",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: Baseline}, {Protocol: Baseline, Variant: LayoutPadded}},
+		cols:    []column{speedup("manual", 1, 0)}}
 
-// ThreeLevelStudy exercises the §VII three-level hierarchy: a 256 KB
-// private L2 per core between the L1D and the LLC. The paper argues FSLite's
-// benefit is unchanged (metadata stays at the L1; the PAM-eviction traffic
-// is a few percent of L1-to-LLC traffic).
-func ThreeLevelStudy(r *Runner, scale float64) *Table {
-	t := &Table{ID: "L2", Title: "FSLite with a 256KB private L2 per core (three-level hierarchy)",
-		Columns: []string{"speedup", "metadata-share"}, GeoMean: map[string]float64{}}
-	benches := FalseSharingBenchmarks()
-	base := r.SubmitBenches(benches, Options{Protocol: Baseline, L2KB: 256, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, L2KB: 256, Scale: scale})
-	var sp []float64
-	for i, b := range benches {
-		f0 := fsl[i].Must()
-		v := f0.Speedup(base[i].Must())
-		mdShare := float64(f0.Stats.Get("net.msg.metadata")) / float64(f0.Stats.Get(stats.CtrNetMessages))
-		sp = append(sp, v)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{
-			"speedup": v, "metadata-share": mdShare,
-		}})
-	}
-	t.GeoMean["speedup"] = geomean(sp)
-	return t
-}
+	// Figure 13; the paper reports the arithmetic mean for Fig. 13.
+	fig13 = figure{id: "Fig 13", title: "Fraction of L1D accesses that miss (baseline)",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: Baseline}},
+		cols:    []column{{"miss-fraction", func(rs []*Result) float64 { return rs[0].MissFraction }, mean}}}
 
-// OOOStudy reproduces the §VIII-B out-of-order study: the 8-wide OOO
-// baseline's speedup over the in-order baseline, and FSLite's speedup on top
-// of the OOO baseline.
-func OOOStudy(r *Runner, scale float64) *Table {
-	t := &Table{ID: "OOO", Title: "8-wide out-of-order cores: OOO-baseline/in-order and FSLite/OOO-baseline",
-		Columns: []string{"ooo-vs-inorder", "fslite-on-ooo"}, GeoMean: map[string]float64{}}
-	// The paper could run six of the eight FS applications in SE mode.
-	benches := []string{"BS", "LL", "LR", "LT", "RC", "SM"}
-	inord := r.SubmitBenches(benches, Options{Protocol: Baseline, Scale: scale})
-	ooo := r.SubmitBenches(benches, Options{Protocol: Baseline, OOO: true, Scale: scale})
-	fsl := r.SubmitBenches(benches, Options{Protocol: FSLite, OOO: true, Scale: scale})
-	var oi, fo []float64
-	for i, b := range benches {
-		o0 := ooo[i].Must()
-		v1, v2 := o0.Speedup(inord[i].Must()), fsl[i].Must().Speedup(o0)
-		oi = append(oi, v1)
-		fo = append(fo, v2)
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{"ooo-vs-inorder": v1, "fslite-on-ooo": v2}})
-	}
-	t.GeoMean["ooo-vs-inorder"] = geomean(oi)
-	t.GeoMean["fslite-on-ooo"] = geomean(fo)
-	return t
-}
+	// Figure 14a: the headline speedups on the false-sharing benchmarks.
+	fig14a = figure{id: "Fig 14a", title: "Speedup of FSDetect and FSLite over baseline",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: Baseline}, {Protocol: FSDetect}, {Protocol: FSLite}},
+		cols:    []column{speedup("fsdetect", 1, 0), speedup("fslite", 2, 0)}}
+
+	// Figure 14b: cache-hierarchy energy normalized to the baseline.
+	fig14b = figure{id: "Fig 14b", title: "Normalized energy of FSDetect and FSLite",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: Baseline}, {Protocol: FSDetect}, {Protocol: FSLite}},
+		cols:    []column{normEnergy("fsdetect", 1, 0), normEnergy("fslite", 2, 0)}}
+
+	// Figure 15: FSLite must not hurt applications without false sharing.
+	fig15 = figure{id: "Fig 15", title: "FSLite on applications without false sharing",
+		benches: NoFalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: Baseline}, {Protocol: FSLite}},
+		cols:    []column{speedup("speedup", 1, 0), normEnergy("energy", 1, 0)}}
+
+	// Figure 16: privatization thresholds 32 and 64 against the default 16.
+	fig16 = figure{id: "Fig 16", title: "FSLite sensitivity to the privatization threshold tauP (relative to tauP=16)",
+		benches: []string{"BS", "LL", "LR", "LT", "RC", "SF", "SM"}, // SC excluded (§VIII-B)
+		runs:    []Options{{Protocol: FSLite}, {Protocol: FSLite, TauP: 32}, {Protocol: FSLite, TauP: 64}},
+		cols:    []column{speedup("tauP=32", 1, 0), speedup("tauP=64", 2, 0)}}
+
+	// Figure 17: Huron's repaired layouts run under the baseline protocol.
+	fig17 = figure{id: "Fig 17", title: "Manual fix vs Huron vs FSLite (speedup over baseline)",
+		benches: HuronBenchmarks(),
+		runs: []Options{{Protocol: Baseline}, {Protocol: Baseline, Variant: LayoutPadded},
+			{Protocol: Baseline, Variant: LayoutHuron}, {Protocol: FSLite}},
+		cols: []column{speedup("manual", 1, 0), speedup("huron", 2, 0), speedup("fslite", 3, 0)}}
+
+	// The §VIII-B interconnect study: the reduction in L1-originated request
+	// messages and total traffic under FSLite, plus the metadata overhead.
+	netTraffic = figure{id: "Net", title: "FSLite interconnect traffic relative to baseline (false-sharing apps)",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: Baseline}, {Protocol: FSLite}},
+		cols: []column{counterRatio("requests", "net.msg.request", 1, 0),
+			counterRatio("messages", stats.CtrNetMessages, 1, 0),
+			counterRatio("bytes", stats.CtrNetBytes, 1, 0), metadataShare(1)}}
+
+	// The §VIII-B SAM-table study, plus the fraction of SAM insertions that
+	// replaced a valid entry at the default 128 entries.
+	samSize = figure{id: "SAM", title: "FSLite sensitivity to SAM table size (256 vs 128 entries)",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: FSLite}, {Protocol: FSLite, SAMEntries: 256}},
+		cols: []column{speedup("speedup-256", 1, 0), {"replace-frac-128", func(rs []*Result) float64 {
+			return rs[0].Stats.Ratio(stats.CtrSAMReplacements, stats.CtrSAMLookups)
+		}, nil}}}
+
+	// The §VI/§VIII-B reader-metadata optimization study: FSLite with the
+	// last-reader+overflow SAM encoding must privatize the same blocks and
+	// match the performance of the full reader bit-vector.
+	readerOpt = figure{id: "ReaderOpt", title: "Reader metadata optimization (last-reader+overflow vs full bit-vector)",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: FSLite}, {Protocol: FSLite, ReaderOpt: true}},
+		cols: []column{speedup("speedup", 1, 0), {"privatizations-ratio", func(rs []*Result) float64 {
+			if p := rs[0].Stats.Get(stats.CtrFSPrivatized); p > 0 {
+				return float64(rs[1].Stats.Get(stats.CtrFSPrivatized)) / float64(p)
+			}
+			return 1
+		}, nil}}}
+
+	// The §VIII-B coarse-grain tracking study.
+	grain = figure{id: "Grain", title: "FSLite with coarse-grain access tracking (relative to 1-byte grain)",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: FSLite}, {Protocol: FSLite, Granularity: 2}, {Protocol: FSLite, Granularity: 4}},
+		cols:    []column{speedup("grain=2", 1, 0), speedup("grain=4", 2, 0)}}
+
+	// The §VIII-B iso-storage comparison, across all 14 applications.
+	isoStorage = figure{id: "ISO", title: "FSLite@32KB L1D vs baseline@128KB L1D (all applications)",
+		benches: slices.Concat(FalseSharingBenchmarks(), NoFalseSharingBenchmarks()),
+		runs:    []Options{{Protocol: Baseline, L1KB: 128}, {Protocol: FSLite}},
+		cols:    []column{speedup("speedup", 1, 0)}}
+
+	// The §VIII-B large-private-cache study: 512 KB mimics a mid-level cache.
+	largeL1 = figure{id: "BigL1", title: "FSLite speedup with a 512KB private cache (false-sharing apps)",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: Baseline, L1KB: 512}, {Protocol: FSLite, L1KB: 512}},
+		cols:    []column{speedup("speedup", 1, 0)}}
+
+	// The §VII three-level hierarchy. The paper argues FSLite's benefit is
+	// unchanged (metadata stays at the L1; the PAM-eviction traffic is a
+	// few percent of L1-to-LLC traffic).
+	threeLevel = figure{id: "L2", title: "FSLite with a 256KB private L2 per core (three-level hierarchy)",
+		benches: FalseSharingBenchmarks(),
+		runs:    []Options{{Protocol: Baseline, L2KB: 256}, {Protocol: FSLite, L2KB: 256}},
+		cols:    []column{speedup("speedup", 1, 0), metadataShare(1)}}
+
+	// The §VIII-B out-of-order study.
+	ooo = figure{id: "OOO", title: "8-wide out-of-order cores: OOO-baseline/in-order and FSLite/OOO-baseline",
+		benches: []string{"BS", "LL", "LR", "LT", "RC", "SM"}, // the six FS apps the paper ran in SE mode
+		runs:    []Options{{Protocol: Baseline}, {Protocol: Baseline, OOO: true}, {Protocol: FSLite, OOO: true}},
+		cols:    []column{speedup("ooo-vs-inorder", 1, 0), speedup("fslite-on-ooo", 2, 1)}}
+
+	// Table V's role (per-application run times), as simulated cycles.
+	tableV = figure{id: "Table V", title: "Simulated cycles per application (baseline / FSLite)",
+		benches: slices.Sorted(slices.Values(slices.Concat(NoFalseSharingBenchmarks(), FalseSharingBenchmarks()))),
+		runs:    []Options{{Protocol: Baseline}, {Protocol: FSLite}},
+		cols: []column{{"baseline-cycles", func(rs []*Result) float64 { return float64(rs[0].Cycles) }, nil},
+			{"fslite-cycles", func(rs []*Result) float64 { return float64(rs[1].Cycles) }, nil}}}
+)
+
+// Fig14Speedup builds Figure 14a (fsbench times it).
+func Fig14Speedup(r *Runner, scale float64) *Table { return fig14a.build(r, scale) }
+
+// Fig15NoFalseSharing builds Figure 15 (fsbench times it).
+func Fig15NoFalseSharing(r *Runner, scale float64) *Table { return fig15.build(r, scale) }
 
 // DoSStudy quantifies the introduction's denial-of-service observation: a
 // program with a very high volume of falsely shared blocks floods the
 // interconnect with invalidations and interventions; FSLite defuses the
-// attack by privatizing the contended lines.
+// attack by privatizing the contended lines. Its rows are protocols.
 func DoSStudy(r *Runner, scale float64) *Table {
 	t := &Table{ID: "DoS", Title: "Interconnect flooding by high-volume false sharing (uDoS micro)",
 		Columns: []string{"msgs-per-kcycle", "inv+interv", "speedup"}}
@@ -491,23 +355,6 @@ func DoSStudy(r *Runner, scale float64) *Table {
 	return t
 }
 
-// TableVRunTimes reproduces Table V's role (per-application run times) with
-// simulated cycles per benchmark and protocol.
-func TableVRunTimes(r *Runner, scale float64) *Table {
-	t := &Table{ID: "Table V", Title: "Simulated cycles per application (baseline / FSLite)",
-		Columns: []string{"baseline-cycles", "fslite-cycles"}}
-	all := append(append([]string{}, NoFalseSharingBenchmarks()...), FalseSharingBenchmarks()...)
-	sort.Strings(all)
-	base := r.SubmitBenches(all, Options{Protocol: Baseline, Scale: scale})
-	fsl := r.SubmitBenches(all, Options{Protocol: FSLite, Scale: scale})
-	for i, b := range all {
-		t.Rows = append(t.Rows, TableRow{Name: b, Values: map[string]float64{
-			"baseline-cycles": float64(base[i].Must().Cycles), "fslite-cycles": float64(fsl[i].Must().Cycles),
-		}})
-	}
-	return t
-}
-
 // Experiments maps experiment IDs to their generators (used by cmd/fsexp).
 // Generators share one Runner per invocation, so reference cells repeated
 // across tables (every Baseline run, the FSLite defaults) simulate once.
@@ -516,21 +363,21 @@ var Experiments = []struct {
 	Gen  func(r *Runner, scale float64) *Table
 	Note string
 }{
-	{"fig2", Fig2ManualFix, "manual-fix speedups"},
-	{"fig13", Fig13MissFractions, "L1D miss fractions"},
+	{"fig2", fig2.build, "manual-fix speedups"},
+	{"fig13", fig13.build, "L1D miss fractions"},
 	{"fig14a", Fig14Speedup, "FSDetect/FSLite speedups"},
-	{"fig14b", Fig14Energy, "normalized energy"},
+	{"fig14b", fig14b.build, "normalized energy"},
 	{"fig15", Fig15NoFalseSharing, "no-false-sharing applications"},
-	{"fig16", Fig16TauP, "tauP sensitivity"},
-	{"fig17", Fig17Huron, "Huron comparison"},
-	{"net", NetworkTraffic, "interconnect traffic"},
-	{"sam", SAMSizeSensitivity, "SAM table size"},
-	{"readeropt", ReaderOptStudy, "reader metadata optimization"},
-	{"grain", GranularityStudy, "coarse-grain tracking"},
-	{"iso", ISOStorageStudy, "iso-storage 128KB baseline"},
-	{"bigl1", LargeL1Study, "512KB private caches"},
-	{"l2", ThreeLevelStudy, "three-level hierarchy (private L2)"},
+	{"fig16", fig16.build, "tauP sensitivity"},
+	{"fig17", fig17.build, "Huron comparison"},
+	{"net", netTraffic.build, "interconnect traffic"},
+	{"sam", samSize.build, "SAM table size"},
+	{"readeropt", readerOpt.build, "reader metadata optimization"},
+	{"grain", grain.build, "coarse-grain tracking"},
+	{"iso", isoStorage.build, "iso-storage 128KB baseline"},
+	{"bigl1", largeL1.build, "512KB private caches"},
+	{"l2", threeLevel.build, "three-level hierarchy (private L2)"},
 	{"dos", DoSStudy, "interconnect DoS mitigation"},
-	{"ooo", OOOStudy, "out-of-order cores"},
-	{"tablev", TableVRunTimes, "per-application run times"},
+	{"ooo", ooo.build, "out-of-order cores"},
+	{"tablev", tableV.build, "per-application run times"},
 }

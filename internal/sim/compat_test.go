@@ -55,6 +55,8 @@ func TestCheckRows(t *testing.T) {
 		{"parallel", func(c *Config) { c.Engine = EngineParallel }, EngineParallel, false, false},
 		{"parallel+obs", func(c *Config) { c.Engine = EngineParallel; c.Obs = obs.New(obs.Config{}) }, EngineSkip, true, false},
 		{"parallel+checkpoint", func(c *Config) { c.Engine = EngineParallel; c.CheckpointEvery = 1000 }, EngineSkip, true, false},
+		{"parallel+zero-latency", func(c *Config) { c.Engine = EngineParallel; c.Params.NetLatency = 0 }, EngineSkip, true, false},
+		{"parallel+faults", func(c *Config) { c.Engine = EngineParallel; c.Faults = &network.FaultPlan{} }, EngineSkip, true, false},
 		{"naive+checkpoint", func(c *Config) { c.Engine = EngineNaive; c.CheckpointEvery = 1000 }, EngineSkip, true, false},
 		{"naive+verify", func(c *Config) { c.Engine = EngineNaive; c.CheckOracle = true }, EngineNaive, false, false},
 		{"sample", func(c *Config) { c.Sample = spec }, EngineSkip, false, false},

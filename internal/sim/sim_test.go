@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fscoherence/internal/coherence"
@@ -217,6 +218,27 @@ func falseSharingWorkload(threads, iters int, finals []uint64) Workload {
 		ths = append(ths, mk(i))
 	}
 	return Workload{Name: "false-sharing", Threads: ths}
+}
+
+// TestZeroNetLatencyEnginesAgree: with a zero network latency the skip
+// engine takes the naive full tick every cycle (step reads arrivals once per
+// cycle), so both engines must agree on cycles and every counter.
+func TestZeroNetLatencyEnginesAgree(t *testing.T) {
+	for _, mode := range []coherence.Protocol{coherence.Baseline, coherence.FSLite} {
+		run := func(eng Engine) *Result {
+			cfg := testConfig(mode)
+			cfg.Params.NetLatency = 0
+			cfg.Engine = eng
+			return mustRun(t, cfg, falseSharingWorkload(4, 200, nil))
+		}
+		naive, skip := run(EngineNaive), run(EngineSkip)
+		if skip.Cycles != naive.Cycles {
+			t.Errorf("%v: skip %d cycles, naive %d", mode, skip.Cycles, naive.Cycles)
+		}
+		if !reflect.DeepEqual(skip.Stats.Snapshot(), naive.Stats.Snapshot()) {
+			t.Errorf("%v: counters diverge between naive and skip", mode)
+		}
+	}
 }
 
 func TestFSDetectFindsFalseSharing(t *testing.T) {

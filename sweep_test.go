@@ -72,7 +72,7 @@ func TestGoldenTablesSerialVsParallel(t *testing.T) {
 		name string
 		gen  func(*Runner, float64) *Table
 	}{
-		{"fig13", Fig13MissFractions},
+		{"fig13", fig13.build},
 		{"fig14a", Fig14Speedup},
 	}
 	serial := NewRunner(1)
