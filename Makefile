@@ -3,7 +3,7 @@
 #   make ci      — the full tier-1 gate: formatting, the PROTOCOL.md drift
 #                  check (speccheck), vet, build, tests, the race detector
 #                  over every package, the cross-engine equivalence suite
-#                  (naive, skip and parallel must be byte-identical), the
+#                  (naive and skip must be byte-identical), the
 #                  zero-alloc smoke runs, samplecheck, ckptcheck, fuzzsmoke
 #                  and benchsmoke.
 #   make check   — static gate only: gofmt -l must be clean, PROTOCOL.md's
@@ -20,9 +20,9 @@
 #                  runs, and must be byte-identical across -j worker counts.
 #   make ckptcheck — the crash-resilience gate: kill a run mid-window, resume
 #                  from its checkpoint and demand byte-identical final
-#                  counters across {skip, parallel} x {flat, mesh}; corrupt /
-#                  version-skewed / wrong-identity checkpoints must degrade to
-#                  cold runs; campaign journals must resume; plus a real
+#                  counters across {skip, the parallel alias} x {flat, mesh};
+#                  corrupt / version-skewed / wrong-identity checkpoints must
+#                  degrade to cold runs; campaign journals must resume; plus a real
 #                  SIGKILL-mid-run smoke test under -race.
 #   make sweep   — regenerate the paper's tables (fsexp -all: the default
 #                  skip engine, cells run in parallel across NumCPU workers).
@@ -72,17 +72,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Cross-engine determinism: every workload x protocol under all three engines,
+# Cross-engine determinism: every workload x protocol under both engines,
 # plus golden-trace and figure-table byte-equality (engine_test.go).
 equiv:
 	$(GO) test -run 'TestEngine' -count=1 .
 
-# The steady-state network round trip and replay, the parallel and skip
-# stepping loops, the functional warmer and the disabled forensics recorder
-# must not allocate; the benchmark's allocs/op plus the five tests gate it.
+# The steady-state network round trip, the skip engine's stepping loop, the
+# functional warmer and the disabled forensics recorder must not allocate;
+# the benchmark's allocs/op plus the four tests gate it.
 allocsmoke:
-	$(GO) test -run 'TestSendRecvDoesNotAllocate|TestReplayDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
-	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/
+	$(GO) test -run 'TestSendRecvDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
+	$(GO) test -run 'TestSkipLoopDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/
 	$(GO) test -run 'TestForensicsDisabledDoesNotAllocate' -count=1 ./internal/forensics/
 
 # Sampled-vs-full tolerance gate plus cross-worker determinism of the sampled

@@ -85,9 +85,9 @@ func requireByteIdentical(t *testing.T, ref, got *Result) {
 }
 
 // TestCheckpointResumeByteIdentical is the ckptcheck matrix: kill mid-window
-// and resume across {skip, parallel} × {flat, mesh}. The parallel engine
-// falls back to skip under checkpointing (byte-identical by the engine
-// equivalence contract), so the fallback path is part of the matrix.
+// and resume across {skip, parallel} × {flat, mesh}. "parallel" names the
+// removed parallel engine and runs skip with one warning, so the alias path
+// is part of the matrix.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	for _, engine := range []string{"skip", "parallel"} {
 		for _, topo := range []string{"flat", "mesh"} {
@@ -98,8 +98,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("uninterrupted run failed: %v", err)
 				}
-				if engine == "parallel" && len(ref.Warnings) == 0 {
-					t.Errorf("parallel engine should warn about the skip fallback")
+				if engine == "parallel" && len(ref.Warnings) != 1 {
+					t.Errorf("parallel engine warnings %q, want exactly one about running skip", ref.Warnings)
 				}
 				got := runInterruptedThenResumed(t, "RC", opt, 2)
 				requireByteIdentical(t, ref, got)

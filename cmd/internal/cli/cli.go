@@ -22,7 +22,7 @@ type Group uint
 const (
 	Scale      Group = 1 << iota // -scale
 	Variant                      // -variant
-	Machine                      // -engine -cores -topology -shards
+	Machine                      // -engine -cores -topology
 	Sample                       // -sample
 	Trace                        // -trace -metrics -trace-filter
 	Checkpoint                   // -checkpoint-every
@@ -34,7 +34,7 @@ type Flags struct {
 	Scale            float64
 	Variant          string
 	Engine, Topology string
-	Cores, Shards    int
+	Cores            int
 	Sample           string
 	Trace, Metrics   string
 	Filter           string
@@ -52,10 +52,9 @@ func Register(groups Group) *Flags {
 		flag.StringVar(&f.Variant, "variant", "default", "data layout: default | padded (or manual) | huron")
 	}
 	if groups&Machine != 0 {
-		flag.StringVar(&f.Engine, "engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference) | parallel (conservative parallel)")
+		flag.StringVar(&f.Engine, "engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference); parallel is accepted and runs skip")
 		flag.IntVar(&f.Cores, "cores", 0, "scale the machine to this many cores (0 = Table II 8-core default; up to 256)")
 		flag.StringVar(&f.Topology, "topology", "", "interconnect: flat (default) | ring | mesh")
-		flag.IntVar(&f.Shards, "shards", 0, "parallel engine worker count (0 = one per 8 cores, at most GOMAXPROCS)")
 	}
 	if groups&Sample != 0 {
 		flag.StringVar(&f.Sample, "sample", "", "interval sampling spec detailed:warming in committed accesses (e.g. 50k:950k); timing metrics become estimates with 95% CIs")
@@ -79,7 +78,7 @@ func (f *Flags) Options() (fscoherence.Options, error) {
 	}
 	return fscoherence.Options{
 		Variant: v, Scale: f.Scale, Sample: f.Sample,
-		Engine: f.Engine, Cores: f.Cores, Topology: f.Topology, Shards: f.Shards,
+		Engine: f.Engine, Cores: f.Cores, Topology: f.Topology,
 	}, nil
 }
 

@@ -31,9 +31,9 @@ var engineShapes = []struct {
 
 // TestEngineEquivalence is the tentpole acceptance test: for every registered
 // workload under all three protocol modes and every machine shape, the
-// quiescence-skipping engine, the parallel engine and the naive
-// cycle-stepped loop must produce identical cycle counts, identical counter
-// snapshots, and identical detection lists. Skipping is a pure wall-clock
+// quiescence-skipping engine and the naive cycle-stepped loop must produce
+// identical cycle counts, identical counter snapshots, and identical
+// detection lists. Skipping is a pure wall-clock
 // optimization; any divergence here is a missed or late wake-up.
 func TestEngineEquivalence(t *testing.T) {
 	for _, bench := range workload.Names() {
@@ -43,7 +43,7 @@ func TestEngineEquivalence(t *testing.T) {
 				t.Parallel()
 				for _, shape := range engineShapes {
 					var naive *Result
-					for _, engine := range []string{"naive", "skip", "parallel"} {
+					for _, engine := range []string{"naive", "skip"} {
 						opt := shape.opt
 						opt.Protocol, opt.Scale, opt.Engine = mode, engineEquivalenceScale, engine
 						got, err := Run(bench, opt)
@@ -84,11 +84,10 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceBigMachine is the big-machine acceptance matrix:
-// {naive, skip, parallel} × {flat, ring, mesh} × {8, 64, 256} cores on the
-// scalable uGRID workload under FSLite. Every cell must produce identical
-// cycle counts, byte-identical counter snapshots and identical detection
-// lists — the parallel engine's deferred-send replay and the NoC models'
-// deterministic link contention are both on trial here. (`make equiv` picks
+// {naive, skip} × {flat, ring, mesh} × {8, 64, 256} cores on the scalable
+// uGRID workload under FSLite. Every cell must produce identical cycle
+// counts, byte-identical counter snapshots and identical detection lists —
+// the NoC models' deterministic link contention is on trial here. (`make equiv` picks
 // this up via the TestEngine prefix.)
 func TestEngineEquivalenceBigMachine(t *testing.T) {
 	const scale = 0.1
@@ -98,7 +97,7 @@ func TestEngineEquivalenceBigMachine(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-%dc", topo, cores), func(t *testing.T) {
 				t.Parallel()
 				var ref *Result
-				for _, engine := range []string{"naive", "skip", "parallel"} {
+				for _, engine := range []string{"naive", "skip"} {
 					got, err := Run("uGRID", Options{
 						Protocol: FSLite, Scale: scale, Engine: engine,
 						Cores: cores, Topology: topo,
@@ -135,48 +134,39 @@ func TestEngineEquivalenceBigMachine(t *testing.T) {
 	}
 }
 
-// TestEngineParallelShardInvariance pins determinism in the shard dimension:
-// the shard count is a pure execution-resource knob, so any worker count must
-// reproduce the sequential run bit-for-bit.
-func TestEngineParallelShardInvariance(t *testing.T) {
-	ref, err := Run("uGRID", Options{Protocol: FSLite, Scale: 0.1, Cores: 64, Topology: "mesh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 3, 5, 8, 16} {
-		got, err := Run("uGRID", Options{
-			Protocol: FSLite, Scale: 0.1, Cores: 64, Topology: "mesh",
-			Engine: "parallel", Shards: shards,
-		})
+// TestEngineParallelFallback pins the "parallel" engine name, kept as an
+// alias of skip for the removed parallel engine: a 64-core mesh run with an
+// explicit shard count is the skip run, with exactly one warning, and
+// sampling, which needs the skip engine, runs sampled under the alias.
+func TestEngineParallelFallback(t *testing.T) {
+	machine := Options{Protocol: FSLite, Scale: 0.1, Cores: 64, Topology: "mesh"}
+	for _, sampled := range []string{"", "1k:3k"} {
+		opt := machine
+		opt.Sample = sampled
+		ref, err := Run("uGRID", opt)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
+		}
+		opt.Engine, opt.Shards = "parallel", 4
+		got, err := Run("uGRID", opt)
+		if err != nil {
+			t.Fatalf("sample %q: %v", sampled, err)
+		}
+		if len(got.Warnings) != 1 {
+			t.Errorf("sample %q: warnings %q, want exactly one", sampled, got.Warnings)
+		}
+		if (got.Sampled != nil) != (sampled != "") {
+			t.Errorf("sample %q: sampled report present = %v", sampled, got.Sampled != nil)
 		}
 		if got.Cycles != ref.Cycles {
-			t.Errorf("shards=%d: cycles diverge: skip=%d parallel=%d", shards, ref.Cycles, got.Cycles)
+			t.Errorf("sample %q: cycles diverge: skip=%d parallel=%d", sampled, ref.Cycles, got.Cycles)
 		}
 		if !reflect.DeepEqual(got.Stats.Snapshot(), ref.Stats.Snapshot()) {
-			t.Errorf("shards=%d: counter snapshots diverge", shards)
+			t.Errorf("sample %q: counter snapshots diverge", sampled)
 		}
-	}
-}
-
-// TestEngineParallelFallback verifies the parallel engine declines the
-// order-sensitive configurations (verification oracles, observability) by
-// falling back to the skipping engine rather than producing divergent runs.
-func TestEngineParallelFallback(t *testing.T) {
-	res, err := Run("uWW", Options{Protocol: FSLite, Scale: 0.2, Engine: "parallel", Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("violations under parallel-with-verify fallback: %v", res.Violations)
-	}
-	ref, err := Run("uWW", Options{Protocol: FSLite, Scale: 0.2, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles != ref.Cycles {
-		t.Errorf("fallback diverges from skip: %d vs %d", res.Cycles, ref.Cycles)
+		if !reflect.DeepEqual(got.Detections, ref.Detections) {
+			t.Errorf("sample %q: detections diverge:\nskip: %v\nparallel: %v", sampled, ref.Detections, got.Detections)
+		}
 	}
 }
 
@@ -212,7 +202,7 @@ func TestEngineEquivalenceVerified(t *testing.T) {
 // TestEngineDispatchEquivalence gates `make equiv` on the spec-driven
 // dispatch layer: on a read-involved false-sharing workload (uRW under
 // FSLite, whose privatization and merge paths exercise most of the spec
-// tables), every engine × topology combination must route each coherence
+// tables), both engines on each topology must route each coherence
 // message through the table-driven interpreter without tripping an
 // illegal-pair panic or the oracle, and must produce results byte-identical
 // to the naive engine on the same topology without verification attached —
@@ -220,7 +210,7 @@ func TestEngineEquivalenceVerified(t *testing.T) {
 // lists. The naive cells therefore check that the oracle and SWMR scanner
 // observe dispatch without steering it.
 func TestEngineDispatchEquivalence(t *testing.T) {
-	for _, engine := range []string{"naive", "skip", "parallel"} {
+	for _, engine := range []string{"naive", "skip"} {
 		for _, topo := range []string{"flat", "mesh"} {
 			engine, topo := engine, topo
 			t.Run(fmt.Sprintf("%s-%s-%v", engine, topo, FSLite), func(t *testing.T) {

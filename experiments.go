@@ -10,13 +10,18 @@ import (
 )
 
 // Table is one reproduced figure or table: named rows of named columns, with
-// geometric means where the paper reports them.
+// a closing summary row where the paper reports one.
 type Table struct {
 	ID      string
 	Title   string
 	Columns []string
 	Rows    []TableRow
-	GeoMean map[string]float64
+
+	// Summary holds the closing row's values, labelled SummaryName:
+	// "geomean" for geometric means, "mean" for Fig 13's arithmetic mean.
+	// Columns it lacks are left blank.
+	Summary     map[string]float64
+	SummaryName string
 }
 
 // TableRow is one benchmark's values.
@@ -41,10 +46,10 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	if len(t.GeoMean) > 0 {
-		fmt.Fprintf(&b, "%-10s", "geomean")
+	if len(t.Summary) > 0 {
+		fmt.Fprintf(&b, "%-10s", t.SummaryName)
 		for _, c := range t.Columns {
-			if v, ok := t.GeoMean[c]; ok {
+			if v, ok := t.Summary[c]; ok {
 				fmt.Fprintf(&b, "%14.3f", v)
 			} else {
 				fmt.Fprintf(&b, "%14s", "")
@@ -56,7 +61,7 @@ func (t *Table) String() string {
 }
 
 // CSV renders the table as comma-separated values (the artifact's consumable
-// format: one row per benchmark, geomean last).
+// format: one row per benchmark, the summary last).
 func (t *Table) CSV() string {
 	var b strings.Builder
 	b.WriteString("benchmark")
@@ -71,10 +76,10 @@ func (t *Table) CSV() string {
 		}
 		b.WriteByte('\n')
 	}
-	if len(t.GeoMean) > 0 {
-		b.WriteString("geomean")
+	if len(t.Summary) > 0 {
+		b.WriteString(t.SummaryName)
 		for _, c := range t.Columns {
-			if v, ok := t.GeoMean[c]; ok {
+			if v, ok := t.Summary[c]; ok {
 				fmt.Fprintf(&b, ",%.6f", v)
 			} else {
 				b.WriteString(",")
@@ -105,10 +110,10 @@ func (t *Table) Markdown() string {
 		}
 		b.WriteByte('\n')
 	}
-	if len(t.GeoMean) > 0 {
-		b.WriteString("| **geomean** |")
+	if len(t.Summary) > 0 {
+		fmt.Fprintf(&b, "| **%s** |", t.SummaryName)
 		for _, c := range t.Columns {
-			if v, ok := t.GeoMean[c]; ok {
+			if v, ok := t.Summary[c]; ok {
 				fmt.Fprintf(&b, " **%.3f** |", v)
 			} else {
 				b.WriteString(" |")
@@ -119,25 +124,33 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-func geomean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vs {
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vs)))
+// summary is a column's closing-row statistic and the row's label.
+type summary struct {
+	name string
+	of   func([]float64) float64
 }
 
-// mean is the arithmetic mean, which the paper reports for Fig. 13.
-func mean(vs []float64) float64 {
-	sum := 0.0
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / float64(len(vs))
-}
+var (
+	geomean = &summary{"geomean", func(vs []float64) float64 {
+		if len(vs) == 0 {
+			return 0
+		}
+		sum := 0.0
+		for _, v := range vs {
+			sum += math.Log(v)
+		}
+		return math.Exp(sum / float64(len(vs)))
+	}}
+
+	// mean is the arithmetic mean, which the paper reports for Fig. 13.
+	mean = &summary{"mean", func(vs []float64) float64 {
+		sum := 0.0
+		for _, v := range vs {
+			sum += v
+		}
+		return sum / float64(len(vs))
+	}}
+)
 
 // figure describes one reproduced table as data: its rows are benchmarks,
 // each run is one Options applied to every benchmark, and each column is a
@@ -154,7 +167,7 @@ type figure struct {
 type column struct {
 	name    string
 	val     func(rs []*Result) float64
-	summary func([]float64) float64
+	summary *summary
 }
 
 // build runs f at scale: it submits every run for every benchmark in run
@@ -162,7 +175,7 @@ type column struct {
 // count. A failed cell panics out of build (Future.Must); cmd/fsexp recovers
 // per experiment.
 func (f figure) build(r *Runner, scale float64) *Table {
-	t := &Table{ID: f.id, Title: f.title, GeoMean: map[string]float64{}}
+	t := &Table{ID: f.id, Title: f.title, Summary: map[string]float64{}}
 	futs := make([][]*Future, len(f.runs))
 	for j, opt := range f.runs {
 		opt.Scale = scale
@@ -184,7 +197,8 @@ func (f figure) build(r *Runner, scale float64) *Table {
 	for k, c := range f.cols {
 		t.Columns = append(t.Columns, c.name)
 		if c.summary != nil {
-			t.GeoMean[c.name] = c.summary(vals[k])
+			t.Summary[c.name] = c.summary.of(vals[k])
+			t.SummaryName = c.summary.name
 		}
 	}
 	return t

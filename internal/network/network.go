@@ -131,9 +131,8 @@ type Network struct {
 
 	// occ lists inboxes that may be nonempty (lazily deleted as NextArrival
 	// finds them drained), with inOcc as the membership bitmap. It keeps
-	// NextArrival O(active destinations) instead of O(nodes) — decisive for
-	// the parallel engine, whose per-shard network fronts carry full-size
-	// inbox arrays but only ever queue messages for their few local nodes.
+	// NextArrival, which the skip engine calls every stepped cycle,
+	// O(active destinations) instead of O(nodes).
 	occ   []NodeID
 	inOcc []bool
 
@@ -143,21 +142,6 @@ type Network struct {
 	// per-hop latency and per-link contention instead of the flat
 	// fixed-latency fabric (see topology.go).
 	topo *topology
-
-	// rec, when non-nil, puts the network in deferred mode (parallel-engine
-	// shards): SendAfter records the operation instead of admitting it, and
-	// Recv logs each pop, so the barrier can replay all operations on the
-	// master network in global order (see Recorder).
-	rec *Recorder
-
-	// deliver, when non-nil, replaces the local inbox push at the end of
-	// SendAfter: the master network computes admission (seq, routing,
-	// contention, FIFO clamp, stats) and hands the routed message over —
-	// the parallel engine routes it into the owning shard's inbox.
-	deliver func(m *Msg, readyAt uint64)
-
-	// replayHeads is Replay's reusable merge cursor (0 allocs/op contract).
-	replayHeads []int
 
 	// faults, when non-nil, perturbs delivery latency deterministically
 	// (fuzzing; see faults.go). sabotage, when non-nil, mistreats one
@@ -248,10 +232,6 @@ func (n *Network) SendAfter(m *Msg, extra uint64) {
 	if int(m.Dst) < 0 || int(m.Dst) >= n.nodes {
 		panic(fmt.Sprintf("network: bad destination %d (%v)", m.Dst, m))
 	}
-	if n.rec != nil {
-		n.rec.recordSend(m, extra)
-		return
-	}
 	n.seq++
 	m.Seq = n.seq
 	class := ClassOf(m.Op)
@@ -286,12 +266,8 @@ func (n *Network) SendAfter(m *Msg, extra uint64) {
 		readyAt = prev
 	}
 	n.lastReady[key] = readyAt
-	if n.deliver != nil {
-		n.deliver(m, readyAt)
-	} else {
-		n.inboxes[m.Dst].push(inflight{msg: m, readyAt: readyAt})
-		n.noteOccupied(m.Dst)
-	}
+	n.inboxes[m.Dst].push(inflight{msg: m, readyAt: readyAt})
+	n.noteOccupied(m.Dst)
 
 	n.stats.IncID(stats.IDNetMessages)
 	n.stats.AddID(stats.IDNetBytes, uint64(size))
@@ -320,9 +296,6 @@ func (n *Network) Recv(dst NodeID) *Msg {
 	}
 	m := q.pop()
 	n.inflightNow--
-	if n.rec != nil {
-		n.rec.recordRecv()
-	}
 	if t := n.tracer; t != nil {
 		core, slice := n.nodeTrack(dst)
 		t.Emit(obs.Event{

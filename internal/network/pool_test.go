@@ -176,66 +176,3 @@ func BenchmarkNetSendRecv(b *testing.B) {
 		cycle += n.Latency + 1
 	}
 }
-
-// replayCycle is one steady-state epoch of the deferred-send machinery: two
-// shard networks record a burst of control messages, the master replays the
-// merged streams into the shards' inboxes, and each shard drains its inbox.
-func replayCycle(master *Network, shards []*Network, recs []*Recorder, deliver func(m *Msg, readyAt uint64), cycle uint64) {
-	for si, sn := range shards {
-		sn.SetCycle(cycle)
-		recs[si].Begin(cycle, int32(si))
-		for i := 0; i < 4; i++ {
-			m := sn.NewMsg()
-			m.Op = OpInv
-			m.Src = NodeID(si)
-			m.Dst = NodeID(1 - si)
-			m.Addr = 0x40
-			sn.Send(m)
-		}
-	}
-	master.SetCycle(cycle)
-	master.Replay(recs, deliver)
-	at := cycle + master.Latency
-	for _, sn := range shards {
-		sn.SetCycle(at)
-		for {
-			m := sn.Recv(NodeID(0))
-			if m == nil {
-				m = sn.Recv(NodeID(1))
-			}
-			if m == nil {
-				break
-			}
-			sn.Release(m)
-		}
-	}
-}
-
-// TestReplayDoesNotAllocate pins the parallel engine's barrier machinery:
-// after warmup (recorder buffers, freelists, inbox rings at steady capacity),
-// a record/replay/deliver/drain epoch allocates nothing. `make allocsmoke`
-// runs this next to the sequential round-trip check.
-func TestReplayDoesNotAllocate(t *testing.T) {
-	master, _ := newNet(2, 2)
-	shardA, _ := newNet(2, 2)
-	shardB, _ := newNet(2, 2)
-	shards := []*Network{shardA, shardB}
-	recs := []*Recorder{{}, {}}
-	shardA.SetRecorder(recs[0])
-	shardB.SetRecorder(recs[1])
-	deliver := func(m *Msg, readyAt uint64) {
-		shards[m.Dst].Deliver(m, readyAt)
-	}
-	cycle := uint64(0)
-	for i := 0; i < 100; i++ {
-		replayCycle(master, shards, recs, deliver, cycle)
-		cycle += master.Latency + 1
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		replayCycle(master, shards, recs, deliver, cycle)
-		cycle += master.Latency + 1
-	})
-	if avg != 0 {
-		t.Fatalf("record/replay epoch allocated %.2f times, want 0", avg)
-	}
-}

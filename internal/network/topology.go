@@ -56,9 +56,8 @@ const (
 
 // topology holds the routing tables and per-link reservation state of a ring
 // or mesh NoC. All state mutates only inside routeLatency, which runs in
-// deterministic global send order (directly in the sequential engines, via
-// barrier replay in the parallel engine), so link contention is reproducible
-// bit-for-bit across engines.
+// deterministic send order — the same under both engines — so link
+// contention is reproducible bit-for-bit across engines.
 type topology struct {
 	kind TopoKind
 	hop  uint64 // per-hop (router-to-router) latency in cycles
@@ -225,10 +224,10 @@ func (n *Network) Topology() TopoKind {
 
 // MinDeliveryLatency returns the smallest possible cycle count between a
 // Send and the message becoming deliverable: the base Latency on the flat
-// fabric, one hop on a ring or mesh. The conservative parallel engine uses
-// this as its lookahead window — a message sent at cycle c can never need
-// delivery before c+MinDeliveryLatency (fault perturbation excluded; the
-// parallel engine refuses fault plans).
+// fabric, one hop on a ring or mesh. Fault perturbation only adds delay, so
+// a message sent at cycle c never becomes deliverable before
+// c+MinDeliveryLatency. The skip engine steps with the naive full tick when
+// this is zero, since a send could then be consumed within its own cycle.
 func (n *Network) MinDeliveryLatency() uint64 {
 	if n.topo != nil {
 		return n.topo.hop

@@ -119,8 +119,8 @@ func recvAt(n *Network, dst NodeID) uint64 {
 
 // TestTopologyFIFOPreserved is the FIFO property test: on any topology, for
 // any interleaving of sends, messages on the same (src, dst, class) virtual
-// channel are delivered in send order — the PROTOCOL.md contract that both
-// the coherence protocol's races and the parallel engine's lookahead rely on.
+// channel are delivered in send order — the PROTOCOL.md contract that the
+// coherence protocol's races rely on.
 func TestTopologyFIFOPreserved(t *testing.T) {
 	for _, kind := range []TopoKind{TopoFlat, TopoRing, TopoMesh} {
 		kind := kind

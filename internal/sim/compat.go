@@ -9,13 +9,13 @@ import (
 // Every rejection by the compatibility table wraps it.
 var ErrUnsupported = errors.New("unsupported configuration")
 
-// The compatibility table. Three features restrict the machine shape they
-// run on: interval sampling, checkpointing and the parallel engine. Each row
-// pairs a feature with one requirement; a configuration that uses the
-// feature but breaks the requirement is either rejected (sampling and
-// checkpointing: the run would be wrong or incomplete) or falls back to the
-// skip engine with a warning (the engines are byte-identical, so only host
-// time changes). Check is the only place these rules are decided.
+// The compatibility table. Two features restrict the machine shape they run
+// on: interval sampling and checkpointing. Each row pairs a feature with one
+// requirement; a configuration that uses the feature but breaks the
+// requirement is either rejected (the run would be wrong or incomplete) or
+// falls back to the skip engine with a warning (the engines are
+// byte-identical, so only host time changes). Check is the only place these
+// rules are decided.
 
 // feature is a run mode that supports only some machine shapes.
 type feature struct {
@@ -32,7 +32,6 @@ type requirement struct {
 var (
 	sampling      = feature{"sampling", func(c Config) bool { return c.Sample.Enabled() }}
 	checkpointing = feature{"checkpointing", func(c Config) bool { return c.CheckpointEvery > 0 || c.CheckpointSink != nil }}
-	parallel      = feature{"the parallel engine", func(c Config) bool { return c.Engine == EngineParallel }}
 
 	skipEngine  = requirement{"the skip engine", func(c Config) bool { return c.Engine == EngineSkip }}
 	inOrder     = requirement{"in-order cores (no OOO)", func(c Config) bool { return !c.OOO }}
@@ -43,7 +42,6 @@ var (
 	noFaults    = requirement{"no fault injection", func(c Config) bool { return c.Faults == nil }}
 	noObs       = requirement{"no observability attachment", func(c Config) bool { return c.Obs == nil }}
 	noForensics = requirement{"no forensics recorder", func(c Config) bool { return c.Forensics == nil }}
-	lookahead   = requirement{"a nonzero network delivery latency", func(c Config) bool { return minDeliveryLatency(c.Params) >= 1 }}
 )
 
 // compatRules is the table itself, one row per (feature, requirement).
@@ -75,22 +73,19 @@ var compatRules = []struct {
 	{checkpointing, noFaults, false},
 	{checkpointing, noObs, false},
 	{checkpointing, noForensics, false},
-
-	// Shards replay network traffic at epoch barriers, so anything that
-	// observes mid-epoch order, and a zero lookahead, stays sequential.
-	{parallel, noFaults, true},
-	{parallel, noObs, true},
-	{parallel, noForensics, true},
-	{parallel, noOracle, true},
-	{parallel, noSWMR, true},
-	{parallel, lookahead, true},
 }
 
 // Check applies the compatibility table to cfg. It returns the engine the
 // run will use, a warning when that differs from cfg.Engine, and an error
 // wrapping ErrUnsupported when cfg combines a feature with a shape it cannot
-// run on. Rejections take precedence over fallbacks.
+// run on. Rejections take precedence over fallbacks. EngineParallel is
+// resolved to EngineSkip before any row applies.
 func Check(cfg Config) (Engine, []string, error) {
+	var warnings []string
+	if cfg.Engine == EngineParallel {
+		cfg.Engine = EngineSkip
+		warnings = []string{"the parallel engine was removed; running the skip engine instead (results are byte-identical)"}
+	}
 	for _, row := range compatRules {
 		if !row.fallback && row.f.on(cfg) && !row.r.met(cfg) {
 			return cfg.Engine, nil, fmt.Errorf("%w: %s requires %s", ErrUnsupported, row.f.name, row.r.text)
@@ -98,24 +93,21 @@ func Check(cfg Config) (Engine, []string, error) {
 	}
 	for _, row := range compatRules {
 		if row.fallback && row.f.on(cfg) && !row.r.met(cfg) {
-			return EngineSkip, []string{fmt.Sprintf("%s requires %s; running the skip engine instead (results are byte-identical)",
-				row.f.name, row.r.text)}, nil
+			return EngineSkip, append(warnings, fmt.Sprintf("%s requires %s; running the skip engine instead (results are byte-identical)",
+				row.f.name, row.r.text)), nil
 		}
 	}
-	return cfg.Engine, nil, nil
+	return cfg.Engine, warnings, nil
 }
 
 // supported returns the table's verdict on the system's configuration, then
-// makes the one check no Config carries: a commit observer or cycle hook
-// installed after New.
+// makes the one check no Config carries: a commit observer installed after
+// New.
 func (s *System) supported() error {
 	if s.unsupported != nil {
 		return s.unsupported
 	}
-	switch {
-	case s.par != nil && (s.cycleHook != nil || s.commitTrace != nil):
-		return fmt.Errorf("%w: the parallel engine requires no cycle hook or commit observer", ErrUnsupported)
-	case s.commitTrace != nil && (sampling.on(s.cfg) || checkpointing.on(s.cfg)):
+	if s.commitTrace != nil && (sampling.on(s.cfg) || checkpointing.on(s.cfg)) {
 		return fmt.Errorf("%w: sampling and checkpointing require no commit observer", ErrUnsupported)
 	}
 	return nil

@@ -19,7 +19,7 @@ import (
 	"fscoherence/internal/stats"
 )
 
-// Engine selects the simulation loop strategy. All engines are cycle-exact:
+// Engine selects the simulation loop strategy. Both engines are cycle-exact:
 // they produce byte-identical results (cycle counts, counter snapshots,
 // traces, detections) for the same configuration and workload.
 type Engine int
@@ -36,18 +36,14 @@ const (
 	EngineSkip Engine = iota
 
 	// EngineNaive ticks every component on every cycle (stepCycle) — the
-	// reference the other engines are proven against (see
+	// reference the skip engine is proven against (see
 	// TestEngineEquivalence).
 	EngineNaive
 
-	// EngineParallel is the conservative parallel discrete-event engine: it
-	// shards cores+L1s (and directory slices) across OS threads, each shard
-	// stepping with the skip engine's shard code over lookahead epochs
-	// bounded by the network's minimum delivery latency, with all network
-	// traffic replayed in global order at epoch barriers (see parallel.go).
-	// Byte-identical to the sequential engines; configurations it cannot
-	// parallelize (fault injection, observability, verification oracles,
-	// checkpointing) fall back to EngineSkip at construction (compat.go).
+	// EngineParallel names the removed conservative parallel engine. Check
+	// resolves it to EngineSkip with a warning.
+	//
+	// Deprecated: use EngineSkip, which it runs.
 	EngineParallel
 )
 
@@ -59,9 +55,9 @@ type Config struct {
 	// Engine selects the simulation loop (default EngineSkip).
 	Engine Engine
 
-	// Shards is the worker-thread count for EngineParallel (0 picks one
-	// per 8 cores, at most GOMAXPROCS; ignored by the sequential engines).
-	// Results are byte-identical across all shard counts.
+	// Shards was the removed parallel engine's worker count.
+	//
+	// Deprecated: ignored.
 	Shards int
 
 	// Core holds the FSDetect/FSLite tunables; ignored in Baseline mode.
@@ -226,10 +222,7 @@ type System struct {
 	// stopReason, when non-empty, aborts the run loop (RequestStop).
 	stopReason string
 
-	// par, when non-nil, holds the conservative parallel engine's shard
-	// structure (EngineParallel; see parallel.go). Otherwise seq holds the
-	// whole machine as the one shard the skip engine steps.
-	par *parRunner
+	// seq holds the whole machine as the one shard the skip engine steps.
 	seq *shard
 
 	// unsupported is the compatibility table's rejection of cfg (compat.go),
@@ -332,34 +325,8 @@ func New(cfg Config, wl Workload) *System {
 	}
 
 	// The compatibility table picks the engine; an unsupported combination
-	// builds sequentially and Run returns the error. The parallel engine
-	// gives every shard its own deferred-mode network front, stats set,
-	// clock and memory partition.
+	// builds anyway and Run returns the error.
 	s.cfg.Engine, _, s.unsupported = Check(cfg)
-	if s.unsupported == nil && s.cfg.Engine == EngineParallel {
-		s.par = newParRunner(s, parallelShards(cfg))
-	}
-	// netFor/statsFor/nowFor/memFor route each component's wiring to its
-	// owning shard (identity wiring under the sequential engines).
-	netFor := func(shard int) *network.Network { return s.net }
-	statsFor := func(shard int) *stats.Set { return st }
-	nowFor := func(shard int) func() uint64 {
-		return func() uint64 { return s.cycle }
-	}
-	memFor := func(shard int) *memsys.Memory { return s.mem }
-	shardOfCore := func(i int) int { return 0 }
-	shardOfSlice := func(j int) int { return 0 }
-	if s.par != nil {
-		netFor = func(shard int) *network.Network { return s.par.shards[shard].net }
-		statsFor = func(shard int) *stats.Set { return s.par.shards[shard].stats }
-		nowFor = func(shard int) func() uint64 {
-			sh := s.par.shards[shard]
-			return func() uint64 { return sh.clock }
-		}
-		memFor = func(shard int) *memsys.Memory { return s.par.shards[shard].mem }
-		shardOfCore = func(i int) int { return i * len(s.par.shards) / p.Cores }
-		shardOfSlice = func(j int) int { return j * len(s.par.shards) / p.Slices }
-	}
 
 	cfg.Forensics.Begin(p.BlockSize, p.Cores)
 
@@ -367,21 +334,18 @@ func New(cfg Config, wl Workload) *System {
 	cc.Cores = p.Cores
 	cc.BlockSize = p.BlockSize
 	cc.Mode = cfg.Mode
-	cc.Now = nowFor(0)
+	cc.Now = func() uint64 { return s.cycle }
 	cc.Trace = s.tracer
 	cc.Forensics = cfg.Forensics
 
 	for i := 0; i < p.Cores; i++ {
-		k := shardOfCore(i)
 		var pol coherence.L1Policy
 		if cfg.Mode != coherence.Baseline {
-			ccl := cc
-			ccl.Now = nowFor(k)
-			pam := core.NewPAM(ccl, i, statsFor(k))
+			pam := core.NewPAM(cc, i, st)
 			s.pams = append(s.pams, pam)
 			pol = pam
 		}
-		l1 := coherence.NewL1(i, p, cfg.Mode, netFor(k), pol, statsFor(k), nil)
+		l1 := coherence.NewL1(i, p, cfg.Mode, s.net, pol, st, nil)
 		if cfg.MSHRs > 1 {
 			l1.SetMaxMSHRs(cfg.MSHRs)
 		}
@@ -393,25 +357,21 @@ func New(cfg Config, wl Workload) *System {
 		s.ensureObserver()
 	}
 	for i := 0; i < p.Slices; i++ {
-		k := shardOfSlice(i)
 		var pol coherence.DirPolicy
 		if cfg.Mode != coherence.Baseline {
-			ccd := cc
-			ccd.Now = nowFor(k)
-			ds := core.NewDirSide(ccd, i, statsFor(k))
+			ds := core.NewDirSide(cc, i, st)
 			for _, r := range wl.ReductionRegions {
 				ds.RegisterReduction(r)
 			}
 			s.dirPolicies = append(s.dirPolicies, ds)
 			pol = ds
 		}
-		dir := coherence.NewDir(i, p, cfg.Mode, netFor(k), memFor(k), pol, statsFor(k))
+		dir := coherence.NewDir(i, p, cfg.Mode, s.net, s.mem, pol, st)
 		dir.SetObs(cfg.Obs)
 		dir.SetForensics(cfg.Forensics)
 		s.dirs = append(s.dirs, dir)
 	}
 	for i := 0; i < p.Cores; i++ {
-		k := shardOfCore(i)
 		var fn cpu.ThreadFunc
 		if i < len(wl.Threads) {
 			fn = wl.Threads[i]
@@ -420,22 +380,17 @@ func New(cfg Config, wl Workload) *System {
 			fn = func(*cpu.Ctx) {}
 		}
 		if cfg.OOO {
-			s.cores = append(s.cores, cpu.NewOOO(i, s.l1s[i], fn, cfg.OOOWidth, cfg.ROBSize, statsFor(k)))
+			s.cores = append(s.cores, cpu.NewOOO(i, s.l1s[i], fn, cfg.OOOWidth, cfg.ROBSize, st))
 		} else {
-			s.cores = append(s.cores, cpu.NewInOrder(i, s.l1s[i], fn, statsFor(k)))
+			s.cores = append(s.cores, cpu.NewInOrder(i, s.l1s[i], fn, st))
 		}
 	}
-	if s.par != nil {
-		bindShards(s, s.par.shards)
-	} else {
-		s.seq = &shard{net: s.net}
-		bindShards(s, []*shard{s.seq})
-	}
+	s.seq = newShard(s)
 	// Checkpointing needs the result log armed from the very first committed
 	// operation so threads can be replayed at any later snapshot (and so a
 	// restored thread's re-seeded log keeps growing). Arming is free on the
 	// shapes that can't checkpoint anyway (gated again at run time).
-	if cfg.CheckpointEvery > 0 && !cfg.OOO && s.par == nil {
+	if cfg.CheckpointEvery > 0 && !cfg.OOO {
 		for _, c := range s.cores {
 			if io, ok := c.(*cpu.InOrder); ok {
 				io.SetRecorder(&cpu.OpRecorder{})
@@ -545,8 +500,7 @@ func (s *System) Run(name string) (*Result, error) {
 }
 
 // advance runs timed cycles; every run mode calls it, and no other code
-// moves the clock in timed execution. The parallel engine hands the whole
-// run to its epoch coordinator. The sequential engines step one cycle at a
+// moves the clock in timed execution. Both engines step one cycle at a
 // time: the skip engine through its shard, fast-forwarding to the next
 // wake-up after each step, and the naive engine with stepCycle's full tick.
 // A cycle hook or a zero network latency also needs the full tick: a hook
@@ -558,15 +512,6 @@ func (s *System) Run(name string) (*Result, error) {
 // returns once budget L1D accesses have committed since entry, checked after
 // the step's skip. A drain that finds the machine drained steps no cycle.
 func (s *System) advance(name string, maxCycles uint64, draining bool, budget uint64) (finished bool, err error) {
-	if s.par != nil {
-		cycle, err := s.par.run(name, maxCycles)
-		if err != nil {
-			return false, err
-		}
-		s.cycle = cycle
-		s.par.mergeStats()
-		return true, nil
-	}
 	if draining && s.drained() {
 		return false, nil
 	}

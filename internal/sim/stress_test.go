@@ -4,14 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
 	"fscoherence/internal/coherence"
 	"fscoherence/internal/cpu"
 	"fscoherence/internal/memsys"
-	"fscoherence/internal/network"
 	"fscoherence/internal/stats"
 )
 
@@ -555,105 +553,6 @@ func TestReductionAndFalseSharingOnOneLine(t *testing.T) {
 	for i, v := range slots {
 		if v != iters {
 			t.Fatalf("slot %d = %d, want %d", i, v, iters)
-		}
-	}
-}
-
-// parallelStressThreads builds an n-core false-sharing workload shaped like
-// the uGRID scaling microbenchmark: eight threads per hot line (own 8-byte
-// slot each), private traffic in a per-thread block range, and compute gaps.
-// Everything is seeded per-thread, so any engine/shard configuration must
-// reproduce it exactly.
-func parallelStressThreads(n, ops int, seed int64) []cpu.ThreadFunc {
-	var ths []cpu.ThreadFunc
-	for t := 0; t < n; t++ {
-		t := t
-		ths = append(ths, func(c *cpu.Ctx) {
-			rng := rand.New(rand.NewSource(seed + int64(t)))
-			slot := addr(t/8, 8*(t%8)) // hot line shared by my group of 8
-			priv := addr(64+t*4, 0)    // private 4-block range
-			for i := 0; i < ops; i++ {
-				switch rng.Intn(6) {
-				case 0, 1, 2:
-					c.AtomicAdd(slot, 8, 1)
-				case 3:
-					c.Store(priv+memsys.Addr(64*rng.Intn(4)), 8, rng.Uint64())
-				default:
-					c.Load(priv+memsys.Addr(64*rng.Intn(4)), 8)
-				}
-				if rng.Intn(3) == 0 {
-					c.Compute(uint64(rng.Intn(8)))
-				}
-			}
-		})
-	}
-	return ths
-}
-
-// TestStressParallelEngineRace is the parallel engine's race-detector stress:
-// a 32-core mesh machine under FSLite, run under the skipping engine once for
-// reference and then under the parallel engine with randomized shard counts.
-// Every configuration must produce the identical cycle count and counter
-// snapshot — the shard count is an execution-resource knob, never a model
-// knob — and `go test -race ./internal/sim/` exercises the epoch workers'
-// goroutine handoffs.
-func TestStressParallelEngineRace(t *testing.T) {
-	// The engine runs shards inline on a GOMAXPROCS=1 host; pin at least 4
-	// scheduler threads so this test always races the worker-goroutine path.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
-	const cores, ops = 32, 150
-	base := DefaultConfig(coherence.FSLite)
-	base.Params = base.Params.ScaleToCores(cores)
-	base.Params.Topology = network.TopoMesh
-	ths := parallelStressThreads(cores, ops, 7)
-
-	ref := mustRun(t, base, Workload{Name: "par-stress-ref", Threads: ths})
-	refSnap := ref.Stats.Snapshot()
-
-	rng := rand.New(rand.NewSource(42))
-	shardCounts := []int{1, 16}
-	for i := 0; i < 3; i++ {
-		shardCounts = append(shardCounts, 1+rng.Intn(16))
-	}
-	for _, k := range shardCounts {
-		k := k
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			cfg := base
-			cfg.Engine = EngineParallel
-			cfg.Shards = k
-			res := mustRun(t, cfg, Workload{Name: "par-stress", Threads: parallelStressThreads(cores, ops, 7)})
-			if res.Cycles != ref.Cycles {
-				t.Errorf("cycles diverge: skip=%d parallel/%d=%d", ref.Cycles, k, res.Cycles)
-			}
-			snap := res.Stats.Snapshot()
-			for key, v := range refSnap {
-				if snap[key] != v {
-					t.Errorf("counter %s diverges: skip=%d parallel/%d=%d", key, v, k, snap[key])
-				}
-			}
-			for key := range snap {
-				if _, ok := refSnap[key]; !ok {
-					t.Errorf("counter %s only under parallel/%d", key, k)
-				}
-			}
-		})
-	}
-}
-
-// TestStressParallelEpochChurn drives many short parallel runs back-to-back
-// (fresh worker goroutines each time) to shake out lifecycle races in
-// start/stop and the barrier channels under -race.
-func TestStressParallelEpochChurn(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
-	for seed := int64(1); seed <= 6; seed++ {
-		cfg := DefaultConfig(coherence.FSLite)
-		cfg.Params = cfg.Params.ScaleToCores(16)
-		cfg.Params.Topology = network.TopoRing
-		cfg.Engine = EngineParallel
-		cfg.Shards = int(seed) // 1..6 shards
-		res := mustRun(t, cfg, Workload{Name: "par-churn", Threads: parallelStressThreads(16, 40, seed)})
-		if res.Cycles == 0 {
-			t.Fatalf("seed %d: zero-cycle run", seed)
 		}
 	}
 }

@@ -287,7 +287,7 @@ func (s *Set) Snapshot() map[string]uint64 {
 }
 
 // PeakSuffix marks counters with max semantics: values written via Max
-// (peaks, high-water marks) rather than accumulated. Merge takes the
+// (peaks, high-water marks) rather than accumulated. MergeMap takes the
 // maximum for such counters instead of summing, since summing two peak
 // observations is meaningless.
 const PeakSuffix = ".peak"
@@ -296,25 +296,9 @@ const PeakSuffix = ".peak"
 // naming convention.
 func IsPeak(name string) bool { return strings.HasSuffix(name, PeakSuffix) }
 
-// Merge folds every counter of other into s: counters accumulate, except
-// peak counters (names ending in PeakSuffix), which take the maximum.
-func (s *Set) Merge(other *Set) {
-	for id := ID(0); id < NumIDs; id++ {
-		if !other.present[id] {
-			continue
-		}
-		if idPeak[id] {
-			s.MaxID(id, other.slots[id])
-			s.present[id] = true
-		} else {
-			s.AddID(id, other.slots[id])
-		}
-	}
-	s.mergeTail(other.counters)
-}
-
-// MergeMap folds a counter map into s under the same rules as Merge.
-// Canonical names route into their slots.
+// MergeMap folds a counter map into s: counters accumulate, except peak
+// counters (names ending in PeakSuffix), which take the maximum. Canonical
+// names route into their slots.
 func (s *Set) MergeMap(counters map[string]uint64) {
 	for k, v := range counters {
 		if id, ok := idByName[k]; ok {
@@ -326,23 +310,11 @@ func (s *Set) MergeMap(counters map[string]uint64) {
 			}
 			continue
 		}
-		s.mergeOne(k, v)
-	}
-}
-
-func (s *Set) mergeTail(counters map[string]uint64) {
-	for k, v := range counters {
-		s.mergeOne(k, v)
-	}
-}
-
-func (s *Set) mergeOne(k string, v uint64) {
-	if IsPeak(k) {
-		if v > s.counters[k] {
+		if !IsPeak(k) {
+			s.counters[k] += v
+		} else if v > s.counters[k] {
 			s.counters[k] = v
 		}
-	} else {
-		s.counters[k] += v
 	}
 }
 
@@ -420,7 +392,7 @@ const (
 	CtrNetHops     = "net.hops"
 	CtrNetLinkWait = "net.link_wait"
 
-	// High-water marks (max semantics on Merge; see PeakSuffix).
+	// High-water marks (max semantics on MergeMap; see PeakSuffix).
 	CtrNetInflightPeak = "net.inflight" + PeakSuffix
 	CtrDirPendqPeak    = "dir.pendq" + PeakSuffix
 

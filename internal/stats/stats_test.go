@@ -52,24 +52,24 @@ func TestMerge(t *testing.T) {
 	a.Add("x", 1)
 	b.Add("x", 2)
 	b.Add("y", 3)
-	a.Merge(b)
+	a.MergeMap(b.Snapshot())
 	if a.Get("x") != 3 || a.Get("y") != 3 {
 		t.Fatalf("merge: %v", a.Snapshot())
 	}
 }
 
-// Regression: peak counters (written via Max) used to be summed on Merge,
+// Regression: peak counters (written via Max) used to be summed on merge,
 // producing nonsense high-water marks when aggregating across runs.
 func TestMergePeakCountersTakeMax(t *testing.T) {
 	a, b := NewSet(), NewSet()
 	a.Max(CtrNetInflightPeak, 7)
 	b.Max(CtrNetInflightPeak, 5)
 	b.Add(CtrNetMessages, 100)
-	a.Merge(b)
+	a.MergeMap(b.Snapshot())
 	if got := a.Get(CtrNetInflightPeak); got != 7 {
 		t.Fatalf("peak after merge = %d, want max(7,5) = 7", got)
 	}
-	a.Merge(b) // merging again must still not inflate the peak
+	a.MergeMap(b.Snapshot()) // merging again must still not inflate the peak
 	if got := a.Get(CtrNetInflightPeak); got != 7 {
 		t.Fatalf("peak after second merge = %d, want 7", got)
 	}
@@ -82,7 +82,7 @@ func TestMergePeakCountersTakeMax(t *testing.T) {
 	c.Max(CtrDirPendqPeak, 2)
 	d := NewSet()
 	d.Max(CtrDirPendqPeak, 9)
-	c.Merge(d)
+	c.MergeMap(d.Snapshot())
 	if got := c.Get(CtrDirPendqPeak); got != 9 {
 		t.Fatalf("peak after merge = %d, want 9", got)
 	}

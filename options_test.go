@@ -51,7 +51,7 @@ func TestOptionsMatrix(t *testing.T) {
 		warn   bool
 	}{
 		{matrixCell{opt: Options{Sample: "1k:3k", OOO: true}}, true, false},
-		{matrixCell{opt: Options{Sample: "1k:3k", Engine: "parallel"}}, true, false},
+		{matrixCell{opt: Options{Sample: "1k:3k", Engine: "parallel"}}, false, true},
 		{matrixCell{opt: Options{Engine: "parallel"}, ckpt: true}, false, true},
 		{matrixCell{opt: Options{Engine: "parallel", Obs: obs.New(obs.Config{})}}, false, true},
 	}
@@ -105,10 +105,10 @@ func checkMatrixCell(t *testing.T, c matrixCell) {
 	o := c.opt
 	attached := o.Verify || o.Obs != nil || o.Forensics != nil
 	shaped := o.OOO || o.L2KB > 0 // machine shapes the warmer cannot model
-	reject := o.Sample != "" && (o.Engine != "skip" || shaped || attached) ||
+	// "parallel" names the removed parallel engine and always runs skip.
+	reject := o.Sample != "" && (o.Engine == "naive" || shaped || attached) ||
 		c.ckpt && (shaped || attached)
-	fallback := !reject && (o.Engine == "parallel" && (c.ckpt || attached) ||
-		o.Engine == "naive" && c.ckpt)
+	fallback := !reject && (o.Engine == "parallel" || o.Engine == "naive" && c.ckpt)
 
 	res, err := c.run()
 	if verr := o.Validate(); !c.ckpt && (verr == nil) != (err == nil) {
@@ -122,8 +122,8 @@ func checkMatrixCell(t *testing.T, c matrixCell) {
 	case !reject && err != nil:
 		t.Errorf("%v: %v", c, err)
 	case err != nil:
-	case fallback && !strings.Contains(strings.Join(res.Warnings, "\n"), "skip engine"):
-		t.Errorf("%v: engine fell back to skip without a warning (warnings %q)", c, res.Warnings)
+	case fallback && (len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "skip engine")):
+		t.Errorf("%v: engine fell back to skip without exactly one warning (warnings %q)", c, res.Warnings)
 	case !fallback && len(res.Warnings) > 0:
 		t.Errorf("%v: unexpected warnings %q", c, res.Warnings)
 	case len(res.Violations) > 0:

@@ -115,11 +115,9 @@ type Options struct {
 
 	// Engine selects the simulation loop: "" or "skip" for the quiescence-
 	// skipping engine (the default), "naive" for the cycle-stepped reference
-	// loop, "parallel" for the conservative parallel engine (shards the
-	// machine across OS threads; falls back to skip, with a warning in
-	// Result.Warnings, for configurations it cannot shard — observability,
-	// oracles, checkpointing). All three are cycle-exact and produce
-	// byte-identical results.
+	// loop. Both are cycle-exact and produce byte-identical results.
+	// "parallel", the removed conservative parallel engine, is accepted and
+	// runs skip with a warning in Result.Warnings.
 	Engine string
 
 	// Cores scales the machine to an n-core big-machine configuration
@@ -134,8 +132,9 @@ type Options struct {
 	// per-hop latency and link contention.
 	Topology string
 
-	// Shards overrides the parallel engine's worker count (0 = one shard
-	// per 8 cores, at most GOMAXPROCS). Ignored by the sequential engines.
+	// Shards was the removed parallel engine's worker count.
+	//
+	// Deprecated: ignored.
 	Shards int
 
 	// Obs attaches the unified observability layer (event tracing and
@@ -312,7 +311,7 @@ func buildConfig(opt Options, every uint64) (sim.Config, []string, error) {
 	case "parallel":
 		cfg.Engine = sim.EngineParallel
 	default:
-		return cfg, nil, fmt.Errorf("unknown engine %q (want \"skip\", \"naive\" or \"parallel\")", opt.Engine)
+		return cfg, nil, fmt.Errorf("unknown engine %q (want \"skip\" or \"naive\")", opt.Engine)
 	}
 	if c := opt.Cores; c != 0 {
 		if c < 1 || c > memsys.MaxCores || c&(c-1) != 0 {
@@ -325,7 +324,6 @@ func buildConfig(opt Options, every uint64) (sim.Config, []string, error) {
 		return cfg, nil, err
 	}
 	cfg.Params.Topology = kind
-	cfg.Shards = opt.Shards
 	cfg.Obs = opt.Obs
 	cfg.Forensics = opt.Forensics
 	if opt.Sample != "" {

@@ -189,7 +189,7 @@ func TestBenchmarkListings(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "T", Title: "demo", Columns: []string{"a"},
 		Rows:    []TableRow{{Name: "x", Values: map[string]float64{"a": 1.5}}},
-		GeoMean: map[string]float64{"a": 1.5}}
+		Summary: map[string]float64{"a": 1.5}, SummaryName: "geomean"}
 	s := tab.String()
 	if !strings.Contains(s, "1.500") || !strings.Contains(s, "geomean") {
 		t.Fatalf("table render: %s", s)
@@ -307,7 +307,7 @@ func TestNonInclusiveOption(t *testing.T) {
 func TestCSVRendering(t *testing.T) {
 	tab := &Table{ID: "T", Title: "demo", Columns: []string{"a", "b"},
 		Rows:    []TableRow{{Name: "x", Values: map[string]float64{"a": 1.5, "b": 2}}},
-		GeoMean: map[string]float64{"a": 1.5}}
+		Summary: map[string]float64{"a": 1.5}, SummaryName: "geomean"}
 	csv := tab.CSV()
 	want := "benchmark,a,b\nx,1.500000,2.000000\ngeomean,1.500000,\n"
 	if csv != want {

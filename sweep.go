@@ -57,7 +57,7 @@ func NewRunner(workers int) *Runner {
 func (r *Runner) Workers() int { return r.eng.Workers() }
 
 // SetDefaults sets the machine defaults that submitted cells leaving them
-// zero inherit: Engine, Cores, Topology, Shards and Sample. Every other field
+// zero inherit: Engine, Cores, Topology and Sample. Every other field
 // of def is ignored. cmd/fsexp's machine and -sample flags use it to rerun
 // entire tables on another engine, a big machine or under interval
 // sampling; cells that ran sampled register in SampledCells for the
@@ -68,7 +68,7 @@ func (r *Runner) Workers() int { return r.eng.Workers() }
 // defaults themselves cannot run together (e.g. sampling on the naive
 // engine).
 func (r *Runner) SetDefaults(def Options) error {
-	def = Options{Engine: def.Engine, Cores: def.Cores, Topology: def.Topology, Shards: def.Shards, Sample: def.Sample}
+	def = Options{Engine: def.Engine, Cores: def.Cores, Topology: def.Topology, Sample: def.Sample}
 	if err := def.Validate(); err != nil {
 		return err
 	}
@@ -173,9 +173,7 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 	if opt.Topology == "flat" {
 		opt.Topology = "" // one cell for the two spellings of the default
 	}
-	if opt.Shards == 0 {
-		opt.Shards = d.Shards
-	}
+	opt.Shards = 0 // ignored, so cells differing only in it are one cell
 	if opt.Sample == "" && d.Sample != "" {
 		sampled := opt
 		sampled.Sample = d.Sample

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fscoherence/internal/stats"
 )
@@ -151,6 +152,16 @@ func TestRunnerMemoization(t *testing.T) {
 	rep := r.Report()
 	if rep.Executed != 2 || rep.MemoHits != 2 {
 		t.Fatalf("report = %+v, want 2 executed / 2 memo hits", rep)
+	}
+	// Shards is ignored, so two submissions differing only in it simulate
+	// once: the progress callback fires once per executed cell.
+	executed := 0
+	r.SetProgress(func(string, Options, time.Duration, error) { executed++ })
+	e := r.Submit("LL", Options{Protocol: FSLite, Scale: testScale, Shards: 2})
+	f := r.Submit("LL", Options{Protocol: FSLite, Scale: testScale, Shards: 4})
+	r.Wait()
+	if e.Must() != f.Must() || executed != 1 {
+		t.Fatalf("cells differing only in Shards: %d executed, shared result %v; want 1 and true", executed, e.Must() == f.Must())
 	}
 }
 

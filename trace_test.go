@@ -143,19 +143,16 @@ func traceMesh(t *testing.T, engine string) ([]obs.Event, string) {
 
 // TestMeshTraceEngineAttribution is the golden-trace attribution check on a
 // big-machine configuration: on a 16-core mesh the tracer must produce a
-// byte-identical event stream under every engine (skip, the cycle-stepped
-// naive reference, and parallel — which conservatively falls back to skip
-// when observability is attached), and every net event's (core, slice)
-// track assignment must agree with the src/dst node pair it carries.
+// byte-identical event stream under both engines (skip and the cycle-stepped
+// naive reference), and every net event's (core, slice) track assignment
+// must agree with the src/dst node pair it carries.
 func TestMeshTraceEngineAttribution(t *testing.T) {
 	events, golden := traceMesh(t, "skip")
 	if len(events) == 0 {
 		t.Fatal("mesh trace contains no events")
 	}
-	for _, engine := range []string{"naive", "parallel"} {
-		if _, g := traceMesh(t, engine); g != golden {
-			t.Errorf("%s engine trace differs from the skip golden trace", engine)
-		}
+	if _, g := traceMesh(t, "naive"); g != golden {
+		t.Error("naive engine trace differs from the skip golden trace")
 	}
 
 	// Attribution: a net.send is tracked at its source node, a net.recv at
