@@ -82,7 +82,7 @@ equiv:
 # the benchmark's allocs/op plus the four tests gate it.
 allocsmoke:
 	$(GO) test -run 'TestSendRecvDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
-	$(GO) test -run 'TestSkipLoopDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/
+	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/
 	$(GO) test -run 'TestForensicsDisabledDoesNotAllocate' -count=1 ./internal/forensics/
 
 # Sampled-vs-full tolerance gate plus cross-worker determinism of the sampled

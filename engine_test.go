@@ -134,6 +134,32 @@ func TestEngineEquivalenceBigMachine(t *testing.T) {
 	}
 }
 
+// TestEngineParallelShardInvariance checks that Shards, which the removed
+// parallel engine read and which is now ignored, changes nothing: under the
+// "parallel" alias every shard count reproduces the skip run on the 64-core
+// mesh.
+func TestEngineParallelShardInvariance(t *testing.T) {
+	ref, err := Run("uGRID", Options{Protocol: FSLite, Scale: 0.1, Cores: 64, Topology: "mesh"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 3, 5, 8, 16} {
+		got, err := Run("uGRID", Options{
+			Protocol: FSLite, Scale: 0.1, Cores: 64, Topology: "mesh",
+			Engine: "parallel", Shards: shards,
+		})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if got.Cycles != ref.Cycles {
+			t.Errorf("shards=%d: cycles diverge: skip=%d parallel=%d", shards, ref.Cycles, got.Cycles)
+		}
+		if !reflect.DeepEqual(got.Stats.Snapshot(), ref.Stats.Snapshot()) {
+			t.Errorf("shards=%d: counter snapshots diverge", shards)
+		}
+	}
+}
+
 // TestEngineParallelFallback pins the "parallel" engine name, kept as an
 // alias of skip for the removed parallel engine: a 64-core mesh run with an
 // explicit shard count is the skip run, with exactly one warning, and
