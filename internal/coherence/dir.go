@@ -118,6 +118,10 @@ type Dir struct {
 	retryq []*network.Msg
 	forced []memsys.Addr // privatized blocks needing forced termination
 
+	// txnFree recycles transaction records: endTxn clears a finished one
+	// and beginTxn draws from here, so a steady miss stream allocates none.
+	txnFree []*dirTxn
+
 	// dataDir tracks which blocks hold a data copy in the (separately
 	// sized) LLC data array when the directory is sparse/non-inclusive.
 	dataDir *memsys.SetAssoc[struct{}]
@@ -203,6 +207,9 @@ func (d *Dir) NextEvent(now uint64) uint64 {
 	}
 	return next
 }
+
+// Node returns the slice's network node, the inbox its Tick drains.
+func (d *Dir) Node() network.NodeID { return d.node }
 
 // StateOf returns the directory state of the block containing a.
 func (d *Dir) StateOf(a memsys.Addr) (DirState, bool) {
@@ -346,8 +353,8 @@ func (d *Dir) touchData(e *memsys.Entry[dirLine]) {
 		// provision rather than stall: data capacity is advisory here.
 		return
 	}
-	_, victim := d.dataDir.Insert(e.Tag)
-	if victim == nil {
+	_, victim, ok := d.dataDir.Insert(e.Tag)
+	if !ok {
 		return
 	}
 	d.stats.Inc("llc.data_drops")
@@ -365,6 +372,31 @@ func (d *Dir) touchData(e *memsys.Entry[dirLine]) {
 	vl.data = nil
 }
 
+// beginTxn makes t the line's transaction, in a record drawn from the
+// slice's freelist.
+func (d *Dir) beginTxn(line *dirLine, t dirTxn) *dirTxn {
+	var p *dirTxn
+	if k := len(d.txnFree); k > 0 {
+		p = d.txnFree[k-1]
+		d.txnFree = d.txnFree[:k-1]
+	} else {
+		p = new(dirTxn)
+	}
+	*p = t
+	line.txn = p
+	return p
+}
+
+// endTxn ends the line's transaction and recycles its record, cleared so it
+// holds no message or buffer. Callers read what they still need from the
+// record first.
+func (d *Dir) endTxn(line *dirLine) {
+	t := line.txn
+	line.txn = nil
+	*t = dirTxn{}
+	d.txnFree = append(d.txnFree, t)
+}
+
 // ensureData guarantees the block's data is resident before a grant that
 // needs it, refetching from memory in non-inclusive mode. It returns false
 // (queueing m) when a refetch was started.
@@ -373,7 +405,7 @@ func (d *Dir) ensureData(e *memsys.Entry[dirLine], m *network.Msg) bool {
 	if line.hasData {
 		return true
 	}
-	line.txn = &dirTxn{kind: txnMemFill, refetch: true}
+	d.beginTxn(line, dirTxn{kind: txnMemFill, refetch: true})
 	m.Retain()
 	line.pendq = append(line.pendq, m)
 	d.stats.MaxID(stats.IDDirPendqPeak, uint64(len(line.pendq)))
@@ -572,7 +604,7 @@ func (d *Dir) serveGetS(e *memsys.Entry[dirLine], m *network.Msg, requestMD bool
 		}
 		d.sendAfter(&network.Msg{Op: network.OpFwdGetS, Dst: d.params.L1Node(line.owner), Addr: e.Tag, Requestor: m.Requestor, ReqMD: requestMD}, d.ctrlLat())
 		m.Retain()
-		line.txn = &dirTxn{kind: txnFwd, req: m, oldOwner: line.owner}
+		d.beginTxn(line, dirTxn{kind: txnFwd, req: m, oldOwner: line.owner})
 		d.pinLine(e.Tag)
 	default:
 		panic("dir: GetS in bad state")
@@ -624,7 +656,7 @@ func (d *Dir) serveGetX(e *memsys.Entry[dirLine], m *network.Msg, requestMD bool
 		}
 		d.sendAfter(&network.Msg{Op: network.OpFwdGetX, Dst: d.params.L1Node(line.owner), Addr: e.Tag, Requestor: m.Requestor, ReqMD: requestMD}, d.ctrlLat())
 		m.Retain()
-		line.txn = &dirTxn{kind: txnFwd, req: m, oldOwner: line.owner}
+		d.beginTxn(line, dirTxn{kind: txnFwd, req: m, oldOwner: line.owner})
 		d.pinLine(e.Tag)
 	default:
 		panic("dir: GetX in bad state")
@@ -735,8 +767,7 @@ func (d *Dir) startPrvInit(e *memsys.Entry[dirLine], m *network.Msg) {
 		needOwnerData = true
 	}
 	m.Retain()
-	txn := &dirTxn{kind: txnPrvInit, req: m, expect: targets, needOwnerData: needOwnerData}
-	line.txn = txn
+	d.beginTxn(line, dirTxn{kind: txnPrvInit, req: m, expect: targets, needOwnerData: needOwnerData})
 	d.pinLine(e.Tag)
 	d.policy.OnMetadataRequested(e.Tag, targets.Count())
 	targets.ForEach(func(c int) {
@@ -775,7 +806,7 @@ func (d *Dir) maybeFinishPrvInit(e *memsys.Entry[dirLine]) {
 		// triggering request is then served normally.
 		d.stats.IncID(stats.IDFSPrivAborted)
 		if txn.prvJoin.Empty() {
-			line.txn = nil
+			d.endTxn(line)
 			d.unpinLine(e.Tag)
 			d.tracePrvAbort(e.Tag)
 			d.setState(e, DirIdle)
@@ -789,7 +820,7 @@ func (d *Dir) maybeFinishPrvInit(e *memsys.Entry[dirLine]) {
 		d.setState(e, DirPrv)
 		line.prvSince = d.now
 		line.sharers = txn.prvJoin
-		line.txn = nil
+		d.endTxn(line)
 		d.startPrvTerm(e, m, false, "abort")
 		return
 	}
@@ -801,7 +832,7 @@ func (d *Dir) maybeFinishPrvInit(e *memsys.Entry[dirLine]) {
 	line.prvSince = d.now
 	d.tracePrvBegin(e.Tag, core)
 	line.sharers = txn.prvJoin
-	line.txn = nil
+	d.endTxn(line)
 	d.unpinLine(e.Tag)
 	if d.dataDir != nil {
 		// A privatized block's data slot must survive the episode (the
@@ -845,7 +876,7 @@ func (d *Dir) startPrvTerm(e *memsys.Entry[dirLine], heldReq *network.Msg, evict
 	if heldReq != nil {
 		heldReq.Retain()
 	}
-	txn := &dirTxn{
+	d.beginTxn(line, dirTxn{
 		kind:       txnPrvTerm,
 		req:        heldReq,
 		expect:     line.sharers,
@@ -853,8 +884,7 @@ func (d *Dir) startPrvTerm(e *memsys.Entry[dirLine], heldReq *network.Msg, evict
 		evictAfter: evictAfter,
 		termReason: reason,
 		termInvals: line.sharers.Count(),
-	}
-	line.txn = txn
+	})
 	d.pinLine(e.Tag)
 	line.sharers.ForEach(func(c int) {
 		d.sendAfter(&network.Msg{Op: network.OpInvPrv, Dst: d.params.L1Node(c), Addr: e.Tag}, d.ctrlLat())
@@ -883,11 +913,12 @@ func (d *Dir) maybeFinishPrvTerm(e *memsys.Entry[dirLine]) {
 		d.dataDir.Unpin(e.Tag)
 	}
 	line.sharers = coreSet{}
-	line.txn = nil
+	req, evictAfter := txn.req, txn.evictAfter
+	d.endTxn(line)
 	d.unpinLine(e.Tag)
 
-	if txn.req != nil && !txn.evictAfter {
-		m := txn.req
+	if req != nil && !evictAfter {
+		m := req
 		// A held CHK is re-served as a traditional demand request (§V-C).
 		if m.Op == network.OpGetCHK {
 			m.Op = network.OpGetS
@@ -898,12 +929,12 @@ func (d *Dir) maybeFinishPrvTerm(e *memsys.Entry[dirLine]) {
 	}
 	d.drainPendq(line)
 
-	if txn.evictAfter {
+	if evictAfter {
 		d.dropLine(e)
-		if txn.req != nil {
+		if req != nil {
 			// The termination was inclusion-driven: the held request is for
 			// the block displacing this one; claim the freed way now.
-			d.redispatchRequest(txn.req)
+			d.redispatchRequest(req)
 		}
 	}
 }
@@ -1148,10 +1179,11 @@ func (d *Dir) finishFwd(e *memsys.Entry[dirLine], txn *dirTxn) {
 		// (GetS path), remove it.
 		line.sharers.Remove(txn.oldOwner)
 	}
-	line.txn = nil
+	req := txn.req
+	d.endTxn(line)
 	d.unpinLine(e.Tag)
-	txn.req.Unretain()
-	d.net.Release(txn.req)
+	req.Unretain()
+	d.net.Release(req)
 	d.drainPendq(line)
 }
 
@@ -1211,11 +1243,12 @@ func (d *Dir) allocate(blk memsys.Addr, m *network.Msg) {
 		}
 		// Victim dropped synchronously; fall through to insert.
 	}
-	e, ev := d.llc.Insert(blk)
-	if ev != nil {
+	e, _, displaced := d.llc.Insert(blk)
+	if displaced {
 		panic("dir: insert displaced a line despite victim pre-check")
 	}
-	e.Payload = dirLine{dirHot: dirHot{state: DirIdle}, txn: &dirTxn{kind: txnMemFill}}
+	e.Payload = dirLine{dirHot: dirHot{state: DirIdle}}
+	d.beginTxn(&e.Payload, dirTxn{kind: txnMemFill})
 	m.Retain()
 	e.Payload.pendq = append(e.Payload.pendq, m)
 	d.stats.MaxID(stats.IDDirPendqPeak, uint64(len(e.Payload.pendq)))
@@ -1238,8 +1271,7 @@ func (d *Dir) startEvict(v *memsys.Entry[dirLine], m *network.Msg) bool {
 		return true
 	case DirShared:
 		m.Retain()
-		txn := &dirTxn{kind: txnEvict, req: m, expect: line.sharers}
-		line.txn = txn
+		d.beginTxn(line, dirTxn{kind: txnEvict, req: m, expect: line.sharers})
 		d.pinLine(v.Tag)
 		line.sharers.ForEach(func(c int) {
 			d.sendAfter(&network.Msg{Op: network.OpInv, Dst: d.params.L1Node(c), Addr: v.Tag, Requestor: d.node}, d.ctrlLat())
@@ -1247,9 +1279,8 @@ func (d *Dir) startEvict(v *memsys.Entry[dirLine], m *network.Msg) bool {
 		return false
 	case DirOwned:
 		m.Retain()
-		txn := &dirTxn{kind: txnEvict, req: m}
+		txn := d.beginTxn(line, dirTxn{kind: txnEvict, req: m})
 		txn.expect.Add(line.owner)
-		line.txn = txn
 		d.pinLine(v.Tag)
 		d.sendAfter(&network.Msg{Op: network.OpInv, Dst: d.params.L1Node(line.owner), Addr: v.Tag, Requestor: d.node, ToOwner: true}, d.ctrlLat())
 		return false
@@ -1268,7 +1299,7 @@ func (d *Dir) maybeFinishEvict(e *memsys.Entry[dirLine]) {
 		return
 	}
 	req := txn.req
-	line.txn = nil
+	d.endTxn(line)
 	d.unpinLine(e.Tag)
 	// Any queued requests for the dying block retry from scratch.
 	d.drainPendq(line)
@@ -1320,7 +1351,7 @@ func (d *Dir) finishMemFill(blk memsys.Addr) {
 	if !refetch {
 		line.state = DirIdle
 	}
-	line.txn = nil
+	d.endTxn(line)
 	d.unpinLine(blk)
 	d.touchData(e)
 	d.stats.IncID(stats.IDLLCFills)

@@ -119,6 +119,7 @@ type L1 struct {
 	l2       *memsys.SetAssoc[l1Line] // optional private victim L2 (§VII)
 	wb       map[memsys.Addr]*wbEntry
 	mshrs    map[memsys.Addr]*mshr
+	mshrFree []*mshr // retired MSHRs, cleared, for startTxn to reuse
 	maxMSHRs int
 	policy   L1Policy
 	stats    *stats.Set
@@ -169,6 +170,9 @@ func (l *L1) SetMaxMSHRs(n int) { l.maxMSHRs = n }
 
 // Core returns the core index this L1 belongs to.
 func (l *L1) Core() int { return l.core }
+
+// Node returns the L1's network node, the inbox its Tick drains.
+func (l *L1) Node() network.NodeID { return l.node }
 
 // StateOf returns the coherence state of the block containing a (for
 // invariant checks and tests).
@@ -320,9 +324,9 @@ func (l *L1) Submit(a *Access) SubmitResult {
 		if e2 := l.l2.Lookup(blk); e2 != nil {
 			line := e2.Payload
 			l.l2.Invalidate(blk)
-			ne, victim := l.cache.Insert(blk)
-			if victim != nil {
-				l.evict(victim)
+			ne, victim, evicted := l.cache.Insert(blk)
+			if evicted {
+				l.evict(&victim)
 			}
 			ne.Payload = line
 			if l.policy != nil {
@@ -452,9 +456,25 @@ func (l *L1) putVal(b []byte) {
 
 // startTxn allocates an MSHR and sends the request.
 func (l *L1) startTxn(a *Access, blk memsys.Addr, st mshrState, op network.Op) {
-	m := &mshr{addr: blk, state: st, access: a, start: l.now}
+	var m *mshr
+	if k := len(l.mshrFree); k > 0 {
+		m = l.mshrFree[k-1]
+		l.mshrFree = l.mshrFree[:k-1]
+	} else {
+		m = new(mshr)
+	}
+	m.addr, m.state, m.access, m.start = blk, st, a, l.now
 	l.mshrs[blk] = m
 	l.sendRequest(m, op)
+}
+
+// retireTxn clears a completed MSHR, already removed from l.mshrs, and
+// returns it to the freelist. The deferred buffer keeps its capacity.
+func (l *L1) retireTxn(m *mshr) {
+	deferred := m.deferred
+	clear(deferred)
+	*m = mshr{deferred: deferred[:0]}
+	l.mshrFree = append(l.mshrFree, m)
 }
 
 func (l *L1) sendRequest(m *mshr, op network.Op) {
@@ -618,9 +638,9 @@ func (l *L1) fill(blk memsys.Addr, data []byte, st L1State, dirty bool, sendMD b
 	if l.peekAny(blk) != nil {
 		panic(fmt.Sprintf("l1 %d: fill of resident block %v", l.core, blk))
 	}
-	e, evicted := l.cache.Insert(blk)
-	if evicted != nil {
-		l.evict(evicted)
+	e, victim, evicted := l.cache.Insert(blk)
+	if evicted {
+		l.evict(&victim)
 	}
 	e.Payload = l1Line{state: st, dirty: dirty, data: data}
 	l.traceState(blk, L1Invalid, st)
@@ -643,10 +663,10 @@ func (l *L1) evict(ev *memsys.Entry[l1Line]) {
 		if ev.Payload.state == L1Prv && l.policy != nil {
 			l.policy.Drop(ev.Tag)
 		}
-		e2, victim := l.l2.Insert(ev.Tag)
+		e2, victim, evicted := l.l2.Insert(ev.Tag)
 		e2.Payload = ev.Payload
-		if victim != nil {
-			l.evictFromHierarchy(victim, false)
+		if evicted {
+			l.evictFromHierarchy(&victim, false)
 		}
 		return
 	}
@@ -750,6 +770,7 @@ func (l *L1) finishTxn(m *mshr) {
 	for _, dm := range m.deferred {
 		l.redispatch(dm)
 	}
+	l.retireTxn(m)
 }
 
 // reissueTxn restarts an MSHR's transaction from scratch as GetS/GetX.
@@ -793,6 +814,7 @@ func (l *L1) onData(m *network.Msg) {
 			for _, dm := range tx.deferred {
 				l.redispatch(dm) // no copy left: answered from the I state
 			}
+			l.retireTxn(tx)
 			return
 		}
 		st := L1Shared

@@ -269,8 +269,8 @@ func (w *Warmer) lookup(d *Dir, blk memsys.Addr) *memsys.Entry[dirLine] {
 	if v.Valid {
 		w.evictDirLine(d, v)
 	}
-	e, displaced := d.llc.Insert(blk)
-	if displaced != nil {
+	e, _, displaced := d.llc.Insert(blk)
+	if displaced {
 		panic("warm: insert displaced a line despite victim pre-check")
 	}
 	data := w.get()
@@ -349,9 +349,9 @@ func (w *Warmer) dropLine(d *Dir, e *memsys.Entry[dirLine]) {
 // fill installs a block into an L1, evicting a victim (the synchronous
 // evictFromHierarchy, with the directory absorbing writebacks immediately).
 func (w *Warmer) fill(l1 *L1, blk memsys.Addr, data []byte, st L1State, dirty, sendMD bool) *memsys.Entry[l1Line] {
-	e, victim := l1.cache.Insert(blk)
-	if victim != nil {
-		w.evictL1Line(l1, victim)
+	e, victim, evicted := l1.cache.Insert(blk)
+	if evicted {
+		w.evictL1Line(l1, &victim)
 	}
 	buf := w.get()
 	copy(buf, data)

@@ -200,8 +200,8 @@ func (s *SAM) ensure(addr memsys.Addr) *samEntry {
 		s.table.Unpin(tag)
 		s.table.Invalidate(tag)
 	}
-	ent, evicted := s.table.Insert(addr)
-	if evicted != nil {
+	ent, evicted, ok := s.table.Insert(addr)
+	if ok {
 		s.stats.IncID(stats.IDSAMReplacements)
 		if s.isPrv != nil && s.isPrv(evicted.Tag) {
 			// Defensive: privatized entries are pinned and should not be

@@ -13,7 +13,6 @@ type Entry[V any] struct {
 	Tag     Addr // block-aligned address
 	Payload V
 	lastUse uint64 // LRU timestamp
-	pinned  bool
 }
 
 // SetAssoc is a generic set-associative cache with true-LRU replacement.
@@ -25,6 +24,11 @@ type Entry[V any] struct {
 // an invalid way with a single TrailingZeros64 — the hot-loop win for mostly
 // warm caches where the per-way Valid test used to dominate. This caps the
 // associativity at 64 ways.
+//
+// A set's ways are allocated on first use (Victim, Insert or LoadAssoc), so
+// a cache costs only the sets a run touches: the bitsets answer every miss
+// in an untouched set without reaching for its row. Rows never move once
+// built, so entry pointers stay valid for the cache's lifetime.
 type SetAssoc[V any] struct {
 	name      string
 	sets      int
@@ -33,19 +37,18 @@ type SetAssoc[V any] struct {
 	setShift  int
 	setMask   Addr
 	waysMask  uint64
-	entries   []Entry[V] // sets*ways, row-major by set
-	occ       []uint64   // per-set valid-way bitsets
-	pins      []uint64   // per-set pinned-way bitsets
+	rows      [][]Entry[V] // per set, nil until first use
+	occ       []uint64     // per-set valid-way bitsets
+	pins      []uint64     // per-set pinned-way bitsets
 	clock     uint64
 
-	// mru is an 8-slot direct-mapped cache of recent Lookup hits (entry index
-	// per tag, slot chosen by low line-address bits). It is purely an index
+	// mru is an 8-slot direct-mapped cache of recent Lookup hits (entry
+	// pointer per tag, slot chosen by low line-address bits). It is purely a
 	// shortcut: a hit performs the same LRU refresh as the set scan would, so
 	// replacement behavior is bit-identical. Insert and Invalidate clear it
-	// (entry indexes stay stable, but a displaced or removed tag must not
-	// linger).
+	// (entries never move, but a displaced or removed tag must not linger).
 	mruTags [8]Addr
-	mruIdxs [8]int32
+	mruEnts [8]*Entry[V]
 }
 
 // NewSetAssoc builds a cache with the given total entry count and
@@ -81,10 +84,9 @@ func NewSetAssoc[V any](name string, entries, ways, blockSize int) *SetAssoc[V] 
 		setShift:  Log2(blockSize),
 		setMask:   Addr(sets - 1),
 		waysMask:  waysMask,
-		entries:   make([]Entry[V], sets*ways),
+		rows:      make([][]Entry[V], sets),
 		occ:       make([]uint64, sets),
 		pins:      make([]uint64, sets),
-		mruIdxs:   [8]int32{-1, -1, -1, -1, -1, -1, -1, -1},
 	}
 }
 
@@ -105,11 +107,22 @@ func (c *SetAssoc[V]) SetIndex(a Addr) int {
 	return int((a >> Addr(c.setShift)) & c.setMask)
 }
 
+// row returns set si's ways, building them on first use.
+func (c *SetAssoc[V]) row(si int) []Entry[V] {
+	r := c.rows[si]
+	if r == nil {
+		r = make([]Entry[V], c.ways)
+		c.rows[si] = r
+	}
+	return r
+}
+
 // peekIdx returns the set index and way index of the entry holding a, or
-// way -1 on miss. a must be block-aligned.
+// way -1 on miss. a must be block-aligned. Only valid ways are read, so a
+// miss in an unbuilt set never builds it.
 func (c *SetAssoc[V]) peekIdx(a Addr) (int, int) {
 	si := c.SetIndex(a)
-	set := c.entries[si*c.ways : (si+1)*c.ways]
+	set := c.rows[si]
 	for m := c.occ[si]; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if set[w].Tag == a {
@@ -124,8 +137,7 @@ func (c *SetAssoc[V]) peekIdx(a Addr) (int, int) {
 func (c *SetAssoc[V]) Lookup(a Addr) *Entry[V] {
 	a = a.BlockAlign(c.blockSize)
 	s := int((a >> Addr(c.setShift)) & 7)
-	if i := c.mruIdxs[s]; i >= 0 && c.mruTags[s] == a {
-		e := &c.entries[i]
+	if e := c.mruEnts[s]; e != nil && c.mruTags[s] == a {
 		c.clock++
 		e.lastUse = c.clock
 		return e
@@ -134,10 +146,10 @@ func (c *SetAssoc[V]) Lookup(a Addr) *Entry[V] {
 	if w < 0 {
 		return nil
 	}
-	e := &c.entries[si*c.ways+w]
+	e := &c.rows[si][w]
 	c.clock++
 	e.lastUse = c.clock
-	c.mruIdxs[s], c.mruTags[s] = int32(si*c.ways+w), a
+	c.mruEnts[s], c.mruTags[s] = e, a
 	return e
 }
 
@@ -149,7 +161,7 @@ func (c *SetAssoc[V]) Peek(a Addr) *Entry[V] {
 	if w < 0 {
 		return nil
 	}
-	return &c.entries[si*c.ways+w]
+	return &c.rows[si][w]
 }
 
 // victimIdx returns the way Insert would use for (block-aligned) a: the
@@ -160,7 +172,7 @@ func (c *SetAssoc[V]) victimIdx(a Addr) (int, int) {
 	if inv := ^c.occ[si] & c.waysMask; inv != 0 {
 		return si, bits.TrailingZeros64(inv)
 	}
-	set := c.entries[si*c.ways : (si+1)*c.ways]
+	set := c.rows[si]
 	victim := -1
 	for m := c.occ[si] &^ c.pins[si]; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
@@ -180,14 +192,15 @@ func (c *SetAssoc[V]) Victim(a Addr) *Entry[V] {
 	if w < 0 {
 		return nil
 	}
-	return &c.entries[si*c.ways+w]
+	return &c.row(si)[w]
 }
 
 // Insert places address a into the cache and returns the entry plus, if a
-// valid line was displaced, a copy of the displaced entry. The new entry's
-// payload is the zero value of V; the caller fills it in. Insert panics if a
-// is already present (use Lookup first) or if all ways are pinned.
-func (c *SetAssoc[V]) Insert(a Addr) (*Entry[V], *Entry[V]) {
+// valid line was displaced, the displaced entry's contents (ok reports
+// whether there was one). The new entry's payload is the zero value of V;
+// the caller fills it in. Insert panics if a is already present (use Lookup
+// first) or if all ways are pinned.
+func (c *SetAssoc[V]) Insert(a Addr) (e *Entry[V], evicted Entry[V], ok bool) {
 	a = a.BlockAlign(c.blockSize)
 	if c.Peek(a) != nil {
 		panic(fmt.Sprintf("memsys: %s: insert of resident address %s", c.name, a))
@@ -196,37 +209,33 @@ func (c *SetAssoc[V]) Insert(a Addr) (*Entry[V], *Entry[V]) {
 	if w < 0 {
 		panic(fmt.Sprintf("memsys: %s: all ways pinned in set of %s", c.name, a))
 	}
-	victim := &c.entries[si*c.ways+w]
-	var evicted *Entry[V]
-	if victim.Valid {
-		ev := *victim
-		evicted = &ev
+	e = &c.row(si)[w]
+	if e.Valid {
+		evicted, ok = *e, true
 	}
-	var zero V
 	c.clock++
-	*victim = Entry[V]{Valid: true, Tag: a, Payload: zero, lastUse: c.clock}
+	*e = Entry[V]{Valid: true, Tag: a, lastUse: c.clock}
 	c.occ[si] |= 1 << uint(w)
 	c.pins[si] &^= 1 << uint(w)
-	c.mruIdxs = [8]int32{-1, -1, -1, -1, -1, -1, -1, -1}
-	return victim, evicted
+	c.mruEnts = [8]*Entry[V]{}
+	return e, evicted, ok
 }
 
-// Invalidate removes address a from the cache, returning the entry contents
-// (by copy) if it was present.
-func (c *SetAssoc[V]) Invalidate(a Addr) *Entry[V] {
+// Invalidate removes address a from the cache, returning the entry's
+// contents and whether it was present.
+func (c *SetAssoc[V]) Invalidate(a Addr) (Entry[V], bool) {
 	a = a.BlockAlign(c.blockSize)
 	si, w := c.peekIdx(a)
 	if w < 0 {
-		return nil
+		return Entry[V]{}, false
 	}
-	e := &c.entries[si*c.ways+w]
+	e := &c.rows[si][w]
 	ev := *e
-	var zero Entry[V]
-	*e = zero
+	*e = Entry[V]{}
 	c.occ[si] &^= 1 << uint(w)
 	c.pins[si] &^= 1 << uint(w)
-	c.mruIdxs = [8]int32{-1, -1, -1, -1, -1, -1, -1, -1}
-	return &ev
+	c.mruEnts = [8]*Entry[V]{}
+	return ev, true
 }
 
 // Pin marks the line holding a as ineligible for replacement. It reports
@@ -237,7 +246,6 @@ func (c *SetAssoc[V]) Pin(a Addr) bool {
 	if w < 0 {
 		return false
 	}
-	c.entries[si*c.ways+w].pinned = true
 	c.pins[si] |= 1 << uint(w)
 	return true
 }
@@ -249,7 +257,6 @@ func (c *SetAssoc[V]) Unpin(a Addr) bool {
 	if w < 0 {
 		return false
 	}
-	c.entries[si*c.ways+w].pinned = false
 	c.pins[si] &^= 1 << uint(w)
 	return true
 }
@@ -258,7 +265,7 @@ func (c *SetAssoc[V]) Unpin(a Addr) bool {
 // allowed; inserting or invalidating is not.
 func (c *SetAssoc[V]) ForEach(fn func(*Entry[V])) {
 	for si := 0; si < c.sets; si++ {
-		set := c.entries[si*c.ways : (si+1)*c.ways]
+		set := c.rows[si]
 		for m := c.occ[si]; m != 0; m &= m - 1 {
 			fn(&set[bits.TrailingZeros64(m)])
 		}

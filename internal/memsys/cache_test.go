@@ -61,8 +61,8 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	if e := c.Lookup(0x100); e != nil {
 		t.Fatal("lookup on empty cache should miss")
 	}
-	e, ev := c.Insert(0x100)
-	if ev != nil {
+	e, _, evicted := c.Insert(0x100)
+	if evicted {
 		t.Fatal("insert into empty set should not evict")
 	}
 	e.Payload = 42
@@ -79,15 +79,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	// One set (sets=1): ways fill up, then LRU should be displaced.
 	c := NewSetAssoc[string]("t", 2, 2, 64)
 	a1, a2, a3 := Addr(0x000), Addr(0x040), Addr(0x080)
-	e, _ := c.Insert(a1)
+	e, _, _ := c.Insert(a1)
 	e.Payload = "a1"
-	e, _ = c.Insert(a2)
+	e, _, _ = c.Insert(a2)
 	e.Payload = "a2"
 	// Touch a1 so a2 becomes LRU.
 	c.Lookup(a1)
-	e, ev := c.Insert(a3)
+	e, ev, ok := c.Insert(a3)
 	e.Payload = "a3"
-	if ev == nil || ev.Tag != a2 || ev.Payload != "a2" {
+	if !ok || ev.Tag != a2 || ev.Payload != "a2" {
 		t.Fatalf("expected eviction of a2, got %+v", ev)
 	}
 	if c.Peek(a1) == nil || c.Peek(a3) == nil || c.Peek(a2) != nil {
@@ -102,15 +102,14 @@ func TestCachePinBlocksEviction(t *testing.T) {
 	if !c.Pin(0x000) {
 		t.Fatal("pin failed")
 	}
-	_, ev := c.Insert(0x080)
-	if ev == nil || ev.Tag != 0x040 {
+	_, ev, ok := c.Insert(0x080)
+	if !ok || ev.Tag != 0x040 {
 		t.Fatalf("eviction should pick unpinned way, got %+v", ev)
 	}
 	if !c.Unpin(0x000) {
 		t.Fatal("unpin failed")
 	}
-	_, ev = c.Insert(0x0c0)
-	if ev == nil {
+	if _, _, ok := c.Insert(0x0c0); !ok {
 		t.Fatal("expected an eviction")
 	}
 }
@@ -134,16 +133,16 @@ func TestCacheVictimAllPinned(t *testing.T) {
 
 func TestCacheInvalidate(t *testing.T) {
 	c := NewSetAssoc[int]("t", 8, 2, 64)
-	e, _ := c.Insert(0x100)
+	e, _, _ := c.Insert(0x100)
 	e.Payload = 7
-	ev := c.Invalidate(0x100)
-	if ev == nil || ev.Payload != 7 {
+	ev, ok := c.Invalidate(0x100)
+	if !ok || ev.Payload != 7 {
 		t.Fatalf("invalidate returned %+v", ev)
 	}
 	if c.Peek(0x100) != nil {
 		t.Fatal("line still resident after invalidate")
 	}
-	if c.Invalidate(0x100) != nil {
+	if _, ok := c.Invalidate(0x100); ok {
 		t.Fatal("second invalidate should return nil")
 	}
 }
@@ -184,10 +183,10 @@ func TestCacheAgainstReferenceModel(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0: // insert if absent
 			if c.Peek(a) == nil {
-				e, ev := c.Insert(a)
+				e, ev, evicted := c.Insert(a)
 				e.Payload = uint64(i)
 				resident[a] = uint64(i)
-				if ev != nil {
+				if evicted {
 					if _, ok := resident[ev.Tag]; !ok {
 						t.Fatalf("evicted non-resident %v", ev.Tag)
 					}
@@ -204,9 +203,9 @@ func TestCacheAgainstReferenceModel(t *testing.T) {
 				t.Fatalf("payload mismatch for %v", a)
 			}
 		case 2: // invalidate
-			ev := c.Invalidate(a)
+			_, present := c.Invalidate(a)
 			_, ok := resident[a]
-			if ok != (ev != nil) {
+			if ok != present {
 				t.Fatalf("invalidate mismatch for %v", a)
 			}
 			delete(resident, a)

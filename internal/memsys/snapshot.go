@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -37,18 +38,19 @@ type AssocImage[S any] struct {
 // unexported state; S must be flat and encoder-friendly).
 func SaveAssoc[V, S any](c *SetAssoc[V], conv func(*V) S) AssocImage[S] {
 	img := AssocImage[S]{Clock: c.clock}
-	for i := range c.entries {
-		e := &c.entries[i]
-		if !e.Valid {
-			continue
+	for si, m := range c.occ {
+		// Ascending way order within ascending sets is ascending Index.
+		for ; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			e := &c.rows[si][w]
+			img.Entries = append(img.Entries, AssocEntry[S]{
+				Index:   si*c.ways + w,
+				Tag:     e.Tag,
+				LastUse: e.lastUse,
+				Pinned:  c.pins[si]&(1<<uint(w)) != 0,
+				Payload: conv(&e.Payload),
+			})
 		}
-		img.Entries = append(img.Entries, AssocEntry[S]{
-			Index:   i,
-			Tag:     e.Tag,
-			LastUse: e.lastUse,
-			Pinned:  e.pinned,
-			Payload: conv(&e.Payload),
-		})
 	}
 	return img
 }
@@ -56,28 +58,24 @@ func SaveAssoc[V, S any](c *SetAssoc[V], conv func(*V) S) AssocImage[S] {
 // LoadAssoc restores c to the exact state captured by SaveAssoc, replacing
 // all current contents. conv rebuilds each live payload from its serialized
 // form. The cache geometry must match the one the image was saved from.
+// Only the sets the image occupies get rows.
 func LoadAssoc[V, S any](c *SetAssoc[V], img AssocImage[S], conv func(S) V) error {
-	var zero Entry[V]
-	for i := range c.entries {
-		c.entries[i] = zero
-	}
-	for i := range c.occ {
-		c.occ[i], c.pins[i] = 0, 0
-	}
+	clear(c.rows)
+	clear(c.occ)
+	clear(c.pins)
 	c.clock = img.Clock
 	c.mruTags = [8]Addr{}
-	c.mruIdxs = [8]int32{-1, -1, -1, -1, -1, -1, -1, -1}
+	c.mruEnts = [8]*Entry[V]{}
 	for _, se := range img.Entries {
-		if se.Index < 0 || se.Index >= len(c.entries) {
+		if se.Index < 0 || se.Index >= c.Entries() {
 			return fmt.Errorf("memsys: %s: restore entry index %d out of range (cache has %d entries — geometry mismatch?)",
-				c.name, se.Index, len(c.entries))
+				c.name, se.Index, c.Entries())
 		}
-		e := &c.entries[se.Index]
-		if e.Valid {
+		si, w := se.Index/c.ways, se.Index%c.ways
+		if c.occ[si]&(1<<uint(w)) != 0 {
 			return fmt.Errorf("memsys: %s: duplicate restore entry at index %d", c.name, se.Index)
 		}
-		*e = Entry[V]{Valid: true, Tag: se.Tag, Payload: conv(se.Payload), lastUse: se.LastUse, pinned: se.Pinned}
-		si, w := se.Index/c.ways, se.Index%c.ways
+		c.row(si)[w] = Entry[V]{Valid: true, Tag: se.Tag, Payload: conv(se.Payload), lastUse: se.LastUse}
 		c.occ[si] |= 1 << uint(w)
 		if se.Pinned {
 			c.pins[si] |= 1 << uint(w)

@@ -310,11 +310,17 @@ func (n *Network) Recv(dst NodeID) *Msg {
 // Peek returns the next deliverable message for dst without removing it, or
 // nil if none is ready this cycle.
 func (n *Network) Peek(dst NodeID) *Msg {
-	q := &n.inboxes[dst]
-	if q.n == 0 || q.front().readyAt > n.now {
+	if !n.Deliverable(dst) {
 		return nil
 	}
-	return q.front().msg
+	return n.inboxes[dst].front().msg
+}
+
+// Deliverable reports whether dst has a message Recv would return at the
+// current cycle: its inbox is nonempty and the front is ready.
+func (n *Network) Deliverable(dst NodeID) bool {
+	q := &n.inboxes[dst]
+	return q.n > 0 && q.front().readyAt <= n.now
 }
 
 // Pending returns the total number of in-flight messages (delivered or not).

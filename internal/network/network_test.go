@@ -68,6 +68,33 @@ func TestPeekDoesNotConsume(t *testing.T) {
 	}
 }
 
+// TestDeliverablePerDestination checks that Deliverable answers for one
+// inbox: true exactly when Recv on that node would return a message, while
+// NextArrival reports the earliest arrival at any node.
+func TestDeliverablePerDestination(t *testing.T) {
+	n, _ := newNet(3, 4)
+	n.SetCycle(0)
+	n.Send(&Msg{Op: OpInv, Src: 0, Dst: 1})
+	n.SetCycle(2)
+	n.Send(&Msg{Op: OpInv, Src: 0, Dst: 2})
+	for c := uint64(2); c <= 7; c++ {
+		n.SetCycle(c)
+		for dst := NodeID(0); dst < 3; dst++ {
+			if got, want := n.Deliverable(dst), n.Peek(dst) != nil; got != want {
+				t.Fatalf("cycle %d node %d: Deliverable=%v, Peek says %v", c, dst, got, want)
+			}
+		}
+	}
+	n.SetCycle(4)
+	if n.NextArrival() > 4 || !n.Deliverable(1) || n.Deliverable(2) || n.Deliverable(0) {
+		t.Fatal("at cycle 4 only node 1's message is deliverable")
+	}
+	n.Recv(1)
+	if n.Deliverable(1) {
+		t.Fatal("drained inbox still reports a deliverable message")
+	}
+}
+
 func TestControlOvertakesData(t *testing.T) {
 	// A 72-byte data message sent first is overtaken by an 8-byte control
 	// message sent one cycle later: this models separate virtual networks and

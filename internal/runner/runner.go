@@ -237,8 +237,9 @@ func (e *Engine) run(ent *entry, fn Task) {
 		ent.val, ent.attempts = sr.val, sr.attempts
 	}
 	ent.dur = time.Since(start)
-	close(ent.done)
 
+	// Count the cell before publishing it, so a Report taken once a handle
+	// resolves already includes that cell.
 	e.mu.Lock()
 	e.executed++
 	e.taskTime += ent.dur
@@ -252,6 +253,7 @@ func (e *Engine) run(ent *entry, fn Task) {
 		e.metrics.MergeMap(ms.MetricSummary())
 	}
 	e.mu.Unlock()
+	close(ent.done)
 
 	e.cbMu.Lock()
 	if e.onCell != nil {

@@ -89,22 +89,23 @@ func (sh *shard) nextLocal() uint64 {
 // its L1's clock (and a retry can only clear after L1 state changes), while
 // an L1 completion can unblock its core the same cycle — so either being due
 // ticks both; the L1's cache is refreshed after its core ticks, since the
-// core's Submit schedules into the L1. And delivered network arrivals are
-// consumed inside L1/Dir ticks, so any due arrival runs every L1 and
-// directory. Arrivals are read once, before any tick, which is why a
-// zero-latency network (a send delivered within its own cycle) needs the
-// naive full tick instead.
+// core's Submit schedules into the L1. And a component consumes only its
+// own inbox, so one with a deliverable message is due too: once any arrival
+// is due this cycle, each L1 and directory asks the network about its own
+// inbox. A send made within the cycle is never deliverable in it (the
+// latency is at least one cycle), which is why a zero-latency network needs
+// the naive full tick instead.
 func (sh *shard) step(c uint64) {
 	sh.net.SetCycle(c)
 	arrivals := sh.net.NextArrival() <= c
 	for i, d := range sh.dirs {
-		if arrivals || sh.dirNext[i] <= c {
+		if sh.dirNext[i] <= c || arrivals && sh.net.Deliverable(d.Node()) {
 			d.Tick(c)
 			sh.dirNext[i] = d.NextEvent(c)
 		}
 	}
 	for i, l := range sh.l1s {
-		sh.l1Act[i] = arrivals || sh.l1Next[i] <= c || sh.coreNext[i] <= c
+		sh.l1Act[i] = sh.l1Next[i] <= c || sh.coreNext[i] <= c || arrivals && sh.net.Deliverable(l.Node())
 		if sh.l1Act[i] {
 			l.Tick(c)
 		}
