@@ -90,7 +90,7 @@ func TestGoldenTablesSerialVsParallel(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/figures-scale0.25.csv from the current simulator")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from the current simulator")
 
 // goldenFigures pins every Experiments table at this scale.
 const goldenFigures = "testdata/figures-scale0.25.csv"
