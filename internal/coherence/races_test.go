@@ -294,6 +294,43 @@ func TestRaceDeferredRecallDuringGrant(t *testing.T) {
 	}
 }
 
+func TestRaceRecallDuringGrantedUpgrade(t *testing.T) {
+	// An owner recall (ToOwner Inv) reaches our S line after the directory
+	// acked our upgrade but before a peer's InvAck arrived: the directory
+	// already counts us as the owner, so the recall must wait for the
+	// upgrade to complete and be answered with the modified line.
+	pp := newPuppet(t, Baseline)
+	const a = memsys.Addr(0x58000)
+
+	done := pp.submitLoad(a)
+	pp.expect(pp.dir, network.OpGetS)
+	pp.inject(&network.Msg{Op: network.OpData, Addr: a, Data: blockData()})
+	pp.step(50)
+	if !*done {
+		t.Fatal("load never completed")
+	}
+
+	wdone := pp.submitStore(a, 9)
+	pp.expect(pp.dir, network.OpUpgrade)
+	pp.inject(&network.Msg{Op: network.OpUpgradeAck, Addr: a, AckCount: 1})
+	// The recall overtakes the peer's InvAck.
+	pp.inject(&network.Msg{Op: network.OpInv, Addr: a, Requestor: pp.dir, ToOwner: true})
+	if pp.l1.StateOf(a) != L1Shared {
+		t.Fatalf("state after the early recall = %v, want S", pp.l1.StateOf(a))
+	}
+	pp.net.Send(&network.Msg{Op: network.OpInvAck, Addr: a, Src: pp.peer, Dst: pp.p.L1Node(0)})
+	wb := pp.expect(pp.dir, network.OpWB)
+	if !*wdone {
+		t.Fatal("store never committed")
+	}
+	if wb.Data[0] != 9 || !wb.Dirty {
+		t.Fatalf("recalled line wrong: data[0]=%d dirty=%v", wb.Data[0], wb.Dirty)
+	}
+	if pp.l1.StateOf(a) != L1Invalid {
+		t.Fatal("line must be gone after the recall")
+	}
+}
+
 func TestRaceInvalidationDuringPendingFill(t *testing.T) {
 	// An Inv overtakes a (slow, data-class) S grant: the fill is used once
 	// for the pending load and not cached.
