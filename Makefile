@@ -77,15 +77,14 @@ race:
 equiv:
 	$(GO) test -run 'TestEngine' -count=1 .
 
-# The steady-state network round trip, the skip engine's stepping loop, the
-# functional warmer and the disabled forensics recorder must not allocate;
-# the benchmark's allocs/op and the tests below gate it. Building a machine
+# The steady-state network round trip, the skip engine's stepping loop and the
+# functional warmer must not allocate; the benchmark's allocs/op and the
+# tests below gate it. Building a machine
 # must stay under 1 MB (cache sets are built on first use), and steady
 # coherence misses must recycle their MSHRs and directory transactions.
 allocsmoke:
 	$(GO) test -run 'TestSendRecvDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
 	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestWarmingAccessDoesNotAllocate|TestNewMachineAllocates|TestPingPongMissesDoNotAllocate' -count=1 ./internal/sim/
-	$(GO) test -run 'TestForensicsDisabledDoesNotAllocate' -count=1 ./internal/forensics/
 
 # Sampled-vs-full tolerance gate plus cross-worker determinism of the sampled
 # estimates. EXPERIMENTS.md §"Sampled simulation".

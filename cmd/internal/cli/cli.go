@@ -62,7 +62,7 @@ func Register(groups Group) *Flags {
 	if groups&Trace != 0 {
 		flag.StringVar(&f.Trace, "trace", "", "write the traced run's Chrome trace-event JSON to this file (open in Perfetto)")
 		flag.StringVar(&f.Metrics, "metrics", "", "write the traced run's interval metrics CSV to this file")
-		flag.StringVar(&f.Filter, "trace-filter", "", "restrict traced events: addr=0x...,core=N,class=net|l1|dir|detect|prv|commit|oracle")
+		flag.StringVar(&f.Filter, "trace-filter", "", "restrict traced events: addr=0x...,core=N,class=net|l1|dir|detect|prv|commit|oracle|miss")
 	}
 	if groups&Checkpoint != 0 {
 		flag.StringVar(&f.CheckpointEvery, "checkpoint-every", "", "checkpoint cadence in committed L1D accesses (e.g. 1m, 500k; default 1m when checkpointing)")

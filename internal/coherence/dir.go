@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"fscoherence/internal/forensics"
 	"fscoherence/internal/memsys"
 	"fscoherence/internal/network"
 	"fscoherence/internal/obs"
@@ -126,12 +125,10 @@ type Dir struct {
 	// sized) LLC data array when the directory is sparse/non-inclusive.
 	dataDir *memsys.SetAssoc[struct{}]
 
-	// Observability attachments (nil when disabled; see SetObs and
-	// SetForensics).
+	// Observability attachments (nil when disabled; see SetObs).
 	trace          *obs.Tracer
 	episodeHist    *obs.Histogram
 	episodeInvHist *obs.Histogram
-	forensics      *forensics.Recorder
 
 	// peekForced, when the policy implements ForcedTerminationPeeker, reports
 	// how many forced terminations the policy has queued without draining
@@ -286,7 +283,6 @@ func (d *Dir) send(m *network.Msg) {
 	pm := d.net.NewMsg()
 	*pm = *m
 	pm.Src = d.node
-	d.noteInvalidation(pm)
 	d.net.Send(pm)
 }
 
@@ -294,28 +290,7 @@ func (d *Dir) sendAfter(m *network.Msg, extra uint64) {
 	pm := d.net.NewMsg()
 	*pm = *m
 	pm.Src = d.node
-	d.noteInvalidation(pm)
 	d.net.SendAfter(pm, extra)
-}
-
-// noteInvalidation feeds the forensics recorder every message that costs a
-// core its copy or exclusivity of a line — plain and PRV invalidations plus
-// forwarded-exclusive interventions — attributing it to the target core.
-// The before/after-privatization split of these counts is the recorder's
-// repair-efficacy signal.
-func (d *Dir) noteInvalidation(m *network.Msg) {
-	f := d.forensics
-	if f == nil {
-		return
-	}
-	switch m.Op {
-	case network.OpInv, network.OpInvPrv, network.OpFwdGetX:
-		core := -1
-		if int(m.Dst) < d.params.Cores {
-			core = int(m.Dst)
-		}
-		f.OnInvalidation(m.Addr, core, d.now)
-	}
 }
 
 // pinLine/unpinLine protect a block's directory entry (and its data slot in

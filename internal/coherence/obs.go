@@ -1,7 +1,6 @@
 package coherence
 
 import (
-	"fscoherence/internal/forensics"
 	"fscoherence/internal/memsys"
 	"fscoherence/internal/obs"
 	"fscoherence/internal/stats"
@@ -45,14 +44,6 @@ func (l *L1) SetObs(o *obs.Obs) {
 // uses this to attach commit tracing lazily).
 func (l *L1) SetObserver(ob Observer) { l.obs = ob }
 
-// SetForensics attaches the per-line flight recorder to this L1 (nil
-// disables; the default). Must be called before the first Tick.
-func (l *L1) SetForensics(f *forensics.Recorder) { l.forensics = f }
-
-// SetForensics attaches the per-line flight recorder to this directory
-// slice (nil disables; the default). Must be called before the first Tick.
-func (d *Dir) SetForensics(f *forensics.Recorder) { d.forensics = f }
-
 // traceState records an L1 line state transition.
 func (l *L1) traceState(blk memsys.Addr, from, to L1State) {
 	if t := l.trace; t != nil && from != to {
@@ -60,6 +51,15 @@ func (l *L1) traceState(blk memsys.Addr, from, to L1State) {
 			Cycle: l.now, Kind: obs.KindL1State, Core: int16(l.core), Slice: -1,
 			Addr: blk, Name: l1TransName[from][to],
 		})
+	}
+}
+
+// noteMiss records a demand miss completing now that began at start: its
+// latency feeds the miss histogram and a KindMiss event.
+func (l *L1) noteMiss(blk memsys.Addr, start uint64) {
+	l.missHist.Observe(l.now - start)
+	if t := l.trace; t != nil {
+		t.Emit(obs.Event{Cycle: l.now, Kind: obs.KindMiss, Core: int16(l.core), Slice: -1, Addr: blk, Arg: l.now - start})
 	}
 }
 
@@ -83,18 +83,12 @@ func (d *Dir) tracePrvBegin(blk memsys.Addr, core int) {
 	if t := d.trace; t != nil {
 		t.Emit(obs.Event{Cycle: d.now, Kind: obs.KindPrvBegin, Core: -1, Slice: int16(d.slice), Addr: blk, Arg: uint64(core)})
 	}
-	if f := d.forensics; f != nil {
-		f.OnDecision(blk, forensics.DecPrvBegin, core, "", 0, d.now)
-	}
 }
 
 // tracePrvAbort records an aborted privatization initiation.
 func (d *Dir) tracePrvAbort(blk memsys.Addr) {
 	if t := d.trace; t != nil {
 		t.Emit(obs.Event{Cycle: d.now, Kind: obs.KindPrvAbort, Core: -1, Slice: int16(d.slice), Addr: blk})
-	}
-	if f := d.forensics; f != nil {
-		f.OnDecision(blk, forensics.DecPrvAbort, -1, "", 0, d.now)
 	}
 }
 
@@ -103,9 +97,6 @@ func (d *Dir) tracePrvMerge(blk memsys.Addr, core int) {
 	d.stats.IncID(stats.IDFSPrvMerges)
 	if t := d.trace; t != nil {
 		t.Emit(obs.Event{Cycle: d.now, Kind: obs.KindPrvMerge, Core: int16(core), Slice: int16(d.slice), Addr: blk})
-	}
-	if f := d.forensics; f != nil {
-		f.OnDecision(blk, forensics.DecPrvMerge, core, "", 0, d.now)
 	}
 }
 
@@ -121,9 +112,6 @@ func (d *Dir) tracePrvTerminate(e *memsys.Entry[dirLine], reason string, invals 
 			Addr: e.Tag, Name: reason, Arg: length, Arg2: uint64(invals),
 		})
 	}
-	if f := d.forensics; f != nil {
-		f.OnDecision(e.Tag, forensics.DecPrvTerminate, -1, reason, length, d.now)
-	}
 }
 
 // FinalizeObs closes observability for episodes still open when the run
@@ -132,7 +120,7 @@ func (d *Dir) tracePrvTerminate(e *memsys.Entry[dirLine], reason string, invals 
 // begin/terminate pair per episode and episode-length statistics include
 // episodes that outlive the workload.
 func (d *Dir) FinalizeObs(now uint64) {
-	if d.trace == nil && d.episodeHist == nil && d.forensics == nil {
+	if d.trace == nil && d.episodeHist == nil {
 		return
 	}
 	d.now = now

@@ -202,8 +202,9 @@ func (w *Warmer) Access(core int, kind AccessKind, a memsys.Addr, size int, stor
 }
 
 // commit mirrors the detailed commitNow: architectural effect, private
-// metadata update, commit counter. The observer and forensics hooks are
-// absent by construction (sampling rejects them).
+// metadata update, commit counter. No commit observer or event tracer is
+// attached by construction (sampling rejects them, and with the tracer the
+// flight recorder that reads its events).
 func (w *Warmer) commit(l1 *L1, e *memsys.Entry[l1Line], kind AccessKind, blk memsys.Addr, off, size int, store uint64, rmw func(uint64) uint64) uint64 {
 	if kind == AccessPrefetch {
 		return 0

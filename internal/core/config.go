@@ -17,7 +17,6 @@ import (
 	"math/bits"
 
 	"fscoherence/internal/coherence"
-	"fscoherence/internal/forensics"
 	"fscoherence/internal/memsys"
 	"fscoherence/internal/obs"
 )
@@ -72,10 +71,6 @@ type Config struct {
 	// Trace, when non-nil, receives a KindDetect / KindContended event for
 	// every detector classification (the unified observability layer).
 	Trace *obs.Tracer
-
-	// Forensics, when non-nil, receives every detector classification as a
-	// per-line timeline decision (the flight recorder).
-	Forensics *forensics.Recorder
 }
 
 // DefaultConfig returns the Table II FSDetect/FSLite configuration.

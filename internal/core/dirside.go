@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"fscoherence/internal/coherence"
-	"fscoherence/internal/forensics"
 	"fscoherence/internal/memsys"
 	"fscoherence/internal/obs"
 	"fscoherence/internal/stats"
@@ -174,9 +173,6 @@ func (d *DirSide) recordDetection(addr memsys.Addr) {
 			Addr: blk, Arg: uint64(det.Episodes),
 		})
 	}
-	if f := d.cfg.Forensics; f != nil {
-		f.OnDecision(blk, forensics.DecDetect, -1, "", uint64(det.Episodes), d.cfg.now())
-	}
 }
 
 // snapshotCores unions the SAM entry's current writers/readers into the
@@ -237,9 +233,6 @@ func (d *DirSide) recordContended(addr memsys.Addr) {
 			Cycle: d.cfg.now(), Kind: obs.KindContended, Core: -1, Slice: int16(d.slice),
 			Addr: blk, Arg: uint64(det.Episodes),
 		})
-	}
-	if f := d.cfg.Forensics; f != nil {
-		f.OnDecision(blk, forensics.DecContended, -1, "", uint64(det.Episodes), d.cfg.now())
 	}
 }
 

@@ -146,6 +146,9 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			te.Cat = "commit"
 			te.Args["value"] = fmt.Sprintf("0x%x", e.Arg)
 			te.Args["size"] = e.Arg2
+		case KindMiss:
+			te.Cat = "miss"
+			te.Args["latency"] = e.Arg
 		case KindDetect, KindContended:
 			te.Cat = "detect"
 			te.Args["episodes"] = e.Arg

@@ -59,13 +59,21 @@ const (
 	KindPrvMerge
 
 	// KindCommit marks a memory operation committing on a core. Name is
-	// the operation ("load"/"store"/"rmw"...), Arg holds up to 8 data
-	// bytes little-endian, Arg2 the access size in bytes.
+	// the operation ("load", "store", "reduce" or "rmw"), Arg holds up to
+	// 8 data bytes little-endian (the value loaded, stored or added; an
+	// atomic read-modify-write commits once, carrying the value it wrote),
+	// Arg2 the access size in bytes.
 	KindCommit
 
 	// KindOracle marks a verification failure (golden-memory oracle or
 	// SWMR invariant scan).
 	KindOracle
+
+	// KindMiss marks a core's demand miss completing: Addr is the block,
+	// Arg the miss latency in cycles. The zero Kinds mask leaves it out —
+	// the messages and state changes of a miss are already traced — so a
+	// filter records it only when asked (class=miss); a tap sees it always.
+	KindMiss
 
 	numKinds
 )
@@ -83,6 +91,7 @@ var kindNames = [numKinds]string{
 	KindPrvMerge:     "prv.merge",
 	KindCommit:       "commit",
 	KindOracle:       "oracle",
+	KindMiss:         "l1.miss",
 }
 
 // String returns the canonical dotted name for the kind ("net.send", ...).
@@ -94,7 +103,7 @@ func (k Kind) String() string {
 }
 
 // KindMask selects a set of event kinds; bit i selects Kind(i).
-// The zero mask means "all kinds".
+// The zero mask means every kind but KindMiss.
 type KindMask uint32
 
 // Mask returns the mask selecting exactly the given kinds.
@@ -106,9 +115,13 @@ func Mask(kinds ...Kind) KindMask {
 	return m
 }
 
-// Has reports whether the mask selects k. The zero mask selects everything.
+// Has reports whether the mask selects k. The zero mask selects every kind
+// but KindMiss.
 func (m KindMask) Has(k Kind) bool {
-	return m == 0 || m&(1<<k) != 0
+	if m == 0 {
+		return k != KindMiss
+	}
+	return m&(1<<k) != 0
 }
 
 // Event is one traced occurrence. Events are small value types; recording
@@ -157,6 +170,8 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, " core%-2d %-5s %s = 0x%0*x", e.Core, e.Name, e.Addr, int(e.Arg2)*2, e.Arg)
 	case KindL1State:
 		fmt.Fprintf(&b, " core%-2d %s %s", e.Core, e.Name, e.Addr)
+	case KindMiss:
+		fmt.Fprintf(&b, " core%-2d %s lat=%d", e.Core, e.Addr, e.Arg)
 	case KindDirState:
 		fmt.Fprintf(&b, " slice%-2d %s %s", e.Slice, e.Name, e.Addr)
 	case KindPrvBegin:
@@ -194,7 +209,7 @@ type Filter struct {
 	HasAddr   bool
 	BlockMask uint64
 
-	// Kinds selects event classes; the zero mask keeps all.
+	// Kinds selects event classes; the zero mask keeps all but KindMiss.
 	Kinds KindMask
 }
 
@@ -232,6 +247,7 @@ var classMasks = map[string]KindMask{
 	"prv":    Mask(KindPrvBegin, KindPrvAbort, KindPrvTerminate, KindPrvMerge),
 	"commit": Mask(KindCommit),
 	"oracle": Mask(KindOracle),
+	"miss":   Mask(KindMiss),
 }
 
 // ParseFilter parses a command-line filter spec of comma-separated key=value
@@ -271,7 +287,7 @@ func ParseFilter(spec string, blockSize int) (Filter, error) {
 			for _, cls := range strings.Split(val, "|") {
 				cm, ok := classMasks[cls]
 				if !ok {
-					return f, fmt.Errorf("obs: filter class %q (known: net l1 dir state detect prv commit oracle)", cls)
+					return f, fmt.Errorf("obs: filter class %q (known: net l1 dir state detect prv commit oracle miss)", cls)
 				}
 				m |= cm
 			}

@@ -91,11 +91,36 @@ func TestFilterMatch(t *testing.T) {
 			Event{Kind: KindNetRecv}, true},
 		{"kind miss", Filter{Kinds: Mask(KindNetSend)},
 			Event{Kind: KindCommit}, false},
+		{"zero leaves out misses", Filter{}, Event{Kind: KindMiss}, false},
+		{"misses on request", Filter{Kinds: Mask(KindMiss)}, Event{Kind: KindMiss}, true},
 	}
 	for _, c := range cases {
 		if got := c.f.Match(c.e); got != c.want {
 			t.Errorf("%s: Match = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestTapSeesEveryEvent: the tap receives every offered event, before the
+// filter and with no ring, in order; sinks see only what the filter keeps.
+func TestTapSeesEveryEvent(t *testing.T) {
+	tr := NewTracer(Config{TraceCapacity: -1, Filter: Filter{Kinds: Mask(KindDetect)}})
+	var tapped, sunk []Kind
+	tr.SetTap(func(e Event) { tapped = append(tapped, e.Kind) })
+	tr.AddSink(func(e Event) { sunk = append(sunk, e.Kind) })
+	for _, k := range []Kind{KindCommit, KindDetect, KindMiss} {
+		tr.Emit(Event{Kind: k})
+	}
+	if len(tapped) != 3 || tapped[0] != KindCommit || tapped[1] != KindDetect || tapped[2] != KindMiss {
+		t.Fatalf("tap saw %v", tapped)
+	}
+	if len(sunk) != 1 || sunk[0] != KindDetect || tr.Total() != 1 || len(tr.Events()) != 0 {
+		t.Fatalf("sink saw %v, total %d, ring %d", sunk, tr.Total(), len(tr.Events()))
+	}
+	tr.SetTap(nil)
+	tr.Emit(Event{Kind: KindCommit})
+	if len(tapped) != 3 {
+		t.Fatal("a removed tap still receives events")
 	}
 }
 
@@ -224,5 +249,9 @@ func TestEventString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
+	}
+	m := Event{Cycle: 9, Kind: KindMiss, Core: 2, Slice: -1, Addr: memsys.Addr(0x40), Arg: 41}
+	if got, want := m.String(), "C0000009 l1.miss       core2  0x40 lat=41"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

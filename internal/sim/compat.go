@@ -33,15 +33,14 @@ var (
 	sampling      = feature{"sampling", func(c Config) bool { return c.Sample.Enabled() }}
 	checkpointing = feature{"checkpointing", func(c Config) bool { return c.CheckpointEvery > 0 || c.CheckpointSink != nil }}
 
-	skipEngine  = requirement{"the skip engine", func(c Config) bool { return c.Engine == EngineSkip }}
-	inOrder     = requirement{"in-order cores (no OOO)", func(c Config) bool { return !c.OOO }}
-	twoLevel    = requirement{"a two-level hierarchy (no private L2)", func(c Config) bool { return c.Params.L2Entries == 0 }}
-	inclusive   = requirement{"an inclusive LLC", func(c Config) bool { return !c.Params.NonInclusiveLLC }}
-	noOracle    = requirement{"no load oracle (Verify)", func(c Config) bool { return !c.CheckOracle }}
-	noSWMR      = requirement{"no SWMR scanning (Verify)", func(c Config) bool { return !c.CheckSWMR }}
-	noFaults    = requirement{"no fault injection", func(c Config) bool { return c.Faults == nil }}
-	noObs       = requirement{"no observability attachment", func(c Config) bool { return c.Obs == nil }}
-	noForensics = requirement{"no forensics recorder", func(c Config) bool { return c.Forensics == nil }}
+	skipEngine = requirement{"the skip engine", func(c Config) bool { return c.Engine == EngineSkip }}
+	inOrder    = requirement{"in-order cores (no OOO)", func(c Config) bool { return !c.OOO }}
+	twoLevel   = requirement{"a two-level hierarchy (no private L2)", func(c Config) bool { return c.Params.L2Entries == 0 }}
+	inclusive  = requirement{"an inclusive LLC", func(c Config) bool { return !c.Params.NonInclusiveLLC }}
+	noOracle   = requirement{"no load oracle (Verify)", func(c Config) bool { return !c.CheckOracle }}
+	noSWMR     = requirement{"no SWMR scanning (Verify)", func(c Config) bool { return !c.CheckSWMR }}
+	noFaults   = requirement{"no fault injection", func(c Config) bool { return c.Faults == nil }}
+	noObs      = requirement{"no observability attachment", func(c Config) bool { return c.Obs == nil }}
 )
 
 // compatRules is the table itself, one row per (feature, requirement).
@@ -58,7 +57,6 @@ var compatRules = []struct {
 	{sampling, inclusive, false},
 	{sampling, noOracle, false},
 	{sampling, noObs, false},
-	{sampling, noForensics, false},
 
 	// A checkpoint serializes the architectural state of the in-order
 	// two-level inclusive machine only: no oracle, scan, fault clock, tracer
@@ -72,7 +70,6 @@ var compatRules = []struct {
 	{checkpointing, noSWMR, false},
 	{checkpointing, noFaults, false},
 	{checkpointing, noObs, false},
-	{checkpointing, noForensics, false},
 }
 
 // Check applies the compatibility table to cfg. It returns the engine the

@@ -325,7 +325,11 @@ func buildConfig(opt Options, every uint64) (sim.Config, []string, error) {
 	}
 	cfg.Params.Topology = kind
 	cfg.Obs = opt.Obs
-	cfg.Forensics = opt.Forensics
+	if opt.Forensics != nil && opt.Obs.GetTracer() == nil {
+		// The flight recorder reads the run's event stream: give the run a
+		// tracer that keeps no events, beside any metrics opt.Obs carries.
+		cfg.Obs = &obs.Obs{Tracer: obs.NewTracer(obs.Config{TraceCapacity: -1}), Metrics: opt.Obs.GetMetrics()}
+	}
 	if opt.Sample != "" {
 		if cfg.Sample, err = sample.ParseSpec(opt.Sample); err != nil {
 			return cfg, nil, err
