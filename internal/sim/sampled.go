@@ -132,7 +132,7 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 		if s.boundaryHook != nil {
 			s.boundaryHook(s.cycle)
 		}
-		if finished || sampling && s.seq.finished() {
+		if finished || sampling && s.finished() {
 			hold(false)
 			break
 		}
@@ -197,7 +197,7 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 			lastCkpt = st.GetID(stats.IDL1DAccesses)
 		}
 		hold(false)
-		if sampling && s.seq.finished() {
+		if sampling && s.finished() {
 			break
 		}
 	}
@@ -290,5 +290,5 @@ func (s *System) drained() bool {
 			return false
 		}
 	}
-	return s.net.Pending() == 0 && s.seq.idle()
+	return s.net.Pending() == 0 && s.idle()
 }

@@ -37,7 +37,8 @@ func allocThreads(n int) []cpu.ThreadFunc {
 // TestParallelEpochDoesNotAllocate checks that the skip engine's
 // steady-state stepping loop is allocation-free once message freelists and
 // inbox rings have warmed up. The skip subtest runs advance over fixed access
-// budgets: the one-shard stepping, the wake-up cache reset and the idle skip.
+// budgets: the due-component stepping, the wake-up cache reset and the idle
+// skip.
 // The name is kept from when the table also measured the removed parallel
 // engine's epoch loop. `make allocsmoke` runs this alongside the network
 // round-trip check.
