@@ -22,7 +22,8 @@
 #                  from its checkpoint and demand byte-identical final
 #                  counters across {skip, the parallel alias} x {flat, mesh};
 #                  corrupt / version-skewed / wrong-identity checkpoints must
-#                  degrade to cold runs; campaign journals must resume; plus a real
+#                  degrade to cold runs; campaign journals must resume,
+#                  rerunning a cell the watchdog timed out; plus a real
 #                  SIGKILL-mid-run smoke test under -race.
 #   make sweep   — regenerate the paper's tables (fsexp -all: the default
 #                  skip engine, cells run in parallel across NumCPU workers).
@@ -93,11 +94,12 @@ samplecheck:
 
 # Crash/resume byte-identity, corruption fallback, campaign-journal resume
 # (ckptcheck_test.go, journal_test.go, internal/checkpoint), then the
-# SIGKILL-a-real-process smoke test under the race detector.
+# SIGKILL-a-real-process smoke test, the watchdog-timeout rerun and memo
+# priming under the race detector.
 ckptcheck:
 	$(GO) test -run 'TestCheckpoint|TestCadence|TestCorrupt|TestMissingResume|TestWrongIdentity|TestWarmState|TestJournal|TestLoadJournal' -count=1 .
 	$(GO) test -count=1 ./internal/checkpoint/
-	$(GO) test -race -run 'TestKillResumeSmoke|TestSupervised|TestBackoffDeterministic|TestPrimeMemo' -count=1 . ./internal/runner/
+	$(GO) test -race -run 'TestKillResumeSmoke|TestWatchdog|TestPrimeMemo' -count=1 . ./internal/runner/
 
 # The fsbench goldens pin Fig 14a, Fig 15 and two uGRID cells exactly.
 benchsmoke:

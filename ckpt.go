@@ -100,14 +100,8 @@ type ckptIdentity struct {
 // checkpointIdentity computes the identity hash stored in (and demanded
 // from) every checkpoint envelope for this run.
 func checkpointIdentity(bench string, opt Options, every uint64) uint64 {
+	opt = opt.normalized()
 	opt.Engine = "skip" // all engines are byte-identical; checkpointed runs use skip
-	opt.Shards = 0
-	if opt.Topology == "flat" {
-		opt.Topology = "" // one identity for the two spellings of the default
-	}
-	if opt.Scale == 0 {
-		opt.Scale = 1
-	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%#v", ckptIdentity{Bench: bench, Opt: opt, Every: every, Version: checkpoint.Version})
 	return h.Sum64()
@@ -155,9 +149,7 @@ func RunControlled(bench string, opt Options, ctl RunControl) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Scale == 0 {
-		opt.Scale = 1
-	}
+	opt = opt.normalized()
 	if ctl.enabled() && ctl.CheckpointEvery == 0 {
 		ctl.CheckpointEvery = DefaultCheckpointEvery
 	}

@@ -20,15 +20,16 @@
 //	fsexp -engine naive   # cycle-stepped reference engine (byte-identical)
 //	fsexp -cpuprofile cpu.out -memprofile mem.out  # pprof the sweep
 //
-// Crash resilience: -journal records every completed cell to a JSONL
-// campaign journal; -resume primes them back so an interrupted sweep only
-// reruns unfinished work. -timeout/-retries/-backoff supervise each cell (a
-// hung or panicking configuration is retried, then recorded as failed
-// without killing the campaign), and -checkpoint-dir gives compatible cells
-// a warm-state cache to resume mid-run:
+// Crash resilience: -progress writes the campaign journal, one JSONL record
+// per executed cell (telemetry, plus the serialized result of a completed
+// cell); -resume primes the completed cells back so an interrupted sweep only
+// reruns unfinished work. When both name the same file the journal is
+// appended to, so it keeps serving later resumes. -timeout gives each cell a
+// wall-clock watchdog: a hung cell fails without stalling the campaign, and
+// the next resume reruns it. -checkpoint-dir gives compatible cells a
+// warm-state cache, so a rerun cell resumes mid-run:
 //
-//	fsexp -all -journal camp.jsonl -resume camp.jsonl -checkpoint-dir .ckpt \
-//	      -timeout 10m -retries 2 -backoff 2s
+//	fsexp -all -progress camp.jsonl -resume camp.jsonl -checkpoint-dir .ckpt -timeout 10m
 package main
 
 import (
@@ -41,6 +42,7 @@ import (
 
 	"fscoherence"
 	"fscoherence/cmd/internal/cli"
+	"fscoherence/internal/cpu"
 	"fscoherence/internal/profiling"
 	"fscoherence/internal/sim"
 	"fscoherence/internal/stats"
@@ -52,7 +54,7 @@ func main() {
 		exp      = flag.String("exp", "", "run a single experiment by ID (fig2, fig13, ...)")
 		jobs     = flag.Int("j", runtime.NumCPU(), "max concurrent simulations (1 = serial)")
 		verbose  = flag.Bool("v", false, "report each simulation cell's timing on stderr")
-		progress = flag.String("progress", "", "stream JSONL progress records (one per cell) to this file; - for stderr")
+		progress = flag.String("progress", "", "write the campaign journal, one JSONL record per executed cell, to this file; - for stderr")
 		markdown = flag.Bool("markdown", false, "emit markdown tables")
 		csv      = flag.Bool("csv", false, "emit CSV (artifact format)")
 		outDir   = flag.String("out", "", "also write one CSV per experiment into this directory")
@@ -61,11 +63,8 @@ func main() {
 		table3   = flag.Bool("benchmarks", false, "print the benchmark list (Table III)")
 		trBench  = flag.String("trace-bench", "LR", "benchmark for the instrumented cell of -trace/-metrics")
 		trProto  = flag.String("trace-protocol", "fslite", "protocol for the instrumented cell of -trace/-metrics")
-		journal  = flag.String("journal", "", "append one JSONL record per completed/failed cell to this campaign journal")
-		resume   = flag.String("resume", "", "prime completed cells from this campaign journal (usually the same file as -journal) so only unfinished work reruns")
-		timeout  = flag.Duration("timeout", 0, "per-attempt wall-clock watchdog for each cell (0 = none)")
-		retries  = flag.Int("retries", 0, "additional attempts after a cell fails, panics or times out")
-		backoff  = flag.Duration("backoff", 0, "base retry delay, doubled per attempt with deterministic jitter")
+		resume   = flag.String("resume", "", "prime completed cells from a prior campaign's -progress journal (usually the same file) so only unfinished work reruns")
+		timeout  = flag.Duration("timeout", 0, "wall-clock watchdog for each cell; a timed-out cell fails and reruns on -resume (0 = none)")
 		ckptDir  = flag.String("checkpoint-dir", "", "warm-state cache directory: compatible cells checkpoint into it and auto-resume after a crash")
 	)
 	fl := cli.Register(cli.Scale | cli.Machine | cli.Sample | cli.Trace | cli.Checkpoint)
@@ -115,9 +114,7 @@ func main() {
 		selected["fig2"], selected["fig14a"], selected["fig14b"], selected["fig15"] = true, true, true, true
 	}
 
-	if *timeout > 0 || *retries > 0 || *backoff > 0 {
-		eng.SetSupervision(*timeout, *retries, *backoff)
-	}
+	eng.SetTimeout(*timeout)
 	if *ckptDir != "" {
 		every, err := fl.CheckpointInterval()
 		if err != nil {
@@ -128,7 +125,7 @@ func main() {
 		}
 		eng.SetCheckpointDir(*ckptDir, every)
 	}
-	// Resume before attaching the journal: priming reads the prior campaign's
+	// Resume before opening the journal: priming reads the prior campaign's
 	// records, then new records append to the same file.
 	if *resume != "" {
 		primed, err := eng.ResumeJournal(*resume)
@@ -137,25 +134,21 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[resume: %d completed cell(s) primed from %s]\n", primed, *resume)
 	}
-	if *journal != "" {
-		j, err := fscoherence.OpenJournal(*journal)
+	switch *progress {
+	case "":
+	case "-":
+		eng.SetStream(os.Stderr)
+	default:
+		flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+		if *progress == *resume {
+			flags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
+		}
+		fh, err := os.OpenFile(*progress, flags, 0o644)
 		if err != nil {
 			fatal(err)
 		}
-		defer j.Close()
-		eng.SetJournal(j)
-	}
-	if *progress != "" {
-		w := os.Stderr
-		if *progress != "-" {
-			fh, err := os.Create(*progress)
-			if err != nil {
-				fatal(err)
-			}
-			defer fh.Close()
-			w = fh
-		}
-		eng.SetStream(w)
+		defer fh.Close()
+		eng.SetStream(fh)
 	}
 	if *verbose {
 		eng.SetProgress(func(bench string, opt fscoherence.Options, d time.Duration, err error) {
@@ -303,7 +296,7 @@ func printConfig() {
 	c := sim.DefaultConfig(fscoherence.FSLite)
 	p, fs := c.Params, c.Core
 	fmt.Println("Table II — simulated system configuration")
-	fmt.Printf("  cores            %d (in-order; %d-wide OOO for the -exp ooo study)\n", p.Cores, c.OOOWidth)
+	fmt.Printf("  cores            %d (in-order; %d-wide OOO for the -exp ooo study)\n", p.Cores, cpu.OOOWidth)
 	fmt.Printf("  L1D              %d KB per core, %d-way, %d B lines, %d-cycle data access\n", p.L1Entries*p.BlockSize/1024, p.L1Ways, p.BlockSize, p.L1HitCycles)
 	fmt.Printf("  LLC              %d slices, %d-way, inclusive, %d-cycle tag + %d-cycle data\n", p.Slices, p.LLCWays, p.LLCTagCycles, p.LLCDataCycles)
 	fmt.Printf("  interconnect     %d-cycle base latency, per-class virtual-channel FIFO\n", p.NetLatency)

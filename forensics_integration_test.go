@@ -144,8 +144,8 @@ func TestForensicsOffByDefault(t *testing.T) {
 }
 
 // TestForensicsFromEventStream: the flight recorder is a pure function of
-// the run's event stream. A fresh recorder fed the complete stream, as a
-// sink collected it, must equal the recorder that watched the run live; and
+// the run's event stream. A fresh recorder fed the complete stream, as an
+// unfiltered ring kept it, must equal the recorder that watched the run live; and
 // the record must not depend on what the run's own Obs attachment filters
 // or keeps.
 func TestForensicsFromEventStream(t *testing.T) {
@@ -167,13 +167,15 @@ func TestForensicsFromEventStream(t *testing.T) {
 			alone := record(nil)
 			want := renderRecord(alone)
 
-			all := obs.New(obs.Config{TraceCapacity: -1, Filter: obs.Filter{Kinds: ^obs.KindMask(0)}})
-			var stream []obs.Event
-			all.Tracer.AddSink(func(e obs.Event) { stream = append(stream, e) })
+			// An unfiltered ring sized for the run keeps its whole stream.
+			all := obs.New(obs.Config{TraceCapacity: 1 << 17, Filter: obs.Filter{Kinds: ^obs.KindMask(0)}})
 			live := record(all)
+			if n := all.Tracer.Dropped(); n != 0 {
+				t.Fatalf("the ring dropped %d events; size it for the run", n)
+			}
 			replay := forensics.New()
 			replay.Begin(live.BlockSize())
-			for _, e := range stream {
+			for _, e := range all.Tracer.Events() {
 				replay.Record(e)
 			}
 			if got := renderRecord(replay); got != want {

@@ -1012,23 +1012,8 @@ func (d *Dir) mergePrvCopy(dst, data, base []byte, src int, blk memsys.Addr) {
 		if (red>>uint(w))&0xff == 0 {
 			continue
 		}
-		delta := leWord(data[w:w+8]) - leWord(base[w:w+8])
-		putLEWord(dst[w:w+8], leWord(dst[w:w+8])+delta)
-	}
-}
-
-func leWord(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func putLEWord(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v)
-		v >>= 8
+		delta := leVal(data[w:w+8]) - leVal(base[w:w+8])
+		putLEVal(dst[w:w+8], leVal(dst[w:w+8])+delta)
 	}
 }
 

@@ -5,6 +5,14 @@ import (
 	"fscoherence/internal/stats"
 )
 
+// The §VIII-B out-of-order core: issue/commit width, reorder-buffer
+// capacity, and the number of outstanding L1 misses (MSHRs) it runs with.
+const (
+	OOOWidth = 8
+	ROBSize  = 192
+	OOOMSHRs = 8
+)
+
 // robEntry is one in-flight operation in the OOO core's reorder buffer.
 type robEntry struct {
 	op        Op

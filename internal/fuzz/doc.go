@@ -32,9 +32,9 @@
 //     in-flight messages plus per-component FSM states; a hard MaxCycles
 //     budget backstops it.
 //   - golden-memory oracle: every load must return the most recently
-//     committed bytes (sim.Config.CheckOracle), byte-granular.
+//     committed bytes (sim.Config.Verify), byte-granular.
 //   - SWMR: at most one E/M copy of any block, never alongside S/PRV copies
-//     (sim.Config.CheckSWMR).
+//     (sim.Config.Verify, every SWMRPeriod cycles).
 //   - data-value equivalence: the final value of every tracked word must
 //     equal a sequentially-consistent reference execution replayed from the
 //     Program (commutative shared updates and single-writer private stores

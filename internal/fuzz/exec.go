@@ -155,8 +155,7 @@ func config(p *Program, opt Options) (sim.Config, error) {
 	}
 	cfg := sim.DefaultConfig(mode)
 	cfg.Engine = sim.EngineNaive // the watchdog's cycle hook disables skipping anyway
-	cfg.CheckOracle = true
-	cfg.CheckSWMR = true
+	cfg.Verify = true
 	cfg.SWMRPeriod = 16
 	cfg.MaxCycles = opt.MaxCycles
 	if cfg.MaxCycles == 0 {

@@ -25,8 +25,7 @@ func runSampledProgram(t *testing.T, p *Program, spec sample.Spec) int {
 	// sampled engine requires the skip engine and does its own boundary-time
 	// checking instead.
 	cfg.Engine = sim.EngineSkip
-	cfg.CheckOracle = false
-	cfg.CheckSWMR = false
+	cfg.Verify = false
 	cfg.SWMRPeriod = 0
 	cfg.Sample = spec
 

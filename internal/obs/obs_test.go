@@ -38,7 +38,8 @@ func TestTracerRingAndTotal(t *testing.T) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{})
-	tr.AddSink(func(Event) {})
+	tr.SetTap(func(Event) { t.Fatal("a nil tracer's tap received an event") })
+	tr.Emit(Event{})
 	tr.Reset()
 	if tr.Events() != nil || tr.Total() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer should report empty state")
@@ -102,20 +103,27 @@ func TestFilterMatch(t *testing.T) {
 }
 
 // TestTapSeesEveryEvent: the tap receives every offered event, before the
-// filter and with no ring, in order; sinks see only what the filter keeps.
+// filter and with no ring, in order; the tracer records only what the filter
+// keeps.
 func TestTapSeesEveryEvent(t *testing.T) {
 	tr := NewTracer(Config{TraceCapacity: -1, Filter: Filter{Kinds: Mask(KindDetect)}})
-	var tapped, sunk []Kind
+	var tapped []Kind
 	tr.SetTap(func(e Event) { tapped = append(tapped, e.Kind) })
-	tr.AddSink(func(e Event) { sunk = append(sunk, e.Kind) })
 	for _, k := range []Kind{KindCommit, KindDetect, KindMiss} {
 		tr.Emit(Event{Kind: k})
 	}
 	if len(tapped) != 3 || tapped[0] != KindCommit || tapped[1] != KindDetect || tapped[2] != KindMiss {
 		t.Fatalf("tap saw %v", tapped)
 	}
-	if len(sunk) != 1 || sunk[0] != KindDetect || tr.Total() != 1 || len(tr.Events()) != 0 {
-		t.Fatalf("sink saw %v, total %d, ring %d", sunk, tr.Total(), len(tr.Events()))
+	if tr.Total() != 1 || len(tr.Events()) != 0 {
+		t.Fatalf("total %d, ring %d; want 1 recorded, none kept", tr.Total(), len(tr.Events()))
+	}
+	kept := NewTracer(Config{TraceCapacity: 4, Filter: Filter{Kinds: Mask(KindDetect)}})
+	for _, k := range []Kind{KindCommit, KindDetect, KindMiss} {
+		kept.Emit(Event{Kind: k})
+	}
+	if ev := kept.Events(); kept.Total() != 1 || len(ev) != 1 || ev[0].Kind != KindDetect {
+		t.Fatalf("ring kept %v (total %d), want the one detect event", ev, kept.Total())
 	}
 	tr.SetTap(nil)
 	tr.Emit(Event{Kind: KindCommit})

@@ -1,7 +1,7 @@
 package obs
 
-// Tracer records filtered events into a bounded ring buffer and fans them
-// out to registered sinks. A nil *Tracer is the disabled tracer: every
+// Tracer records filtered events into a bounded ring buffer, and hands every
+// event to its tap (see SetTap). A nil *Tracer is the disabled tracer: every
 // method is a no-op, and hot call sites additionally guard event
 // construction behind `if t := x.trace; t != nil { ... }` so the disabled
 // path costs one nil check.
@@ -14,7 +14,6 @@ type Tracer struct {
 	next   int    // ring write position
 	total  uint64 // events recorded (post-filter), including overwritten
 	filter Filter
-	sinks  []func(Event)
 	tap    func(Event)
 }
 
@@ -53,18 +52,6 @@ func (t *Tracer) Emit(e Event) {
 			t.next = 0
 		}
 	}
-	for _, fn := range t.sinks {
-		fn(e)
-	}
-}
-
-// AddSink registers fn to receive every recorded (post-filter) event as it
-// happens, independent of ring capacity. Safe on a nil receiver (no-op).
-func (t *Tracer) AddSink(fn func(Event)) {
-	if t == nil {
-		return
-	}
-	t.sinks = append(t.sinks, fn)
 }
 
 // SetTap installs fn to receive every event offered to the tracer, before
@@ -107,8 +94,7 @@ func (t *Tracer) Dropped() uint64 {
 	return t.total - uint64(len(t.buf))
 }
 
-// Reset discards all buffered events but keeps capacity, filter, sinks and
-// tap.
+// Reset discards all buffered events but keeps capacity, filter and tap.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return

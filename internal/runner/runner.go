@@ -23,7 +23,6 @@ package runner
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -44,15 +43,13 @@ type MetricSummarizer interface {
 	MetricSummary() map[string]uint64
 }
 
-// Cell describes one finished task, for progress reporting.
+// Cell describes one finished task, for progress reporting: its key, the
+// value the task returned, its execution time and its error.
 type Cell struct {
 	Key      any
+	Val      any
 	Duration time.Duration
 	Err      error
-
-	// Attempts is the number of supervised attempts the cell consumed
-	// (DoSupervised); 0 for unsupervised tasks.
-	Attempts int
 }
 
 // Report summarizes an engine's work so far.
@@ -65,7 +62,7 @@ type Report struct {
 	Errors    int
 
 	// Primed counts cells preloaded into the memo from a prior campaign's
-	// journal (Engine.Prime): submitted hits against them count as MemoHits.
+	// log (Engine.Prime): submitted hits against them count as MemoHits.
 	Primed int
 
 	// TaskTime is the summed wall-clock of executed tasks — with W workers
@@ -95,25 +92,19 @@ type Engine struct {
 
 	wg sync.WaitGroup
 
-	cbMu        sync.Mutex
-	onCell      func(Cell)
-	stream      io.Writer
-	streamStart time.Time
-	streamSeq   int
-	sup         Supervision
-	attemptHook func(key any, attempt int, err error, backoff time.Duration)
+	cbMu   sync.Mutex
+	onCell func(Cell)
 }
 
 // entry is one unique task. val, err and dur are written by exactly one
 // goroutine before done is closed; readers go through Handle.Wait, so the
 // channel close is the only synchronization needed.
 type entry struct {
-	key      any
-	done     chan struct{}
-	val      any
-	err      error
-	dur      time.Duration
-	attempts int
+	key  any
+	done chan struct{}
+	val  any
+	err  error
+	dur  time.Duration
 }
 
 // Handle is a future for a submitted task.
@@ -173,7 +164,7 @@ func Seed(key any) uint64 {
 // Prime preloads a finished result into the memo cache, as if the task for
 // key had already executed: later Do calls for the same key are served from
 // the memo without running. Campaign resume uses it to re-seed an engine
-// from a journal of completed cells. Returns false (and does nothing) if the
+// from a log of completed cells. Returns false (and does nothing) if the
 // key is already present.
 func (e *Engine) Prime(key any, val any) bool {
 	e.mu.Lock()
@@ -233,9 +224,6 @@ func (e *Engine) run(ent *entry, fn Task) {
 		}()
 		ent.val, ent.err = fn(Seed(ent.key))
 	}()
-	if sr, ok := ent.val.(*supervisedResult); ok {
-		ent.val, ent.attempts = sr.val, sr.attempts
-	}
 	ent.dur = time.Since(start)
 
 	// Count the cell before publishing it, so a Report taken once a handle
@@ -257,10 +245,7 @@ func (e *Engine) run(ent *entry, fn Task) {
 
 	e.cbMu.Lock()
 	if e.onCell != nil {
-		e.onCell(Cell{Key: ent.key, Duration: ent.dur, Err: ent.err, Attempts: ent.attempts})
-	}
-	if e.stream != nil {
-		e.emitStream(ent)
+		e.onCell(Cell{Key: ent.key, Val: ent.val, Duration: ent.dur, Err: ent.err})
 	}
 	e.cbMu.Unlock()
 }

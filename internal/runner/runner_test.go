@@ -162,3 +162,29 @@ func TestProgressCallbackFiresPerExecutedCell(t *testing.T) {
 		t.Fatalf("progress saw %d cells, want 5", len(seen))
 	}
 }
+
+// TestPrimeMemo: primed cells are served from the memo without executing, and
+// the report distinguishes them.
+func TestPrimeMemo(t *testing.T) {
+	e := New(2)
+	if !e.Prime("warm", "cached-value") {
+		t.Fatal("Prime returned false for a fresh key")
+	}
+	if e.Prime("warm", "other") {
+		t.Fatal("Prime must refuse an existing key")
+	}
+	ran := false
+	h := e.Do("warm", func(uint64) (any, error) { ran = true; return nil, nil })
+	v, err := h.Wait()
+	if err != nil || v != "cached-value" {
+		t.Fatalf("primed cell = (%v, %v), want (cached-value, nil)", v, err)
+	}
+	if ran {
+		t.Fatal("primed cell executed its task")
+	}
+	e.Wait()
+	rep := e.Report()
+	if rep.Primed != 1 || rep.MemoHits != 1 || rep.Executed != 0 {
+		t.Fatalf("report = %+v, want Primed=1 MemoHits=1 Executed=0", rep)
+	}
+}

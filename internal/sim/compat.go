@@ -37,8 +37,7 @@ var (
 	inOrder    = requirement{"in-order cores (no OOO)", func(c Config) bool { return !c.OOO }}
 	twoLevel   = requirement{"a two-level hierarchy (no private L2)", func(c Config) bool { return c.Params.L2Entries == 0 }}
 	inclusive  = requirement{"an inclusive LLC", func(c Config) bool { return !c.Params.NonInclusiveLLC }}
-	noOracle   = requirement{"no load oracle (Verify)", func(c Config) bool { return !c.CheckOracle }}
-	noSWMR     = requirement{"no SWMR scanning (Verify)", func(c Config) bool { return !c.CheckSWMR }}
+	noVerify   = requirement{"no load oracle or SWMR scanning (Verify)", func(c Config) bool { return !c.Verify }}
 	noFaults   = requirement{"no fault injection", func(c Config) bool { return c.Faults == nil }}
 	noObs      = requirement{"no observability attachment", func(c Config) bool { return c.Obs == nil }}
 )
@@ -55,7 +54,7 @@ var compatRules = []struct {
 	{sampling, inOrder, false},
 	{sampling, twoLevel, false},
 	{sampling, inclusive, false},
-	{sampling, noOracle, false},
+	{sampling, noVerify, false},
 	{sampling, noObs, false},
 
 	// A checkpoint serializes the architectural state of the in-order
@@ -66,8 +65,7 @@ var compatRules = []struct {
 	{checkpointing, inOrder, false},
 	{checkpointing, twoLevel, false},
 	{checkpointing, inclusive, false},
-	{checkpointing, noOracle, false},
-	{checkpointing, noSWMR, false},
+	{checkpointing, noVerify, false},
 	{checkpointing, noFaults, false},
 	{checkpointing, noObs, false},
 }

@@ -63,18 +63,15 @@ type Config struct {
 	// Cores/BlockSize/Mode are filled in from Params automatically.
 	Core core.Config
 
-	// OOO selects the out-of-order core model with the given width and ROB
-	// size; MSHRs sets the per-L1 miss concurrency (1 for in-order).
-	OOO      bool
-	OOOWidth int
-	ROBSize  int
-	MSHRs    int
+	// OOO selects the out-of-order core model (cpu.OOOWidth wide, a
+	// cpu.ROBSize-entry ROB) and gives each L1 cpu.OOOMSHRs miss slots; the
+	// in-order core has one.
+	OOO bool
 
-	// CheckOracle verifies every load against a byte-granular golden
-	// memory; CheckSWMR scans coherence states every SWMRPeriod cycles.
-	CheckOracle bool
-	CheckSWMR   bool
-	SWMRPeriod  uint64
+	// Verify checks every load against a byte-granular golden memory and
+	// scans coherence states for SWMR every SWMRPeriod cycles.
+	Verify     bool
+	SWMRPeriod uint64
 
 	// MaxCycles aborts the run as deadlocked when exceeded (0 = 500M).
 	MaxCycles uint64
@@ -131,9 +128,6 @@ func DefaultConfig(mode coherence.Protocol) Config {
 		Params:     p,
 		Mode:       mode,
 		Core:       core.DefaultConfig(p.Cores, p.BlockSize, mode),
-		OOOWidth:   8,
-		ROBSize:    192,
-		MSHRs:      1,
 		SWMRPeriod: 64,
 	}
 }
@@ -329,7 +323,7 @@ func New(cfg Config, wl Workload) *System {
 		s.net.SetFaults(cfg.Faults)
 	}
 
-	if cfg.CheckOracle {
+	if cfg.Verify {
 		s.oracle = memsys.NewOracle(p.BlockSize)
 	}
 
@@ -352,13 +346,13 @@ func New(cfg Config, wl Workload) *System {
 			pol = pam
 		}
 		l1 := coherence.NewL1(i, p, cfg.Mode, s.net, pol, st, nil)
-		if cfg.MSHRs > 1 {
-			l1.SetMaxMSHRs(cfg.MSHRs)
+		if cfg.OOO {
+			l1.SetMaxMSHRs(cpu.OOOMSHRs)
 		}
 		l1.SetObs(cfg.Obs)
 		s.l1s = append(s.l1s, l1)
 	}
-	if cfg.CheckOracle || s.tracer != nil {
+	if cfg.Verify || s.tracer != nil {
 		s.ensureObserver()
 	}
 	for i := 0; i < p.Slices; i++ {
@@ -384,7 +378,7 @@ func New(cfg Config, wl Workload) *System {
 			fn = func(*cpu.Ctx) {}
 		}
 		if cfg.OOO {
-			s.cores = append(s.cores, cpu.NewOOO(i, s.l1s[i], fn, cfg.OOOWidth, cfg.ROBSize, st))
+			s.cores = append(s.cores, cpu.NewOOO(i, s.l1s[i], fn, cpu.OOOWidth, cpu.ROBSize, st))
 		} else {
 			s.cores = append(s.cores, cpu.NewInOrder(i, s.l1s[i], fn, st))
 		}
@@ -540,7 +534,7 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 		} else {
 			s.stepDue(s.cycle)
 		}
-		if s.cfg.CheckSWMR && s.cycle%s.cfg.SWMRPeriod == 0 {
+		if s.cfg.Verify && s.cycle%s.cfg.SWMRPeriod == 0 {
 			s.checkSWMR()
 		}
 		if m := s.metrics; m != nil && s.cycle%m.Interval == 0 {
@@ -642,7 +636,7 @@ func (s *System) lastIdle(maxCycles uint64) uint64 {
 	if wake != coherence.NoEvent && wake-1 < target {
 		target = wake - 1
 	}
-	if s.cfg.CheckSWMR {
+	if s.cfg.Verify {
 		target = min(target, now-now%s.cfg.SWMRPeriod+s.cfg.SWMRPeriod-1)
 	}
 	if m := s.metrics; m != nil {

@@ -14,8 +14,7 @@ import (
 // testConfig returns a verification-heavy configuration.
 func testConfig(mode coherence.Protocol) Config {
 	cfg := DefaultConfig(mode)
-	cfg.CheckOracle = true
-	cfg.CheckSWMR = true
+	cfg.Verify = true
 	cfg.SWMRPeriod = 16
 	cfg.MaxCycles = 50_000_000
 	return cfg

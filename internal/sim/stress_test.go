@@ -162,7 +162,6 @@ func TestOOOBasicCorrectness(t *testing.T) {
 	for _, mode := range []coherence.Protocol{coherence.Baseline, coherence.FSLite} {
 		cfg := testConfig(mode)
 		cfg.OOO = true
-		cfg.MSHRs = 8
 		var ths []cpu.ThreadFunc
 		for i := 0; i < threads; i++ {
 			ths = append(ths, stressThread(i, threads, ops, 77))
@@ -193,7 +192,6 @@ func TestOOOFasterThanInOrder(t *testing.T) {
 	inRes := mustRun(t, inCfg, wl())
 	oooCfg := testConfig(coherence.Baseline)
 	oooCfg.OOO = true
-	oooCfg.MSHRs = 8
 	oooRes := mustRun(t, oooCfg, wl())
 	if oooRes.Cycles*2 >= inRes.Cycles {
 		t.Fatalf("OOO %d cycles vs in-order %d: expected >2x speedup", oooRes.Cycles, inRes.Cycles)

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"sync"
 	"time"
 
 	"fscoherence/internal/energy"
@@ -14,44 +14,52 @@ import (
 	"fscoherence/internal/workload"
 )
 
-// Campaign journal: an append-only JSONL log of every cell a sweep
-// completed, retried or abandoned. An interrupted campaign (crash, SIGKILL,
-// power loss) restarts by loading the journal and priming the engine's memo
-// with the completed cells, so only unfinished work reruns — and a cell that
-// was checkpointing into the warm-state cache resumes mid-run on top of
-// that.
+// Campaign journal: the -progress log of a sweep, one JSONL record per
+// executed cell. Each record carries the cell, its seed, duration and error,
+// the sweep's done/pending/ETA telemetry and aggregated counters, and — for a
+// cell that completed and can be rebuilt from JSON — its serialized result.
+// A dashboard tails it; an interrupted campaign (crash, SIGKILL, power loss)
+// restarts by loading it and priming the engine's memo with the completed
+// cells, so only unfinished work reruns. A failed or timed-out cell has no
+// result and reruns; with a warm-state cache it resumes mid-run.
 //
-// The format is truncation-tolerant: records are written one per line with a
-// sync per record, and the loader skips a torn final line (the crash case)
-// instead of failing, so a journal written up to the instant of death is
-// always usable.
-
-// Journal statuses.
-const (
-	JournalOK      = "ok"      // cell completed; Result holds its outcome
-	JournalFail    = "fail"    // cell exhausted its retries
-	JournalAttempt = "attempt" // one failed attempt (the cell may yet succeed)
-)
+// The format is truncation-tolerant: each record is one write, synced when
+// the log is a file, and the loader skips a torn final line (the crash case)
+// instead of failing, so a log written up to the instant of death is always
+// usable.
 
 // JournalEntry is one journal record.
 type JournalEntry struct {
-	Status string  `json:"status"`
-	Bench  string  `json:"bench"`
-	Opt    Options `json:"opt"`
-	Seed   uint64  `json:"seed"`
+	// Seq numbers records from 1 in emission order within one campaign.
+	Seq   int     `json:"seq"`
+	Bench string  `json:"bench"`
+	Opt   Options `json:"opt"`
+	Seed  uint64  `json:"seed"`
+	// DurMS is the cell's execution time in milliseconds; Err is its error
+	// text, empty on success.
+	DurMS float64 `json:"dur_ms"`
+	Err   string  `json:"err,omitempty"`
 
-	// Attempt and Error describe a failed attempt ("attempt", "fail");
-	// BackoffMS is the backoff slept before the next attempt (0 when the
-	// cell is out of retries).
-	Attempt   int    `json:"attempt,omitempty"`
-	Error     string `json:"error,omitempty"`
-	BackoffMS int64  `json:"backoff_ms,omitempty"`
+	// Done counts finished cells (executed + memo hits); Pending is
+	// Total - Done, where Total counts all submissions so far. Errors
+	// counts failed cells.
+	Done    int `json:"done"`
+	Pending int `json:"pending"`
+	Total   int `json:"total"`
+	Errors  int `json:"errors"`
 
-	// Checkpoint names the cell's warm-state cache file, when the campaign
-	// checkpoints: a failed cell resumes from it on the next campaign.
-	Checkpoint string `json:"checkpoint,omitempty"`
+	// ElapsedMS is wall-clock since the journal was attached. EtaMS
+	// estimates time to drain the pending cells: pending x mean task time /
+	// workers. Zero when nothing is pending.
+	ElapsedMS int64 `json:"elapsed_ms"`
+	EtaMS     int64 `json:"eta_ms"`
 
-	// Result carries the completed cell's outcome ("ok" records only).
+	// Counters is the sweep-wide aggregation of every executed cell's
+	// MetricSummary so far.
+	Counters map[string]uint64 `json:"counters,omitempty"`
+
+	// Result carries a completed cell's outcome; nil for failed cells and
+	// for cells with attachments (journalEligible).
 	Result *ResultWire `json:"result,omitempty"`
 }
 
@@ -119,48 +127,6 @@ func (w *ResultWire) unwire() (*Result, error) {
 	return r, nil
 }
 
-// Journal is an append-only campaign journal. Safe for concurrent use (the
-// worker pool records cells as they finish).
-type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
-
-// OpenJournal opens (creating if needed) a journal for appending.
-func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return &Journal{f: f, path: path}, nil
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
-// record appends one entry (line-atomic: a single Write call per record,
-// synced so a crash immediately after still finds it on disk).
-func (j *Journal) record(e JournalEntry) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return // a non-serializable entry is dropped, never fatal mid-sweep
-	}
-	data = append(data, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(data); err == nil {
-		j.f.Sync()
-	}
-}
-
 // LoadJournal reads a journal, skipping blank and torn lines (a crash can
 // leave a partial final record; everything before it is intact because each
 // record is one synced write). A missing file is an empty campaign, not an
@@ -201,33 +167,52 @@ func journalEligible(opt Options) bool {
 	return opt.Obs == nil && opt.Forensics == nil
 }
 
-// SetJournal attaches a campaign journal: every executed cell is recorded as
-// it finishes ("ok" with its full result, or "fail"/"attempt" with the
-// error), so an interrupted sweep can resume with ResumeJournal.
-func (r *Runner) SetJournal(j *Journal) {
+// SetStream attaches the campaign journal (fsexp -progress): every executed
+// cell appends one JournalEntry to w as it finishes, so a dashboard can tail
+// it and an interrupted sweep can resume with ResumeJournal. Records are
+// written whole under the engine's callback lock, and synced when w is a
+// file. Pass nil to detach. Write errors are dropped: telemetry never fails
+// a sweep.
+func (r *Runner) SetStream(w io.Writer) {
 	r.mu.Lock()
-	r.journal = j
+	r.stream, r.streamStart, r.streamSeq = w, time.Now(), 0
 	r.mu.Unlock()
-	r.eng.SetAttemptHook(func(key any, attempt int, err error, backoff time.Duration) {
-		k, ok := key.(cellKey)
-		if !ok {
-			return
+}
+
+// journal appends the record of one executed cell. Called by the engine,
+// serialized, after the cell is counted in its Report.
+func (r *Runner) journal(w io.Writer, k cellKey, c runner.Cell) {
+	r.mu.Lock()
+	r.streamSeq++
+	e := JournalEntry{
+		Seq:       r.streamSeq,
+		Bench:     k.Bench,
+		Opt:       k.Opt,
+		Seed:      runner.Seed(k),
+		DurMS:     float64(c.Duration.Microseconds()) / 1e3,
+		ElapsedMS: time.Since(r.streamStart).Milliseconds(),
+	}
+	r.mu.Unlock()
+	if c.Err != nil {
+		e.Err = c.Err.Error()
+	} else if journalEligible(k.Opt) {
+		e.Result = wireResult(c.Val.(*Result))
+	}
+	rep := r.eng.Report()
+	e.Total, e.Done, e.Errors, e.Counters = rep.Submitted, rep.Executed+rep.MemoHits, rep.Errors, rep.Metrics
+	if e.Pending = e.Total - e.Done; e.Pending > 0 {
+		avg := rep.TaskTime / time.Duration(rep.Executed)
+		e.EtaMS = (avg * time.Duration(e.Pending) / time.Duration(r.Workers())).Milliseconds()
+	}
+	data, err := json.Marshal(e)
+	if err != nil {
+		return // a non-serializable record is dropped, never fatal mid-sweep
+	}
+	if _, err := w.Write(append(data, '\n')); err == nil {
+		if f, ok := w.(*os.File); ok {
+			f.Sync()
 		}
-		e := JournalEntry{
-			Status:     JournalAttempt,
-			Bench:      k.Bench,
-			Opt:        k.Opt,
-			Seed:       runner.Seed(k),
-			Attempt:    attempt,
-			Error:      err.Error(),
-			BackoffMS:  backoff.Milliseconds(),
-			Checkpoint: r.cellCheckpointFile(k.Bench, k.Opt),
-		}
-		if backoff == 0 {
-			e.Status = JournalFail
-		}
-		j.record(e)
-	})
+	}
 }
 
 // ResumeJournal loads a prior campaign's journal and primes the engine's
@@ -241,7 +226,7 @@ func (r *Runner) ResumeJournal(path string) (int, error) {
 	}
 	primed := 0
 	for _, e := range entries {
-		if e.Status != JournalOK || e.Result == nil {
+		if e.Err != "" || e.Result == nil {
 			continue
 		}
 		spec, err := workload.ByName(e.Bench)
@@ -252,13 +237,10 @@ func (r *Runner) ResumeJournal(path string) (int, error) {
 		if err != nil {
 			continue
 		}
-		opt := e.Opt
-		if opt.Scale == 0 {
-			opt.Scale = 1
-		}
+		opt := e.Opt.normalized()
 		_, _, gt := spec.BuildLabeled(opt.Variant, workload.Scale(opt.Scale), opt.Cores)
 		res.GroundTruth = gt
-		if r.eng.Prime(cellKey{Bench: e.Bench, Opt: e.Opt}, res) {
+		if r.eng.Prime(cellKey{Bench: e.Bench, Opt: opt}, res) {
 			primed++
 			if res.Sampled != nil {
 				r.mu.Lock()

@@ -1,18 +1,22 @@
 package fscoherence
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"fscoherence/internal/forensics"
+	"fscoherence/internal/sim"
 )
 
 // Campaign journal tests: a crashed sweep must resume from its journal with
 // completed cells primed (not rerun) and primed results indistinguishable
-// from fresh ones.
+// from fresh ones; failed cells must rerun.
 
 // journalPath returns a fresh journal location.
 func journalPath(t *testing.T) string {
@@ -20,21 +24,46 @@ func journalPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "campaign.jsonl")
 }
 
+// journalTo attaches a journal file at path to r and returns the file for the
+// test to close.
+func journalTo(t *testing.T, r *Runner, path string) *os.File {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetStream(f)
+	return f
+}
+
+// writeEntries writes entries to path as a journal would.
+func writeEntries(t *testing.T, path string, entries ...JournalEntry) {
+	t.Helper()
+	var b strings.Builder
+	for _, e := range entries {
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(data)
+		b.WriteByte('\n')
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJournalResumePrimesCompletedCells: run a small campaign with a journal,
 // then resume it in a fresh Runner — every cell is served from the journal
 // and the results match the originals byte for byte.
 func TestJournalResumePrimesCompletedCells(t *testing.T) {
 	path := journalPath(t)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := []Options{
 		{Protocol: Baseline, Scale: testScale},
 		{Protocol: FSDetect, Scale: testScale},
 	}
 	r1 := NewRunner(1)
-	r1.SetJournal(j)
+	f := journalTo(t, r1, path)
 	var ref []*Result
 	for _, opt := range opts {
 		res, err := r1.Run("RC", opt)
@@ -43,7 +72,7 @@ func TestJournalResumePrimesCompletedCells(t *testing.T) {
 		}
 		ref = append(ref, res)
 	}
-	if err := j.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,44 +107,28 @@ func TestJournalResumePrimesCompletedCells(t *testing.T) {
 	}
 }
 
-// TestJournalRecordsFailures: a cell that exhausts its retries leaves "fail"
-// (and per-attempt "attempt") records carrying the cell, seed and error, and
-// is NOT primed on resume — it reruns.
+// TestJournalRecordsFailures: a failed cell leaves a record carrying the
+// cell, its seed and the error but no result, and is NOT primed on resume —
+// it reruns.
 func TestJournalRecordsFailures(t *testing.T) {
 	path := journalPath(t)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := NewRunner(1)
-	r.SetJournal(j)
-	r.SetSupervision(0, 1, time.Microsecond)
+	f := journalTo(t, r, path)
 	if _, err := r.Run("NOPE", Options{}); err == nil {
 		t.Fatal("unknown benchmark should fail")
 	}
 	r.Wait()
-	j.Close()
+	f.Close()
 
 	entries, err := LoadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var attempts, fails int
-	for _, e := range entries {
-		switch e.Status {
-		case JournalAttempt:
-			attempts++
-		case JournalFail:
-			fails++
-			if e.Bench != "NOPE" || e.Seed == 0 || e.Error == "" {
-				t.Errorf("fail record incomplete: %+v", e)
-			}
-		case JournalOK:
-			t.Errorf("unexpected ok record for a failing campaign: %+v", e)
-		}
+	if len(entries) != 1 {
+		t.Fatalf("journal has %d records, want 1", len(entries))
 	}
-	if attempts != 1 || fails != 1 {
-		t.Fatalf("journal has %d attempt / %d fail records, want 1/1", attempts, fails)
+	if e := entries[0]; e.Bench != "NOPE" || e.Seed == 0 || e.Err == "" || e.Result != nil {
+		t.Errorf("failure record incomplete or carries a result: %+v", e)
 	}
 
 	r2 := NewRunner(1)
@@ -123,25 +136,68 @@ func TestJournalRecordsFailures(t *testing.T) {
 	if err != nil || primed != 0 {
 		t.Fatalf("failed cells must not prime: primed=%d err=%v", primed, err)
 	}
+	if _, err := r2.Run("NOPE", Options{}); err == nil {
+		t.Fatal("the rerun of a failed cell should fail again")
+	}
+	if rep := r2.Report(); rep.Executed != 1 {
+		t.Fatalf("resumed campaign executed %d cells, want the failed one rerun", rep.Executed)
+	}
+}
+
+// TestJournalTelemetry: every executed cell emits one record carrying the
+// sweep's progress (memo hits emit none); the last record of a drained sweep
+// reads nothing pending.
+func TestJournalTelemetry(t *testing.T) {
+	path := journalPath(t)
+	r := NewRunner(1)
+	f := journalTo(t, r, path)
+	opt := Options{Protocol: Baseline, Scale: testScale}
+	r.Run("RC", opt)
+	r.Run("RC", opt) // memo hit: no record
+	r.Run("NOPE", opt)
+	r.Wait()
+	f.Close()
+
+	recs, err := LoadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want 2 (memo hits must not emit)", len(recs))
+	}
+	for i, e := range recs {
+		if e.Seq != i+1 {
+			t.Errorf("record %d: seq=%d, want %d", i, e.Seq, i+1)
+		}
+		if e.Pending != e.Total-e.Done {
+			t.Errorf("record %d: pending=%d, total=%d, done=%d", i, e.Pending, e.Total, e.Done)
+		}
+	}
+	if first := recs[0]; first.Bench != "RC" || first.Counters["runs"] != 1 || first.Result == nil {
+		t.Errorf("first record = %+v, want RC with runs=1 and its result", first)
+	}
+	last := recs[1]
+	if last.Err == "" || last.Errors != 1 {
+		t.Errorf("error cell not reflected: err=%q errors=%d", last.Err, last.Errors)
+	}
+	if last.Done != 3 || last.Pending != 0 || last.EtaMS != 0 {
+		t.Errorf("final record done=%d pending=%d eta=%d, want 3/0/0", last.Done, last.Pending, last.EtaMS)
+	}
 }
 
 // TestJournalTruncationTolerant: a torn final line (the record being written
 // when the process died) is skipped; every complete record loads.
 func TestJournalTruncationTolerant(t *testing.T) {
 	path := journalPath(t)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.record(JournalEntry{Status: JournalOK, Bench: "RC", Seed: 7, Result: &ResultWire{Benchmark: "RC"}})
-	j.record(JournalEntry{Status: JournalFail, Bench: "HG", Seed: 9, Error: "boom"})
-	j.Close()
+	writeEntries(t, path,
+		JournalEntry{Bench: "RC", Seed: 7, Result: &ResultWire{Benchmark: "RC"}},
+		JournalEntry{Bench: "HG", Seed: 9, Err: "boom"})
 
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"status":"ok","bench":"LU","result":{"cyc`) // torn mid-record
+	f.WriteString(`{"seq":3,"bench":"LU","result":{"cyc`) // torn mid-record
 	f.Close()
 
 	entries, err := LoadJournal(path)
@@ -165,27 +221,27 @@ func TestLoadJournalMissing(t *testing.T) {
 }
 
 // TestJournalSkipsAttachmentCells: cells carrying live attachments cannot be
-// reconstructed from JSON, so they are never journaled (and always rerun).
+// reconstructed from JSON, so their records carry no result and they always
+// rerun.
 func TestJournalSkipsAttachmentCells(t *testing.T) {
 	path := journalPath(t)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := NewRunner(1)
-	r.SetJournal(j)
+	f := journalTo(t, r, path)
 	rec := forensics.New()
 	if _, err := r.Run("RC", Options{Protocol: FSDetect, Scale: testScale, Forensics: rec}); err != nil {
 		t.Fatalf("forensics cell failed: %v", err)
 	}
 	r.Wait()
-	j.Close()
+	f.Close()
 	entries, err := LoadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("attachment cell was journaled: %+v", entries)
+	if len(entries) != 1 || entries[0].Result != nil {
+		t.Fatalf("attachment cell's result was journaled: %+v", entries)
+	}
+	if primed, err := NewRunner(1).ResumeJournal(path); err != nil || primed != 0 {
+		t.Fatalf("attachment cell primed: primed=%d err=%v", primed, err)
 	}
 }
 
@@ -193,12 +249,7 @@ func TestJournalSkipsAttachmentCells(t *testing.T) {
 // exist are skipped instead of failing the resume.
 func TestJournalResumeSkipsUnknownBench(t *testing.T) {
 	path := journalPath(t)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.record(JournalEntry{Status: JournalOK, Bench: "GONE", Result: &ResultWire{Benchmark: "GONE"}})
-	j.Close()
+	writeEntries(t, path, JournalEntry{Bench: "GONE", Result: &ResultWire{Benchmark: "GONE"}})
 	r := NewRunner(1)
 	primed, err := r.ResumeJournal(path)
 	if err != nil || primed != 0 {
@@ -210,13 +261,9 @@ func TestJournalResumeSkipsUnknownBench(t *testing.T) {
 // journal round-trip and re-registers in SampledCells.
 func TestJournalSampledResume(t *testing.T) {
 	path := journalPath(t)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := Options{Protocol: FSDetect, Scale: testScale, Sample: "1k:3k"}
 	r1 := NewRunner(1)
-	r1.SetJournal(j)
+	f := journalTo(t, r1, path)
 	ref, err := r1.Run("RC", opt)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +271,7 @@ func TestJournalSampledResume(t *testing.T) {
 	if ref.Sampled == nil {
 		t.Fatal("expected a sampled run")
 	}
-	j.Close()
+	f.Close()
 
 	r2 := NewRunner(1)
 	if primed, err := r2.ResumeJournal(path); err != nil || primed != 1 {
@@ -240,4 +287,47 @@ func TestJournalSampledResume(t *testing.T) {
 	if cells := r2.SampledCells(); len(cells) != 1 {
 		t.Fatalf("SampledCells after resume = %d, want 1", len(cells))
 	}
+}
+
+// TestWatchdogTimeoutResumes drives the per-cell watchdog through a real
+// simulation: a timeout far shorter than the cell cancels it with
+// sim.ErrStopped, its journal record carries the error and no result, and a
+// fresh Runner resuming that journal reruns the cell to the uninterrupted
+// result.
+func TestWatchdogTimeoutResumes(t *testing.T) {
+	path := journalPath(t)
+	opt := Options{Protocol: FSLite, Scale: 1} // long enough for the watchdog to land mid-run
+	r1 := NewRunner(1)
+	r1.SetTimeout(time.Microsecond)
+	f := journalTo(t, r1, path)
+	_, err := r1.Run("RC", opt)
+	f.Close()
+	if !errors.Is(err, sim.ErrStopped) || !strings.Contains(err.Error(), "canceled") {
+		t.Fatalf("timed-out cell returned %v, want a canceled sim.ErrStopped", err)
+	}
+
+	entries, err := LoadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Err == "" || entries[0].Result != nil {
+		t.Fatalf("timed-out cell's record = %+v, want its error and no result", entries)
+	}
+
+	r2 := NewRunner(1)
+	if primed, err := r2.ResumeJournal(path); err != nil || primed != 0 {
+		t.Fatalf("timed-out cell primed: primed=%d err=%v", primed, err)
+	}
+	got, err := r2.Run("RC", opt)
+	if err != nil {
+		t.Fatalf("rerun of the timed-out cell: %v", err)
+	}
+	if rep := r2.Report(); rep.Executed != 1 {
+		t.Fatalf("resumed campaign executed %d cells, want 1", rep.Executed)
+	}
+	ref, err := Run("RC", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireByteIdentical(t, ref, got)
 }

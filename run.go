@@ -266,6 +266,23 @@ func (opt Options) Validate() error {
 	return err
 }
 
+// normalized returns opt with every spelling of the same run folded to one:
+// Scale 0 is 1, Engine "" is "skip", Topology "flat" is "" and the ignored
+// Shards is 0. Memo keys, seeds and checkpoint identities are taken from it.
+func (opt Options) normalized() Options {
+	if opt.Scale == 0 {
+		opt.Scale = 1
+	}
+	if opt.Engine == "" {
+		opt.Engine = "skip"
+	}
+	if opt.Topology == "flat" {
+		opt.Topology = ""
+	}
+	opt.Shards = 0
+	return opt
+}
+
 // buildConfig translates Options into the simulator configuration, with
 // checkpointing every `every` committed accesses (0 = off), and applies the
 // compatibility table: it returns the table's fallback warnings, or its
@@ -294,12 +311,8 @@ func buildConfig(opt Options, every uint64) (sim.Config, []string, error) {
 		cfg.Core.Granularity = opt.Granularity
 	}
 	cfg.Core.ReaderOpt = opt.ReaderOpt
-	if opt.OOO {
-		cfg.OOO = true
-		cfg.MSHRs = 8
-	}
-	cfg.CheckOracle = opt.Verify
-	cfg.CheckSWMR = opt.Verify
+	cfg.OOO = opt.OOO
+	cfg.Verify = opt.Verify
 	if opt.MaxCycles > 0 {
 		cfg.MaxCycles = opt.MaxCycles
 	}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fscoherence/internal/runner"
@@ -30,10 +31,14 @@ type Runner struct {
 	defaults  Options // machine fields only; see SetDefaults
 	ckptDir   string
 	ckptEvery uint64
+	timeout   time.Duration
 
-	mu      sync.Mutex
-	sampled []*Result
-	journal *Journal
+	mu          sync.Mutex
+	sampled     []*Result
+	onCell      func(bench string, opt Options, d time.Duration, err error)
+	stream      io.Writer
+	streamStart time.Time
+	streamSeq   int
 }
 
 // cellKey identifies one simulation cell. Options contains only comparable
@@ -50,7 +55,24 @@ func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Runner{eng: runner.New(workers)}
+	r := &Runner{eng: runner.New(workers)}
+	r.eng.SetProgress(r.cellDone)
+	return r
+}
+
+// cellDone reports one executed cell to the progress callback and the
+// journal. The engine serializes its calls.
+func (r *Runner) cellDone(c runner.Cell) {
+	k := c.Key.(cellKey)
+	r.mu.Lock()
+	fn, w := r.onCell, r.stream
+	r.mu.Unlock()
+	if fn != nil {
+		fn(k.Bench, k.Opt, c.Duration, c.Err)
+	}
+	if w != nil {
+		r.journal(w, k, c)
+	}
 }
 
 // Workers returns the concurrency bound.
@@ -96,14 +118,13 @@ func (r *Runner) SampledCells() []*Result {
 	return out
 }
 
-// SetSupervision installs the per-cell supervision policy: a wall-clock
-// watchdog per attempt (0 disables it), bounded retry after a failed attempt
-// (error, panic or timeout), and a base backoff doubled per retry with
-// deterministic jitter. cmd/fsexp's -timeout/-retries/-backoff flags use it
-// so one hung or crashing configuration cannot take down a campaign.
-func (r *Runner) SetSupervision(timeout time.Duration, retries int, backoff time.Duration) {
-	r.eng.SetSupervision(runner.Supervision{Timeout: timeout, Retries: retries, Backoff: backoff})
-}
+// SetTimeout gives every cell a wall-clock watchdog (0, the default, disables
+// it): a cell still running after d is canceled cooperatively and fails with
+// an error wrapping sim.ErrStopped. Cells are deterministic, so a failed cell
+// is not retried; a later campaign resuming the journal reruns it, mid-run
+// when the warm-state cache holds its snapshot. cmd/fsexp's -timeout flag
+// uses it so one hung configuration cannot stall a campaign.
+func (r *Runner) SetTimeout(d time.Duration) { r.timeout = d }
 
 // SetCheckpointDir enables the warm-state cache for submitted cells:
 // checkpoint-compatible cells periodically snapshot into dir (cadence every
@@ -116,32 +137,13 @@ func (r *Runner) SetCheckpointDir(dir string, every uint64) {
 	r.ckptDir, r.ckptEvery = dir, every
 }
 
-// cellCheckpointFile names the warm-state cache file a cell checkpoints
-// into, or "" when the cell does not checkpoint.
-func (r *Runner) cellCheckpointFile(bench string, opt Options) string {
-	if r.ckptDir == "" || !CheckpointCompatible(opt) {
-		return ""
-	}
-	every := r.ckptEvery
-	if every == 0 {
-		every = DefaultCheckpointEvery
-	}
-	return cacheFilePath(r.ckptDir, bench, checkpointIdentity(bench, opt, every))
-}
-
 // SetProgress installs a per-cell completion callback (timing report).
 // Calls are serialized by the engine.
 func (r *Runner) SetProgress(fn func(bench string, opt Options, d time.Duration, err error)) {
-	r.eng.SetProgress(func(c runner.Cell) {
-		k := c.Key.(cellKey)
-		fn(k.Bench, k.Opt, c.Duration, c.Err)
-	})
+	r.mu.Lock()
+	r.onCell = fn
+	r.mu.Unlock()
 }
-
-// SetStream installs a JSONL progress stream on the underlying engine: one
-// runner.ProgressRecord per executed cell (fsexp -progress). Pass nil to
-// detach.
-func (r *Runner) SetStream(w io.Writer) { r.eng.SetStream(w) }
 
 // Future is a pending simulation cell.
 type Future struct {
@@ -150,19 +152,14 @@ type Future struct {
 	h     *runner.Handle
 }
 
-// Submit schedules one cell and returns a future. Scale and Engine are
-// normalized before keying so Options{Scale: 0} and Options{Scale: 1} (and
-// Engine "" and "skip") share a cell.
+// Submit schedules one cell and returns a future. Fields left zero inherit
+// the Runner's defaults, and the options are normalized before keying, so
+// Options{Scale: 0} and Options{Scale: 1} (and Engine "" and "skip") share a
+// cell.
 func (r *Runner) Submit(bench string, opt Options) *Future {
-	if opt.Scale == 0 {
-		opt.Scale = 1
-	}
 	d := r.defaults
 	if opt.Engine == "" {
 		opt.Engine = d.Engine
-	}
-	if opt.Engine == "" {
-		opt.Engine = "skip"
 	}
 	if opt.Cores == 0 {
 		opt.Cores = d.Cores
@@ -170,10 +167,7 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 	if opt.Topology == "" {
 		opt.Topology = d.Topology
 	}
-	if opt.Topology == "flat" {
-		opt.Topology = "" // one cell for the two spellings of the default
-	}
-	opt.Shards = 0 // ignored, so cells differing only in it are one cell
+	opt = opt.normalized()
 	if opt.Sample == "" && d.Sample != "" {
 		sampled := opt
 		sampled.Sample = d.Sample
@@ -182,31 +176,29 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 		}
 	}
 	key := cellKey{Bench: bench, Opt: opt}
-	h := r.eng.DoSupervised(key, func(seed uint64, att *runner.Attempt) (any, error) {
-		ctl := RunControl{Cancel: att.Canceled}
+	h := r.eng.Do(key, func(uint64) (any, error) {
+		var ctl RunControl
 		if r.ckptDir != "" && CheckpointCompatible(opt) {
 			ctl.CacheDir = r.ckptDir
 			ctl.CheckpointEvery = r.ckptEvery
 		}
+		if r.timeout > 0 {
+			var expired atomic.Bool
+			watchdog := time.AfterFunc(r.timeout, func() { expired.Store(true) })
+			defer watchdog.Stop()
+			ctl.Cancel = expired.Load
+		}
 		res, err := RunControlled(bench, opt, ctl)
 		if err != nil {
+			if ctl.Cancel != nil && ctl.Cancel() {
+				err = fmt.Errorf("timed out after %v: %w", r.timeout, err)
+			}
 			return nil, err
 		}
-		r.mu.Lock()
 		if res.Sampled != nil {
+			r.mu.Lock()
 			r.sampled = append(r.sampled, res)
-		}
-		j := r.journal
-		r.mu.Unlock()
-		if j != nil && journalEligible(opt) {
-			j.record(JournalEntry{
-				Status:     JournalOK,
-				Bench:      bench,
-				Opt:        opt,
-				Seed:       seed,
-				Checkpoint: r.cellCheckpointFile(bench, opt),
-				Result:     wireResult(res),
-			})
+			r.mu.Unlock()
 		}
 		return res, nil
 	})
