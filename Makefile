@@ -4,8 +4,8 @@
 #                  check (speccheck), vet, build, tests, the race detector
 #                  over every package, the cross-engine equivalence suite
 #                  (naive and skip must be byte-identical), the
-#                  allocation smoke runs, samplecheck, ckptcheck, fuzzsmoke
-#                  and benchsmoke.
+#                  allocation smoke runs, samplecheck, resumecheck,
+#                  fuzzsmoke and benchsmoke.
 #   make check   — static gate only: gofmt -l must be clean, PROTOCOL.md's
 #                  generated region must match internal/coherence/spec, the
 #                  spec package must godoc cleanly, then go vet and the unit
@@ -18,13 +18,12 @@
 #   make samplecheck — the interval-sampling validation gate: sampled
 #                  estimates must land within tolerance of full reference
 #                  runs, and must be byte-identical across -j worker counts.
-#   make ckptcheck — the crash-resilience gate: kill a run mid-window, resume
-#                  from its checkpoint and demand byte-identical final
-#                  counters across {skip, the parallel alias} x {flat, mesh};
-#                  corrupt / version-skewed / wrong-identity checkpoints must
-#                  degrade to cold runs; campaign journals must resume,
-#                  rerunning a cell the watchdog timed out; plus a real
-#                  SIGKILL-mid-run smoke test under -race.
+#   make resumecheck — the crash-resilience gate: campaign journals must
+#                  resume with completed cells primed and byte-identical
+#                  results, tolerate a torn final record, and rerun a cell
+#                  the watchdog timed out; a campaign SIGKILLed before its
+#                  third cell is journaled must resume to the uninterrupted
+#                  table, under -race.
 #   make sweep   — regenerate the paper's tables (fsexp -all: the default
 #                  skip engine, cells run in parallel across NumCPU workers).
 #   make fuzzsmoke — CI-sized protocol fuzzing: a fixed 60-seed corpus across
@@ -39,9 +38,9 @@ GO ?= go
 GOFMT ?= gofmt
 SEEDS ?= 200
 
-.PHONY: ci check fmt test race equiv allocsmoke samplecheck ckptcheck benchsmoke sweep fuzz fuzzsmoke specdocs speccheck
+.PHONY: ci check fmt test race equiv allocsmoke samplecheck resumecheck benchsmoke sweep fuzz fuzzsmoke specdocs speccheck
 
-ci: check race equiv allocsmoke samplecheck ckptcheck fuzzsmoke benchsmoke
+ci: check race equiv allocsmoke samplecheck resumecheck fuzzsmoke benchsmoke
 
 check: fmt speccheck test
 
@@ -92,14 +91,12 @@ allocsmoke:
 samplecheck:
 	$(GO) test -run 'TestSampledVsFull|TestSampledDeterministicAcrossWorkers' -count=1 .
 
-# Crash/resume byte-identity, corruption fallback, campaign-journal resume
-# (ckptcheck_test.go, journal_test.go, internal/checkpoint), then the
-# SIGKILL-a-real-process smoke test, the watchdog-timeout rerun and memo
-# priming under the race detector.
-ckptcheck:
-	$(GO) test -run 'TestCheckpoint|TestCadence|TestCorrupt|TestMissingResume|TestWrongIdentity|TestWarmState|TestJournal|TestLoadJournal' -count=1 .
-	$(GO) test -count=1 ./internal/checkpoint/
-	$(GO) test -race -run 'TestKillResumeSmoke|TestWatchdog|TestPrimeMemo' -count=1 . ./internal/runner/
+# Campaign-journal resume (journal_test.go), then the SIGKILL-a-real-
+# campaign test, the watchdog-timeout rerun and memo priming under the race
+# detector. A journaled cell is the unit of recovery.
+resumecheck:
+	$(GO) test -run 'TestJournal|TestLoadJournal' -count=1 .
+	$(GO) test -race -run 'TestKillResumeCampaign|TestWatchdog|TestPrimeMemo' -count=1 . ./internal/runner/
 
 # The fsbench goldens pin Fig 14a, Fig 15 and two uGRID cells exactly.
 benchsmoke:

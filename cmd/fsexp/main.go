@@ -26,10 +26,10 @@
 // reruns unfinished work. When both name the same file the journal is
 // appended to, so it keeps serving later resumes. -timeout gives each cell a
 // wall-clock watchdog: a hung cell fails without stalling the campaign, and
-// the next resume reruns it. -checkpoint-dir gives compatible cells a
-// warm-state cache, so a rerun cell resumes mid-run:
+// the next resume reruns it from the start. A journaled cell is the unit of
+// recovery:
 //
-//	fsexp -all -progress camp.jsonl -resume camp.jsonl -checkpoint-dir .ckpt -timeout 10m
+//	fsexp -all -progress camp.jsonl -resume camp.jsonl -timeout 10m
 package main
 
 import (
@@ -65,9 +65,8 @@ func main() {
 		trProto  = flag.String("trace-protocol", "fslite", "protocol for the instrumented cell of -trace/-metrics")
 		resume   = flag.String("resume", "", "prime completed cells from a prior campaign's -progress journal (usually the same file) so only unfinished work reruns")
 		timeout  = flag.Duration("timeout", 0, "wall-clock watchdog for each cell; a timed-out cell fails and reruns on -resume (0 = none)")
-		ckptDir  = flag.String("checkpoint-dir", "", "warm-state cache directory: compatible cells checkpoint into it and auto-resume after a crash")
 	)
-	fl := cli.Register(cli.Scale | cli.Machine | cli.Sample | cli.Trace | cli.Checkpoint)
+	fl := cli.Register(cli.Scale | cli.Machine | cli.Sample | cli.Trace)
 	prof := profiling.AddFlags()
 	flag.Parse()
 
@@ -115,16 +114,6 @@ func main() {
 	}
 
 	eng.SetTimeout(*timeout)
-	if *ckptDir != "" {
-		every, err := fl.CheckpointInterval()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fatal(err)
-		}
-		eng.SetCheckpointDir(*ckptDir, every)
-	}
 	// Resume before opening the journal: priming reads the prior campaign's
 	// records, then new records append to the same file.
 	if *resume != "" {

@@ -20,8 +20,6 @@
 //	fsrun -bench RC -engine naive               # cycle-stepped reference
 //	fsrun -bench RC -cpuprofile cpu.out         # pprof the run
 //	fsrun -bench RC -compare -counters          # line-comparable counter dump
-//	fsrun -bench RC -checkpoint run.ckpt -checkpoint-every 500k  # crash-resilient run
-//	fsrun -bench RC -resume run.ckpt -checkpoint-every 500k      # continue after a crash
 //	fsrun -list
 //	fsrun -counter-table
 package main
@@ -52,10 +50,8 @@ func main() {
 		full     = flag.Bool("stats", false, "dump all counters")
 		counters = flag.Bool("counters", false, "after the run, dump every canonical counter (zeros included) in sorted order")
 		ctrTable = flag.Bool("counter-table", false, "print the canonical counter-name documentation table and exit")
-		ckpt     = flag.String("checkpoint", "", "write periodic checkpoints to this file (atomic; each boundary's write replaces the last)")
-		resume   = flag.String("resume", "", "resume from this checkpoint file; corrupt or mismatched files fall back to a cold run with a warning")
 	)
-	fl := cli.Register(cli.Scale | cli.Variant | cli.Machine | cli.Sample | cli.Trace | cli.Checkpoint)
+	fl := cli.Register(cli.Scale | cli.Variant | cli.Machine | cli.Sample | cli.Trace)
 	prof := profiling.AddFlags()
 	flag.Parse()
 	if *mode != "" {
@@ -102,18 +98,6 @@ func main() {
 		return
 	}
 
-	var ctl fscoherence.RunControl
-	if *ckpt != "" || fl.CheckpointEvery != "" || *resume != "" {
-		if *compare {
-			fatal(fmt.Errorf("-checkpoint/-resume apply to a single run; drop -compare"))
-		}
-		ctl.CheckpointPath = *ckpt
-		ctl.Resume = *resume
-		if ctl.CheckpointEvery, err = fl.CheckpointInterval(); err != nil {
-			fatal(err)
-		}
-	}
-
 	if *compare {
 		// The three protocol runs are independent cells: fan them out. The
 		// observability attachment goes to the cell -protocol/-mode selects.
@@ -150,7 +134,7 @@ func main() {
 		return
 	}
 
-	r := run(*bench, opt, ctl)
+	r := run(*bench, opt)
 	if err := cli.Export(opt.Obs, fl.Trace, fl.Metrics); err != nil {
 		fatal(err)
 	}
@@ -222,8 +206,8 @@ func printCounterColumns(rs []*fscoherence.Result) {
 	}
 }
 
-func run(bench string, opt fscoherence.Options, ctl fscoherence.RunControl) *fscoherence.Result {
-	r, err := fscoherence.RunControlled(bench, opt, ctl)
+func run(bench string, opt fscoherence.Options) *fscoherence.Result {
+	r, err := fscoherence.Run(bench, opt)
 	if err != nil {
 		fatal(err)
 	}

@@ -13,19 +13,17 @@ import (
 
 	"fscoherence"
 	"fscoherence/internal/obs"
-	"fscoherence/internal/sample"
 )
 
 // Group selects shared flags to register.
 type Group uint
 
 const (
-	Scale      Group = 1 << iota // -scale
-	Variant                      // -variant
-	Machine                      // -engine -cores -topology
-	Sample                       // -sample
-	Trace                        // -trace -metrics -trace-filter
-	Checkpoint                   // -checkpoint-every
+	Scale   Group = 1 << iota // -scale
+	Variant                   // -variant
+	Machine                   // -engine -cores -topology
+	Sample                    // -sample
+	Trace                     // -trace -metrics -trace-filter
 )
 
 // Flags holds the values of the registered flags; flags of unregistered
@@ -38,7 +36,6 @@ type Flags struct {
 	Sample           string
 	Trace, Metrics   string
 	Filter           string
-	CheckpointEvery  string
 }
 
 // Register adds the selected groups to the default FlagSet. Call before
@@ -63,9 +60,6 @@ func Register(groups Group) *Flags {
 		flag.StringVar(&f.Trace, "trace", "", "write the traced run's Chrome trace-event JSON to this file (open in Perfetto)")
 		flag.StringVar(&f.Metrics, "metrics", "", "write the traced run's interval metrics CSV to this file")
 		flag.StringVar(&f.Filter, "trace-filter", "", "restrict traced events: addr=0x...,core=N,class=net|l1|dir|detect|prv|commit|oracle|miss")
-	}
-	if groups&Checkpoint != 0 {
-		flag.StringVar(&f.CheckpointEvery, "checkpoint-every", "", "checkpoint cadence in committed L1D accesses (e.g. 1m, 500k; default 1m when checkpointing)")
 	}
 	return f
 }
@@ -93,18 +87,6 @@ func (f *Flags) Obs() (*obs.Obs, error) {
 		return nil, err
 	}
 	return obs.New(obs.Config{Filter: filter}), nil
-}
-
-// CheckpointInterval parses -checkpoint-every (0 when it is unset).
-func (f *Flags) CheckpointInterval() (uint64, error) {
-	if f.CheckpointEvery == "" {
-		return 0, nil
-	}
-	n, err := sample.ParseCount(f.CheckpointEvery)
-	if err != nil {
-		return 0, fmt.Errorf("-checkpoint-every: %w", err)
-	}
-	return n, nil
 }
 
 // Export writes o's event trace as Chrome trace-event JSON to tracePath and

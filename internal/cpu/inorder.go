@@ -37,12 +37,10 @@ type Core interface {
 // InOrder is the blocking in-order core of the paper's main configuration:
 // one operation at a time, every memory operation blocks until it commits.
 type InOrder struct {
-	id     int
 	l1     *coherence.L1
 	runner *threadRunner
 	stats  *stats.Set
 
-	started   bool
 	exhausted bool // thread function returned
 
 	busyUntil uint64
@@ -55,20 +53,11 @@ type InOrder struct {
 	// slot is the core's single reusable Access (one operation outstanding
 	// at a time), so the issue path performs no heap allocation.
 	slot *accessSlot
-
-	// Checkpoint support (see snapshot.go): committed counts every operation
-	// this core consumed (detailed and warmed); rec, when armed, logs the
-	// values result-bearing ops observed so the thread can be replayed after
-	// a restore. recSink is the preallocated recording wrapper WarmRun
-	// installs around its sink while rec is armed.
-	committed uint64
-	rec       *OpRecorder
-	recSink   recordSink
 }
 
 // NewInOrder builds an in-order core running fn.
 func NewInOrder(id int, l1 *coherence.L1, fn ThreadFunc, st *stats.Set) *InOrder {
-	c := &InOrder{id: id, l1: l1, runner: startThread(id, fn), stats: st}
+	c := &InOrder{l1: l1, runner: startThread(id, fn), stats: st}
 	c.slot = newAccessSlot(c.finish)
 	return c
 }
@@ -76,9 +65,6 @@ func NewInOrder(id int, l1 *coherence.L1, fn ThreadFunc, st *stats.Set) *InOrder
 // finish completes the outstanding access, unblocking the thread.
 func (c *InOrder) finish(v uint64, _ *accessSlot) {
 	c.waiting = false
-	if c.rec != nil && resultBearing(c.slot.op.Kind, c.slot.op.Async) {
-		c.rec.Log = append(c.rec.Log, v)
-	}
 	c.runner.complete(v)
 }
 
@@ -115,7 +101,6 @@ func (c *InOrder) Tick(now uint64) {
 	}
 	op := c.cur
 	c.haveOp = false
-	c.committed++
 	c.stats.IncID(stats.IDOpsCommitted)
 	switch op.Kind {
 	case OpCompute:
@@ -170,16 +155,6 @@ func (c *InOrder) Outstanding() bool { return c.waiting }
 // and resume at any operation boundary. Returns the number of operations
 // committed and whether the thread is still alive.
 func (c *InOrder) WarmRun(sink WarmSink, budget uint64) (uint64, bool) {
-	if c.rec != nil {
-		c.recSink.inner, c.recSink.rec = sink, c.rec
-		sink = &c.recSink
-	}
-	done, alive := c.warmRun(sink, budget)
-	c.committed += done
-	return done, alive
-}
-
-func (c *InOrder) warmRun(sink WarmSink, budget uint64) (uint64, bool) {
 	if c.waiting {
 		panic("cpu: WarmRun with an outstanding access (machine not drained)")
 	}

@@ -25,7 +25,7 @@ type Entry[V any] struct {
 // warm caches where the per-way Valid test used to dominate. This caps the
 // associativity at 64 ways.
 //
-// A set's ways are allocated on first use (Victim, Insert or LoadAssoc), so
+// A set's ways are allocated on first use (Victim or Insert), so
 // a cache costs only the sets a run touches: the bitsets answer every miss
 // in an untouched set without reaching for its row. Rows never move once
 // built, so entry pointers stay valid for the cache's lifetime.

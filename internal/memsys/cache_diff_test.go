@@ -146,30 +146,40 @@ func (c *flatAssoc[V]) setPin(a Addr, on bool) bool {
 	return true
 }
 
-func (c *flatAssoc[V]) save() AssocImage[V] {
-	img := AssocImage[V]{Clock: c.clock}
-	for i, e := range c.entries {
-		if e.Valid {
-			img.Entries = append(img.Entries, AssocEntry[V]{Index: i, Tag: e.Tag, LastUse: e.lastUse, Pinned: e.pinned, Payload: e.Payload})
-		}
-	}
-	return img
+// slotEntry is one valid entry of a replacement-state image, at its
+// absolute slot (set*ways+way).
+type slotEntry[V any] struct {
+	Index int
+	flatEntry[V]
 }
 
-func (c *flatAssoc[V]) load(img AssocImage[V]) {
-	clear(c.entries)
-	clear(c.occ)
-	clear(c.pins)
-	c.clock = img.Clock
-	c.clearMRU()
-	for _, se := range img.Entries {
-		c.entries[se.Index] = flatEntry[V]{Valid: true, Tag: se.Tag, Payload: se.Payload, lastUse: se.LastUse, pinned: se.Pinned}
-		si, w := se.Index/c.ways, se.Index%c.ways
-		c.occ[si] |= 1 << uint(w)
-		if se.Pinned {
-			c.pins[si] |= 1 << uint(w)
+// image returns the reference's exact replacement state: the LRU clock and
+// every valid entry with its timestamp and pin bit, in ascending slot order.
+func (c *flatAssoc[V]) image() (uint64, []slotEntry[V]) {
+	var out []slotEntry[V]
+	for i, e := range c.entries {
+		if e.Valid {
+			out = append(out, slotEntry[V]{i, e})
 		}
 	}
+	return c.clock, out
+}
+
+// imageOf returns the same image of a SetAssoc, read from its rows and
+// bitsets.
+func imageOf[V any](c *SetAssoc[V]) (uint64, []slotEntry[V]) {
+	var out []slotEntry[V]
+	for si, m := range c.occ {
+		for ; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			e := c.rows[si][w]
+			out = append(out, slotEntry[V]{si*c.ways + w, flatEntry[V]{
+				Valid: e.Valid, Tag: e.Tag, Payload: e.Payload, lastUse: e.lastUse,
+				pinned: c.pins[si]&(1<<uint(w)) != 0,
+			}})
+		}
+	}
+	return c.clock, out
 }
 
 func (c *flatAssoc[V]) forEach(fn func(*flatEntry[V])) {
@@ -204,7 +214,7 @@ func sameEntry[V comparable](e Entry[V], f flatEntry[V]) bool {
 // TestCacheMatchesFlatReference drives the lazily built SetAssoc and the
 // flat-array reference through one seeded sequence of operations and
 // demands identical results: returned entries (contents and slot), evictions,
-// pin results, checkpoint images, ForEach order and CountValid. The address
+// pin results, replacement-state images, ForEach order and CountValid. The address
 // range spans every set, so Victim and Insert regularly land in sets that
 // have never been touched.
 func TestCacheMatchesFlatReference(t *testing.T) {
@@ -294,24 +304,15 @@ func diffRun(t *testing.T, entries, ways int, seed int64) (fresh int) {
 			if got, want := c.Unpin(a), ref.setPin(a, false); got != want {
 				fail("Unpin", got, want)
 			}
-		case 8: // SaveAssoc
-			id := func(v *uint64) uint64 { return *v }
-			if got, want := SaveAssoc(c, id), ref.save(); !reflect.DeepEqual(got, want) {
-				fail("SaveAssoc", got, want)
+		case 8, 9: // the whole replacement state
+			gotClock, got := imageOf(c)
+			wantClock, want := ref.image()
+			if gotClock != wantClock || !reflect.DeepEqual(got, want) {
+				fail("image", fmt.Sprint(gotClock, got), fmt.Sprint(wantClock, want))
 			}
-		case 9: // LoadAssoc of the reference's image into a fresh cache
-			if rng.Intn(8) != 0 {
-				break
-			}
-			img := ref.save()
-			c = NewSetAssoc[uint64]("diff", entries, ways, bs)
-			if err := LoadAssoc(c, img, func(v uint64) uint64 { return v }); err != nil {
-				t.Fatalf("step %d LoadAssoc: %v", step, err)
-			}
-			ref.load(img)
 		}
-		if got, want := c.CountValid(), ref.save().Entries; got != len(want) {
-			t.Fatalf("step %d CountValid: got %d, want %d", step, got, len(want))
+		if _, want := ref.image(); c.CountValid() != len(want) {
+			t.Fatalf("step %d CountValid: got %d, want %d", step, c.CountValid(), len(want))
 		}
 		var got, want []Addr
 		c.ForEach(func(e *Entry[uint64]) { got = append(got, e.Tag) })
@@ -324,8 +325,8 @@ func diffRun(t *testing.T, entries, ways int, seed int64) (fresh int) {
 }
 
 // TestCacheMissBuildsNoRow checks the point of building sets lazily: a miss
-// of any kind leaves an untouched set unbuilt, and only Victim, Insert and
-// LoadAssoc build one.
+// of any kind leaves an untouched set unbuilt, and only Victim and
+// Insert build one.
 func TestCacheMissBuildsNoRow(t *testing.T) {
 	c := NewSetAssoc[int]("t", 64, 4, 64) // 16 sets
 	const a = Addr(0x140)
@@ -336,7 +337,6 @@ func TestCacheMissBuildsNoRow(t *testing.T) {
 	c.Pin(a)
 	c.Unpin(a)
 	c.ForEach(func(*Entry[int]) {})
-	SaveAssoc(c, func(v *int) int { return *v })
 	if c.rows[si] != nil {
 		t.Fatal("a miss built the set's row")
 	}

@@ -186,20 +186,3 @@ func (e *Estimator) Estimate(totalAccesses uint64) Estimate {
 	est.CI95 = 1.96 * sd / math.Sqrt(float64(len(rates))) * float64(totalAccesses)
 	return est
 }
-
-// State returns a copy of the observed windows (checkpoint path: the
-// estimator's accumulated evidence must survive a resume so the final
-// confidence intervals match an uninterrupted run).
-func (e *Estimator) State() []Window {
-	return append([]Window(nil), e.windows...)
-}
-
-// SetState replaces the estimator's observed windows (restore path).
-func (e *Estimator) SetState(w []Window) {
-	e.windows = append(e.windows[:0:0], w...)
-}
-
-// ParseCount parses a count with optional k/m/g suffix (the same syntax as
-// the numbers in a sampling spec). Exported for CLI flags like
-// -checkpoint-every that share the suffix convention.
-func ParseCount(s string) (uint64, error) { return parseCount(s) }

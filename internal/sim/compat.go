@@ -9,13 +9,11 @@ import (
 // Every rejection by the compatibility table wraps it.
 var ErrUnsupported = errors.New("unsupported configuration")
 
-// The compatibility table. Two features restrict the machine shape they run
-// on: interval sampling and checkpointing. Each row pairs a feature with one
-// requirement; a configuration that uses the feature but breaks the
-// requirement is either rejected (the run would be wrong or incomplete) or
-// falls back to the skip engine with a warning (the engines are
-// byte-identical, so only host time changes). Check is the only place these
-// rules are decided.
+// The compatibility table. Interval sampling restricts the machine shape it
+// runs on: each row pairs the feature with one requirement, and a
+// configuration that uses the feature but breaks the requirement is
+// rejected (the run would be wrong or incomplete). Check is the only place
+// these rules are decided.
 
 // feature is a run mode that supports only some machine shapes.
 type feature struct {
@@ -30,51 +28,35 @@ type requirement struct {
 }
 
 var (
-	sampling      = feature{"sampling", func(c Config) bool { return c.Sample.Enabled() }}
-	checkpointing = feature{"checkpointing", func(c Config) bool { return c.CheckpointEvery > 0 || c.CheckpointSink != nil }}
+	sampling = feature{"sampling", func(c Config) bool { return c.Sample.Enabled() }}
 
 	skipEngine = requirement{"the skip engine", func(c Config) bool { return c.Engine == EngineSkip }}
 	inOrder    = requirement{"in-order cores (no OOO)", func(c Config) bool { return !c.OOO }}
 	twoLevel   = requirement{"a two-level hierarchy (no private L2)", func(c Config) bool { return c.Params.L2Entries == 0 }}
 	inclusive  = requirement{"an inclusive LLC", func(c Config) bool { return !c.Params.NonInclusiveLLC }}
 	noVerify   = requirement{"no load oracle or SWMR scanning (Verify)", func(c Config) bool { return !c.Verify }}
-	noFaults   = requirement{"no fault injection", func(c Config) bool { return c.Faults == nil }}
 	noObs      = requirement{"no observability attachment", func(c Config) bool { return c.Obs == nil }}
 )
 
 // compatRules is the table itself, one row per (feature, requirement).
+// Warming commits bypass timing, observers and oracles, and model only the
+// in-order two-level inclusive machine.
 var compatRules = []struct {
-	f        feature
-	r        requirement
-	fallback bool // run under EngineSkip with a warning instead of failing
+	f feature
+	r requirement
 }{
-	// Warming commits bypass timing, observers and oracles, and model only
-	// the in-order two-level inclusive machine.
-	{sampling, skipEngine, false},
-	{sampling, inOrder, false},
-	{sampling, twoLevel, false},
-	{sampling, inclusive, false},
-	{sampling, noVerify, false},
-	{sampling, noObs, false},
-
-	// A checkpoint serializes the architectural state of the in-order
-	// two-level inclusive machine only: no oracle, scan, fault clock, tracer
-	// or recorder state. Snapshots need the sequential loop; skip is
-	// byte-identical.
-	{checkpointing, skipEngine, true},
-	{checkpointing, inOrder, false},
-	{checkpointing, twoLevel, false},
-	{checkpointing, inclusive, false},
-	{checkpointing, noVerify, false},
-	{checkpointing, noFaults, false},
-	{checkpointing, noObs, false},
+	{sampling, skipEngine},
+	{sampling, inOrder},
+	{sampling, twoLevel},
+	{sampling, inclusive},
+	{sampling, noVerify},
+	{sampling, noObs},
 }
 
 // Check applies the compatibility table to cfg. It returns the engine the
 // run will use, a warning when that differs from cfg.Engine, and an error
 // wrapping ErrUnsupported when cfg combines a feature with a shape it cannot
-// run on. Rejections take precedence over fallbacks. EngineParallel is
-// resolved to EngineSkip before any row applies.
+// run on. EngineParallel is resolved to EngineSkip before any row applies.
 func Check(cfg Config) (Engine, []string, error) {
 	var warnings []string
 	if cfg.Engine == EngineParallel {
@@ -82,14 +64,8 @@ func Check(cfg Config) (Engine, []string, error) {
 		warnings = []string{"the parallel engine was removed; running the skip engine instead (results are byte-identical)"}
 	}
 	for _, row := range compatRules {
-		if !row.fallback && row.f.on(cfg) && !row.r.met(cfg) {
+		if row.f.on(cfg) && !row.r.met(cfg) {
 			return cfg.Engine, nil, fmt.Errorf("%w: %s requires %s", ErrUnsupported, row.f.name, row.r.text)
-		}
-	}
-	for _, row := range compatRules {
-		if row.fallback && row.f.on(cfg) && !row.r.met(cfg) {
-			return EngineSkip, append(warnings, fmt.Sprintf("%s requires %s; running the skip engine instead (results are byte-identical)",
-				row.f.name, row.r.text)), nil
 		}
 	}
 	return cfg.Engine, warnings, nil
@@ -102,8 +78,8 @@ func (s *System) supported() error {
 	if s.unsupported != nil {
 		return s.unsupported
 	}
-	if s.commitTrace != nil && (sampling.on(s.cfg) || checkpointing.on(s.cfg)) {
-		return fmt.Errorf("%w: sampling and checkpointing require no commit observer", ErrUnsupported)
+	if s.commitTrace != nil && sampling.on(s.cfg) {
+		return fmt.Errorf("%w: sampling requires no commit observer", ErrUnsupported)
 	}
 	return nil
 }

@@ -27,17 +27,14 @@ func TestCheckRows(t *testing.T) {
 		{"default", func(*Config) {}, EngineSkip, false, false},
 		{"parallel", func(c *Config) { c.Engine = EngineParallel }, EngineSkip, true, false},
 		{"parallel+obs", func(c *Config) { c.Engine = EngineParallel; c.Obs = obs.New(obs.Config{}) }, EngineSkip, true, false},
-		{"parallel+checkpoint", func(c *Config) { c.Engine = EngineParallel; c.CheckpointEvery = 1000 }, EngineSkip, true, false},
 		{"parallel+zero-latency", func(c *Config) { c.Engine = EngineParallel; c.Params.NetLatency = 0 }, EngineSkip, true, false},
 		{"parallel+faults", func(c *Config) { c.Engine = EngineParallel; c.Faults = &network.FaultPlan{} }, EngineSkip, true, false},
-		{"naive+checkpoint", func(c *Config) { c.Engine = EngineNaive; c.CheckpointEvery = 1000 }, EngineSkip, true, false},
 		{"naive+verify", func(c *Config) { c.Engine = EngineNaive; c.Verify = true }, EngineNaive, false, false},
 		{"sample", func(c *Config) { c.Sample = spec }, EngineSkip, false, false},
 		{"sample+parallel", func(c *Config) { c.Sample = spec; c.Engine = EngineParallel }, EngineSkip, true, false},
 		{"sample+parallel+ooo", func(c *Config) { c.Sample = spec; c.Engine = EngineParallel; c.OOO = true }, 0, false, true},
 		{"sample+ooo", func(c *Config) { c.Sample = spec; c.OOO = true }, 0, false, true},
-		{"sample+checkpoint+naive", func(c *Config) { c.Sample = spec; c.CheckpointEvery = 1; c.Engine = EngineNaive }, 0, false, true},
-		{"checkpoint+faults", func(c *Config) { c.CheckpointEvery = 1; c.Faults = &network.FaultPlan{} }, 0, false, true},
+		{"sample+naive", func(c *Config) { c.Sample = spec; c.Engine = EngineNaive }, 0, false, true},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -45,25 +45,18 @@ type SampledRun struct {
 }
 
 // SetBoundaryHook installs a function invoked at every window boundary of a
-// sampled or checkpointed run: after each drain and, when sampling, after
-// each warming window (testing: invariant oracles see a quiescent machine).
+// sampled run: after each drain and after each warming window (testing:
+// invariant oracles see a quiescent machine).
 func (s *System) SetBoundaryHook(fn func(cycle uint64)) { s.boundaryHook = fn }
 
-// runSampled is the windowed run loop shared by interval sampling and
-// periodic checkpointing. Timed windows of Sample.Detailed committed L1D
-// accesses — CheckpointEvery for a checkpointed run — each end in a drain
-// (issue held on every core, in-flight accesses retired), so every window
-// boundary finds the machine architecturally quiescent. A sampled run
-// records each window in its estimators, then commits the next
-// Sample.Warming accesses functionally through coherence.Warmer with no
-// timing; a checkpointed run goes straight on to its next window. Drains
-// charge to the run like any other stall, so a checkpoint cadence is its own
-// deterministic execution: a resumed run is byte-identical to an
-// uninterrupted run with the same cadence. A sampled run checkpoints at its
-// existing post-warming boundaries, so checkpointing it perturbs nothing.
+// runSampled is the interval-sampling run loop. Timed windows of
+// Sample.Detailed committed L1D accesses each end in a drain (issue held on
+// every core, in-flight accesses retired), so every window boundary finds
+// the machine architecturally quiescent. Each window is recorded in the
+// estimators; then the next Sample.Warming accesses commit functionally
+// through coherence.Warmer with no timing.
 func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 	spec := s.cfg.Sample
-	sampling := spec.Enabled()
 	st := s.stats
 	cores := make([]*cpu.InOrder, len(s.cores))
 	for i, c := range s.cores {
@@ -75,34 +68,14 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 		}
 	}
 
-	budget := s.cfg.CheckpointEvery
-	var (
-		warmer *coherence.Warmer
-		sinks  []*warmSink
-		cycEst sample.Estimator
-		ests   []sample.Estimator
-		snap   []uint64
-	)
-	if sampling {
-		budget = spec.Detailed
-		warmer = coherence.NewWarmer(s.cfg.Params, s.cfg.Mode, s.l1s, s.dirs, s.mem)
-		sinks = make([]*warmSink, len(s.cores))
-		for i := range sinks {
-			sinks[i] = &warmSink{core: i, st: st, warmer: warmer}
-		}
-		ests = make([]sample.Estimator, len(sampledTimingIDs))
-		snap = make([]uint64, len(sampledTimingIDs))
-		// A restored sampled run re-seeds its estimators from the checkpoint
-		// so the whole-run estimates match the uninterrupted run's exactly.
-		if rs := s.resumedSample; rs != nil {
-			cycEst.SetState(rs.CycWindows)
-			for i := range ests {
-				ests[i].SetState(rs.Ests[i])
-			}
-		}
+	warmer := coherence.NewWarmer(s.cfg.Params, s.cfg.Mode, s.l1s, s.dirs, s.mem)
+	sinks := make([]*warmSink, len(s.cores))
+	for i := range sinks {
+		sinks[i] = &warmSink{core: i, st: st, warmer: warmer}
 	}
-	// CheckpointEvery rate-limits which boundaries get a snapshot.
-	lastCkpt := st.GetID(stats.IDL1DAccesses)
+	var cycEst sample.Estimator
+	ests := make([]sample.Estimator, len(sampledTimingIDs))
+	snap := make([]uint64, len(sampledTimingIDs))
 
 	for {
 		// Timed window, until the access budget is spent or the workload
@@ -113,7 +86,7 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 		for i := range snap {
 			snap[i] = st.GetID(sampledTimingIDs[i])
 		}
-		finished, err := s.advance(name, maxCycles, false, budget)
+		finished, err := s.advance(name, maxCycles, false, spec.Detailed)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +96,7 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 		}
 
 		// Record the window (a zero-access tail window carries no signal).
-		if acc := st.GetID(stats.IDL1DAccesses) - winAcc; sampling && acc > 0 {
+		if acc := st.GetID(stats.IDL1DAccesses) - winAcc; acc > 0 {
 			cycEst.Observe(s.cycle-winCyc, acc)
 			for i, id := range sampledTimingIDs {
 				ests[i].Observe(st.GetID(id)-snap[i], acc)
@@ -132,80 +105,59 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 		if s.boundaryHook != nil {
 			s.boundaryHook(s.cycle)
 		}
-		if finished || sampling && s.finished() {
+		if finished || s.finished() {
 			hold(false)
 			break
 		}
 
-		if sampling {
-			// Warming window: commit operations functionally in round-robin
-			// quanta — each unfinished core runs up to warmQuantum operations
-			// inside its thread coroutine per round (one coroutine round trip
-			// per quantum, not per op), with the clock advancing one cycle per
-			// round (episode timestamps advance in compressed time). Tail
-			// rounds shrink the quantum to the remaining per-core budget so
-			// the window lands near its spec. Forced terminations drain each
-			// round, standing in for the directory Tick.
-			warmer.SetNow(s.cycle)
-			warmAcc := st.GetID(stats.IDL1DAccesses)
-			for {
-				cur := st.GetID(stats.IDL1DAccesses) - warmAcc
-				if cur >= spec.Warming {
-					break
-				}
-				q := (spec.Warming - cur) / uint64(len(cores))
-				if q == 0 {
-					q = 1
-				} else if q > warmQuantum {
-					q = warmQuantum
-				}
-				progress := false
-				for i, c := range cores {
-					if n, _ := c.WarmRun(sinks[i], q); n > 0 {
-						progress = true
-					}
-				}
-				s.cycle++
-				warmer.SetNow(s.cycle)
-				warmer.DrainForcedTerminations()
-				s.pollCancel()
-				if s.stopReason != "" {
-					return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-				}
-				if !progress {
-					break
+		// Warming window: commit operations functionally in round-robin
+		// quanta — each unfinished core runs up to warmQuantum operations
+		// inside its thread coroutine per round (one coroutine round trip
+		// per quantum, not per op), with the clock advancing one cycle per
+		// round (episode timestamps advance in compressed time). Tail
+		// rounds shrink the quantum to the remaining per-core budget so
+		// the window lands near its spec. Forced terminations drain each
+		// round, standing in for the directory Tick.
+		warmer.SetNow(s.cycle)
+		warmAcc := st.GetID(stats.IDL1DAccesses)
+		for {
+			cur := st.GetID(stats.IDL1DAccesses) - warmAcc
+			if cur >= spec.Warming {
+				break
+			}
+			q := (spec.Warming - cur) / uint64(len(cores))
+			if q == 0 {
+				q = 1
+			} else if q > warmQuantum {
+				q = warmQuantum
+			}
+			progress := false
+			for i, c := range cores {
+				if n, _ := c.WarmRun(sinks[i], q); n > 0 {
+					progress = true
 				}
 			}
-			if s.boundaryHook != nil {
-				s.boundaryHook(s.cycle)
+			s.cycle++
+			warmer.SetNow(s.cycle)
+			warmer.DrainForcedTerminations()
+			s.pollCancel()
+			if s.stopReason != "" {
+				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
+			}
+			if !progress {
+				break
 			}
 		}
-
-		// The machine is drained here (warming is purely functional), so
-		// this is a free checkpoint point.
-		if s.cfg.CheckpointSink != nil && st.GetID(stats.IDL1DAccesses)-lastCkpt >= s.cfg.CheckpointEvery {
-			var smp *SampleState
-			if sampling {
-				smp = &SampleState{CycWindows: cycEst.State()}
-				for i := range ests {
-					smp.Ests = append(smp.Ests, ests[i].State())
-				}
-			}
-			if err := s.emitCheckpoint(name, smp); err != nil {
-				return nil, err
-			}
-			lastCkpt = st.GetID(stats.IDL1DAccesses)
+		if s.boundaryHook != nil {
+			s.boundaryHook(s.cycle)
 		}
 		hold(false)
-		if sampling && s.finished() {
+		if s.finished() {
 			break
 		}
 	}
 
 	res := s.buildResult(name)
-	if !sampling {
-		return res, nil
-	}
 	total := st.GetID(stats.IDL1DAccesses)
 	sr := &SampledRun{
 		Spec:      spec,

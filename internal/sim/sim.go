@@ -96,22 +96,6 @@ type Config struct {
 	// machine with no observers (compat.go holds the full table).
 	Sample sample.Spec
 
-	// CheckpointEvery enables periodic checkpointing: for detailed runs, a
-	// drain boundary every N committed L1D accesses; for sampled runs, a
-	// snapshot at the first existing window boundary after N accesses (no
-	// extra drains). 0 disables. The cadence is part of the run's semantics:
-	// drains perturb timing, so byte-equality is defined per cadence (see
-	// checkpoint.go). Requires the same machine shape as sampling plus no
-	// oracles/observers/faults/obs (compat.go).
-	CheckpointEvery uint64
-
-	// CheckpointSink receives the machine state at each checkpoint boundary.
-	// A sink error aborts the run with ErrStopped. Nil with CheckpointEvery
-	// set keeps the boundaries (cadence semantics) without snapshotting —
-	// how a resumed run that no longer writes checkpoints stays
-	// byte-identical to its donor.
-	CheckpointSink func(*MachineState) error
-
 	// Cancel, when non-nil, is polled roughly once per loop iteration in
 	// every engine; when it returns true the run aborts with ErrStopped.
 	// Unlike RequestStop it may be flipped from another goroutine (the
@@ -183,10 +167,6 @@ type System struct {
 	pams        []*core.PAM
 	swmrBad     []string
 
-	// resumedSample, set by Restore on a sampled checkpoint, carries the
-	// estimator state runSampled re-seeds before its loop.
-	resumedSample *SampleState
-
 	// tracer / metrics are the unified observability attachments (nil when
 	// cfg.Obs is nil or lacks the corresponding half).
 	tracer  *obs.Tracer
@@ -204,8 +184,8 @@ type System struct {
 	cycleHook func(cycle uint64)
 
 	// boundaryHook, when set (tests), runs at every window boundary of a
-	// sampled or checkpointed run: the machine is architecturally quiescent
-	// when it fires, so invariant oracles may scan freely.
+	// sampled run: the machine is architecturally quiescent when it fires,
+	// so invariant oracles may scan freely.
 	boundaryHook func(cycle uint64)
 
 	// stopReason, when non-empty, aborts the run loop (RequestStop).
@@ -387,24 +367,12 @@ func New(cfg Config, wl Workload) *System {
 	s.l1Next = make([]uint64, len(s.l1s))
 	s.coreNext = make([]uint64, len(s.cores))
 	s.l1Act = make([]bool, len(s.l1s))
-	// Checkpointing needs the result log armed from the very first committed
-	// operation so threads can be replayed at any later snapshot (and so a
-	// restored thread's re-seeded log keeps growing). Arming is free on the
-	// shapes that can't checkpoint anyway (gated again at run time).
-	if cfg.CheckpointEvery > 0 && !cfg.OOO {
-		for _, c := range s.cores {
-			if io, ok := c.(*cpu.InOrder); ok {
-				io.SetRecorder(&cpu.OpRecorder{})
-			}
-		}
-	}
 	return s
 }
 
 // Stop terminates every core's thread coroutine. Run does this itself on
 // every exit path; Stop is for callers that abandon an assembled system
-// without running it (e.g. a failed checkpoint restore falling back to a
-// freshly built cold system).
+// without running it.
 func (s *System) Stop() {
 	for _, c := range s.cores {
 		c.Stop()
@@ -491,7 +459,7 @@ func (s *System) Run(name string) (*Result, error) {
 	if maxCycles == 0 {
 		maxCycles = 500_000_000
 	}
-	if s.cfg.Sample.Enabled() || s.cfg.CheckpointEvery > 0 {
+	if s.cfg.Sample.Enabled() {
 		return s.runSampled(name, maxCycles)
 	}
 	if _, err := s.advance(name, maxCycles, false, 0); err != nil {
@@ -517,8 +485,8 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 		return false, nil
 	}
 	full := s.cfg.Engine == EngineNaive || s.cycleHook != nil || s.net.MinDeliveryLatency() == 0
-	// Work created outside a tick — issue held or released, warming, a
-	// restored checkpoint — is missing from the wake-up caches.
+	// Work created outside a tick — issue held or released, warming — is
+	// missing from the wake-up caches.
 	s.wakeAll()
 	start := s.stats.GetID(stats.IDL1DAccesses)
 	for {

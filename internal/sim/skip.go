@@ -7,8 +7,8 @@ package sim
 // caches (see wakeAll).
 
 // wakeAll marks every component due. Work created outside a tick — issue
-// held or released, a warming window, a restored checkpoint — does not show
-// in the caches, so each sequential loop entry starts from here.
+// held or released, a warming window — does not show in the caches, so each
+// sequential loop entry starts from here.
 func (s *System) wakeAll() {
 	clear(s.dirNext)
 	clear(s.l1Next)

@@ -21,7 +21,8 @@ import (
 // A dashboard tails it; an interrupted campaign (crash, SIGKILL, power loss)
 // restarts by loading it and priming the engine's memo with the completed
 // cells, so only unfinished work reruns. A failed or timed-out cell has no
-// result and reruns; with a warm-state cache it resumes mid-run.
+// result and reruns from the start: the journaled cell is the unit of
+// recovery.
 //
 // The format is truncation-tolerant: each record is one write, synced when
 // the log is a file, and the loader skips a torn final line (the crash case)

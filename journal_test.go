@@ -53,6 +53,33 @@ func writeEntries(t *testing.T, path string, entries ...JournalEntry) {
 	}
 }
 
+// requireByteIdentical asserts two results are indistinguishable.
+func requireByteIdentical(t *testing.T, ref, got *Result) {
+	t.Helper()
+	if got.Cycles != ref.Cycles {
+		t.Errorf("cycles: resumed %d, uninterrupted %d", got.Cycles, ref.Cycles)
+	}
+	refStats, gotStats := ref.Stats.Snapshot(), got.Stats.Snapshot()
+	if !reflect.DeepEqual(refStats, gotStats) {
+		for k, v := range refStats {
+			if gotStats[k] != v {
+				t.Errorf("counter %s: resumed %d, uninterrupted %d", k, gotStats[k], v)
+			}
+		}
+		for k, v := range gotStats {
+			if _, ok := refStats[k]; !ok {
+				t.Errorf("counter %s: resumed has %d, uninterrupted lacks it", k, v)
+			}
+		}
+	}
+	if !reflect.DeepEqual(ref.Detections, got.Detections) {
+		t.Errorf("detections differ:\nuninterrupted %v\nresumed       %v", ref.Detections, got.Detections)
+	}
+	if !reflect.DeepEqual(ref.Contended, got.Contended) {
+		t.Errorf("contended differ:\nuninterrupted %v\nresumed       %v", ref.Contended, got.Contended)
+	}
+}
+
 // TestJournalResumePrimesCompletedCells: run a small campaign with a journal,
 // then resume it in a fresh Runner — every cell is served from the journal
 // and the results match the originals byte for byte.

@@ -8,55 +8,51 @@ import (
 	"time"
 )
 
-// SIGKILL smoke: a real process killed with SIGKILL mid-run — no deferred
+// SIGKILL smoke: a campaign process killed with SIGKILL — no deferred
 // cleanup, no atexit, the hardest crash short of power loss — must leave a
-// checkpoint a fresh process resumes byte-identically from. The test
-// re-executes its own binary as the victim: the child runs a checkpointing
-// simulation, signals readiness after its second checkpoint and then blocks;
-// the parent SIGKILLs it and finishes the run in-process.
+// journal from which a fresh Runner rebuilds the table byte for byte. The
+// test re-executes its own binary as the victim.
 
-// killResumeOpt is the fixed cell both processes run. Must agree between
-// parent and child (the checkpoint identity hash enforces that it does).
-func killResumeOpt() Options {
-	return Options{Protocol: FSDetect, Scale: testScale}
-}
-
-// TestKillResumeSmoke doubles as parent and victim, selected by environment:
-// with FSCKPT_CHILD set it runs the checkpointing simulation and blocks after
-// two checkpoints; otherwise it spawns itself as the child, SIGKILLs it once
-// ready, and resumes from the orphaned checkpoint.
-func TestKillResumeSmoke(t *testing.T) {
-	if os.Getenv("FSCKPT_CHILD") == "1" {
-		ready := os.Getenv("FSCKPT_READY")
-		_, err := RunControlled("RC", killResumeOpt(), RunControl{
-			CheckpointPath:  os.Getenv("FSCKPT_PATH"),
-			CheckpointEvery: ckptEvery,
-			OnCheckpoint: func(n int) error {
-				if n == 2 {
-					if err := os.WriteFile(ready, nil, 0o644); err != nil {
-						return err
-					}
-					time.Sleep(time.Hour) // hold still for the SIGKILL
+// TestKillResumeCampaign doubles as parent and victim, selected by
+// environment. With FSKILL_CHILD set it runs Fig 13 on a one-worker Runner
+// journaling to FSKILL_JOURNAL, and blocks in the progress callback of its
+// third executed cell: two records are on disk, and the third cell has run
+// but has no record, so to the journal the process dies inside it. Otherwise
+// it spawns itself as the child, SIGKILLs it once it blocks, resumes the
+// journal and demands the uninterrupted run's table.
+func TestKillResumeCampaign(t *testing.T) {
+	if os.Getenv("FSKILL_CHILD") == "1" {
+		f, err := os.Create(os.Getenv("FSKILL_JOURNAL"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(1)
+		r.SetStream(f)
+		cells := 0
+		r.SetProgress(func(string, Options, time.Duration, error) {
+			if cells++; cells == 3 {
+				if err := os.WriteFile(os.Getenv("FSKILL_READY"), nil, 0o644); err != nil {
+					t.Error(err)
+					return
 				}
-				return nil
-			},
+				time.Sleep(time.Hour) // hold still for the SIGKILL
+			}
 		})
-		// Unreachable when the parent kills us; reachable only if the kill
-		// never lands, in which case the run completing is fine too.
-		_ = err
+		// Reachable only if the kill never lands, in which case the parent
+		// has already failed.
+		fig13.build(r, testScale)
 		return
 	}
 
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "victim.ckpt")
+	journal := filepath.Join(dir, "campaign.jsonl")
 	ready := filepath.Join(dir, "ready")
-	cmd := exec.Command(os.Args[0], "-test.run", "TestKillResumeSmoke$", "-test.count=1")
-	cmd.Env = append(os.Environ(),
-		"FSCKPT_CHILD=1", "FSCKPT_PATH="+ckpt, "FSCKPT_READY="+ready)
+	cmd := exec.Command(os.Args[0], "-test.run", "TestKillResumeCampaign$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "FSKILL_CHILD=1", "FSKILL_JOURNAL="+journal, "FSKILL_READY="+ready)
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("spawning victim process: %v", err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
+	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		if _, err := os.Stat(ready); err == nil {
 			break
@@ -64,7 +60,7 @@ func TestKillResumeSmoke(t *testing.T) {
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()
-			t.Fatal("victim never reached its second checkpoint")
+			t.Fatal("victim never reached its third cell")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -73,16 +69,23 @@ func TestKillResumeSmoke(t *testing.T) {
 	}
 	cmd.Wait()
 
-	ref, err := RunControlled("RC", killResumeOpt(), RunControl{CheckpointEvery: ckptEvery})
+	ref := NewRunner(1)
+	want := fig13.build(ref, testScale).String()
+	ref.Wait()
+	total := ref.Report().Executed
+
+	r := NewRunner(1)
+	primed, err := r.ResumeJournal(journal)
 	if err != nil {
-		t.Fatalf("uninterrupted reference run failed: %v", err)
+		t.Fatalf("resuming the killed campaign's journal: %v", err)
 	}
-	got, err := RunControlled("RC", killResumeOpt(), RunControl{Resume: ckpt, CheckpointEvery: ckptEvery})
-	if err != nil {
-		t.Fatalf("resuming from the killed process's checkpoint: %v", err)
+	got := fig13.build(r, testScale).String()
+	r.Wait()
+	rep := r.Report()
+	if got != want {
+		t.Errorf("resumed table differs from the uninterrupted run:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	if len(got.Warnings) > 0 {
-		t.Fatalf("resume from a SIGKILLed process degraded: %v", got.Warnings)
+	if primed < 1 || primed+rep.Executed != total {
+		t.Errorf("primed %d + executed %d cells, want at least one primed and %d in all", primed, rep.Executed, total)
 	}
-	requireByteIdentical(t, ref, got)
 }

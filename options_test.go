@@ -10,16 +10,12 @@ import (
 	"fscoherence/internal/obs"
 )
 
-// matrixCell is one point of the Options matrix: the options plus whether
-// the run checkpoints (RunControl.CheckpointEvery).
-type matrixCell struct {
-	opt  Options
-	ckpt bool
-}
+// matrixCell is one point of the Options matrix.
+type matrixCell Options
 
 func (c matrixCell) String() string {
-	return fmt.Sprintf("engine=%s topo=%s sample=%q ckpt=%v verify=%v obs=%v forensics=%v l2=%d ooo=%v",
-		c.opt.Engine, c.opt.Topology, c.opt.Sample, c.ckpt, c.opt.Verify, c.opt.Obs != nil, c.opt.Forensics != nil, c.opt.L2KB, c.opt.OOO)
+	return fmt.Sprintf("engine=%s topo=%s sample=%q verify=%v obs=%v forensics=%v l2=%d ooo=%v",
+		c.Engine, c.Topology, c.Sample, c.Verify, c.Obs != nil, c.Forensics != nil, c.L2KB, c.OOO)
 }
 
 // run executes the cell on a small workload, turning a panic into an error
@@ -30,19 +26,15 @@ func (c matrixCell) run() (res *Result, err error) {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	var ctl RunControl
-	if c.ckpt {
-		ctl.CheckpointEvery = 1000
-	}
-	return RunControlled("RC", c.opt, ctl)
+	return Run("RC", Options(c))
 }
 
-// TestOptionsMatrix walks engine × topology × sample × checkpointing ×
-// Verify × Obs × Forensics × L2 × OOO. Every cell must return a Result or an
-// error wrapping ErrUnsupported, never panic; exactly the combinations the
-// rules below spell out are rejected; and whenever the engine that runs
-// differs from the one requested, Result.Warnings says so. The expectations
-// are written here by hand, not read from the compatibility table.
+// TestOptionsMatrix walks engine × topology × sample × Verify × Obs ×
+// Forensics × L2 × OOO. Every cell must return a Result or an error wrapping
+// ErrUnsupported, never panic; exactly the combinations the rules below spell
+// out are rejected; and whenever the engine that runs differs from the one
+// requested, Result.Warnings says so. The expectations are written here by
+// hand, not read from the compatibility table.
 func TestOptionsMatrix(t *testing.T) {
 	// Pinned rows.
 	pinned := []struct {
@@ -50,13 +42,12 @@ func TestOptionsMatrix(t *testing.T) {
 		reject bool
 		warn   bool
 	}{
-		{matrixCell{opt: Options{Sample: "1k:3k", OOO: true}}, true, false},
-		{matrixCell{opt: Options{Sample: "1k:3k", Engine: "parallel"}}, false, true},
-		{matrixCell{opt: Options{Engine: "parallel"}, ckpt: true}, false, true},
-		{matrixCell{opt: Options{Engine: "parallel", Obs: obs.New(obs.Config{})}}, false, true},
+		{matrixCell{Sample: "1k:3k", OOO: true}, true, false},
+		{matrixCell{Sample: "1k:3k", Engine: "parallel"}, false, true},
+		{matrixCell{Engine: "parallel", Obs: obs.New(obs.Config{})}, false, true},
 	}
 	for _, p := range pinned {
-		p.cell.opt.Protocol, p.cell.opt.Scale = FSLite, 0.05
+		p.cell.Protocol, p.cell.Scale = FSLite, 0.05
 		res, err := p.cell.run()
 		switch {
 		case p.reject && !errors.Is(err, ErrUnsupported):
@@ -72,21 +63,18 @@ func TestOptionsMatrix(t *testing.T) {
 	for _, engine := range []string{"skip", "naive", "parallel"} {
 		for _, topo := range []string{"flat", "mesh"} {
 			for _, spec := range []string{"", "1k:3k"} {
-				for mask := 0; mask < 1<<6; mask++ {
+				for mask := 0; mask < 1<<5; mask++ {
 					on := func(bit int) bool { return mask&(1<<bit) != 0 }
-					c := matrixCell{
-						opt: Options{Protocol: FSLite, Scale: 0.05, Engine: engine, Topology: topo, Sample: spec,
-							Verify: on(1), OOO: on(5)},
-						ckpt: on(0),
+					c := matrixCell{Protocol: FSLite, Scale: 0.05, Engine: engine, Topology: topo, Sample: spec,
+						Verify: on(0), OOO: on(4)}
+					if on(1) {
+						c.Obs = obs.New(obs.Config{})
 					}
 					if on(2) {
-						c.opt.Obs = obs.New(obs.Config{})
+						c.Forensics = forensics.New()
 					}
 					if on(3) {
-						c.opt.Forensics = forensics.New()
-					}
-					if on(4) {
-						c.opt.L2KB = 256
+						c.L2KB = 256
 					}
 					checkMatrixCell(t, c)
 					cells++
@@ -94,24 +82,22 @@ func TestOptionsMatrix(t *testing.T) {
 			}
 		}
 	}
-	if cells != 768 {
-		t.Fatalf("walked %d cells, want 768", cells)
+	if cells != 384 {
+		t.Fatalf("walked %d cells, want 384", cells)
 	}
 }
 
 // checkMatrixCell runs one cell and checks it against the hand-written rules.
 func checkMatrixCell(t *testing.T, c matrixCell) {
 	t.Helper()
-	o := c.opt
-	attached := o.Verify || o.Obs != nil || o.Forensics != nil
-	shaped := o.OOO || o.L2KB > 0 // machine shapes the warmer cannot model
+	attached := c.Verify || c.Obs != nil || c.Forensics != nil
+	shaped := c.OOO || c.L2KB > 0 // machine shapes the warmer cannot model
 	// "parallel" names the removed parallel engine and always runs skip.
-	reject := o.Sample != "" && (o.Engine == "naive" || shaped || attached) ||
-		c.ckpt && (shaped || attached)
-	fallback := !reject && (o.Engine == "parallel" || o.Engine == "naive" && c.ckpt)
+	reject := c.Sample != "" && (c.Engine == "naive" || shaped || attached)
+	fallback := !reject && c.Engine == "parallel"
 
 	res, err := c.run()
-	if verr := o.Validate(); !c.ckpt && (verr == nil) != (err == nil) {
+	if verr := Options(c).Validate(); (verr == nil) != (err == nil) {
 		t.Errorf("%v: Validate says %v, the run says %v", c, verr, err)
 	}
 	switch {
@@ -128,7 +114,7 @@ func checkMatrixCell(t *testing.T, c matrixCell) {
 		t.Errorf("%v: unexpected warnings %q", c, res.Warnings)
 	case len(res.Violations) > 0:
 		t.Errorf("%v: oracle violations %v", c, res.Violations)
-	case (o.Sample != "") != (res.Sampled != nil):
+	case (c.Sample != "") != (res.Sampled != nil):
 		t.Errorf("%v: sampled report present = %v", c, res.Sampled != nil)
 	}
 }

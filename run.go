@@ -207,9 +207,8 @@ type Result struct {
 	// window counts and detail coverage. Nil for fully-timed runs.
 	Sampled *SampledRun
 
-	// Warnings reports non-fatal degradations of the run: an engine that
-	// fell back to skip (the compatibility table's fallback rows), or a
-	// rejected checkpoint that forced a cold start.
+	// Warnings reports non-fatal degradations of the run: the removed
+	// parallel engine requested and the skip engine run instead.
 	Warnings []string
 }
 
@@ -262,13 +261,13 @@ func (r *Result) NormalizedEnergy(base *Result) float64 {
 // compatibility table accepts the combination (an error wrapping
 // ErrUnsupported when it does not). The CLIs call it before any cell runs.
 func (opt Options) Validate() error {
-	_, _, err := buildConfig(opt, 0)
+	_, _, err := buildConfig(opt)
 	return err
 }
 
 // normalized returns opt with every spelling of the same run folded to one:
 // Scale 0 is 1, Engine "" is "skip", Topology "flat" is "" and the ignored
-// Shards is 0. Memo keys, seeds and checkpoint identities are taken from it.
+// Shards is 0. Memo keys and seeds are taken from it.
 func (opt Options) normalized() Options {
 	if opt.Scale == 0 {
 		opt.Scale = 1
@@ -283,11 +282,10 @@ func (opt Options) normalized() Options {
 	return opt
 }
 
-// buildConfig translates Options into the simulator configuration, with
-// checkpointing every `every` committed accesses (0 = off), and applies the
-// compatibility table: it returns the table's fallback warnings, or its
+// buildConfig translates Options into the simulator configuration and
+// applies the compatibility table: it returns the table's warnings, or its
 // rejection.
-func buildConfig(opt Options, every uint64) (sim.Config, []string, error) {
+func buildConfig(opt Options) (sim.Config, []string, error) {
 	cfg := sim.DefaultConfig(opt.Protocol)
 	if opt.L1KB > 0 {
 		cfg.Params.L1Entries = opt.L1KB * 1024 / cfg.Params.BlockSize
@@ -348,7 +346,6 @@ func buildConfig(opt Options, every uint64) (sim.Config, []string, error) {
 			return cfg, nil, err
 		}
 	}
-	cfg.CheckpointEvery = every
 	_, warnings, err := sim.Check(cfg)
 	return cfg, warnings, err
 }
@@ -364,12 +361,36 @@ func buildConfig(opt Options, every uint64) (sim.Config, []string, error) {
 // global source). The Runner engine relies on both properties for its
 // memoization and parallel fan-out; `go test -race ./...` guards them.
 func Run(bench string, opt Options) (*Result, error) {
-	return RunControlled(bench, opt, RunControl{})
+	return run(bench, opt, nil)
 }
 
-// assembleResult folds a finished simulation into the public Result (shared
-// by Run and RunControlled).
-func assembleResult(bench string, opt Options, gt *forensics.GroundTruth, res *sim.Result) *Result {
+// run is Run with cooperative cancellation: a non-nil cancel is polled by
+// the simulator roughly once per loop iteration, and returning true aborts
+// the run with an error wrapping sim.ErrStopped (Runner.SetTimeout's
+// watchdog).
+func run(bench string, opt Options, cancel func() bool) (*Result, error) {
+	spec, err := workload.ByName(bench)
+	if err != nil {
+		return nil, err
+	}
+	opt = opt.normalized()
+	cfg, warnings, err := buildConfig(opt)
+	if err != nil {
+		return nil, err
+	}
+	if rec := opt.Forensics; rec != nil {
+		// The recorder reads this run only, also when opt.Obs's tracer
+		// outlives it.
+		rec.Begin(cfg.Params.BlockSize)
+		cfg.Obs.Tracer.SetTap(rec.Record)
+		defer cfg.Obs.Tracer.SetTap(nil)
+	}
+	cfg.Cancel = cancel
+	threads, regions, gt := spec.BuildLabeled(opt.Variant, workload.Scale(opt.Scale), opt.Cores)
+	res, err := sim.New(cfg, sim.Workload{Name: bench, Threads: threads, ReductionRegions: regions}).Run(bench)
+	if err != nil {
+		return nil, fmt.Errorf("run %s under %v: %w", bench, opt.Protocol, err)
+	}
 	out := &Result{
 		Benchmark:    bench,
 		Protocol:     opt.Protocol,
@@ -387,7 +408,8 @@ func assembleResult(bench string, opt Options, gt *forensics.GroundTruth, res *s
 	out.Energy = energy.Default().Compute(res.Stats, opt.Protocol != Baseline).Total()
 	out.Violations = append(out.Violations, res.OracleViolations...)
 	out.Violations = append(out.Violations, res.SWMRViolations...)
-	return out
+	out.Warnings = warnings
+	return out, nil
 }
 
 // BenchmarkInfo describes a registered workload model (Table III).

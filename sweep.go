@@ -27,11 +27,9 @@ import (
 // NewRunner(1) executes cells inline in submission order, reproducing the
 // historical serial harness exactly.
 type Runner struct {
-	eng       *runner.Engine
-	defaults  Options // machine fields only; see SetDefaults
-	ckptDir   string
-	ckptEvery uint64
-	timeout   time.Duration
+	eng      *runner.Engine
+	defaults Options // machine fields only; see SetDefaults
+	timeout  time.Duration
 
 	mu          sync.Mutex
 	sampled     []*Result
@@ -121,21 +119,10 @@ func (r *Runner) SampledCells() []*Result {
 // SetTimeout gives every cell a wall-clock watchdog (0, the default, disables
 // it): a cell still running after d is canceled cooperatively and fails with
 // an error wrapping sim.ErrStopped. Cells are deterministic, so a failed cell
-// is not retried; a later campaign resuming the journal reruns it, mid-run
-// when the warm-state cache holds its snapshot. cmd/fsexp's -timeout flag
-// uses it so one hung configuration cannot stall a campaign.
+// is not retried; a later campaign resuming the journal reruns it from the
+// start. cmd/fsexp's -timeout flag uses it so one hung configuration cannot
+// stall a campaign.
 func (r *Runner) SetTimeout(d time.Duration) { r.timeout = d }
-
-// SetCheckpointDir enables the warm-state cache for submitted cells:
-// checkpoint-compatible cells periodically snapshot into dir (cadence every
-// committed L1D accesses; 0 picks DefaultCheckpointEvery) and automatically
-// resume from a valid snapshot of their own identity, so a rerun after a
-// crash — or a retry after a timeout — picks up mid-run instead of cold.
-// Cells whose options cannot checkpoint (OOO, Verify, Obs, Forensics,
-// private L2s, non-inclusive LLC) run normally without snapshots.
-func (r *Runner) SetCheckpointDir(dir string, every uint64) {
-	r.ckptDir, r.ckptEvery = dir, every
-}
 
 // SetProgress installs a per-cell completion callback (timing report).
 // Calls are serialized by the engine.
@@ -177,20 +164,16 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 	}
 	key := cellKey{Bench: bench, Opt: opt}
 	h := r.eng.Do(key, func(uint64) (any, error) {
-		var ctl RunControl
-		if r.ckptDir != "" && CheckpointCompatible(opt) {
-			ctl.CacheDir = r.ckptDir
-			ctl.CheckpointEvery = r.ckptEvery
-		}
+		var cancel func() bool
 		if r.timeout > 0 {
 			var expired atomic.Bool
 			watchdog := time.AfterFunc(r.timeout, func() { expired.Store(true) })
 			defer watchdog.Stop()
-			ctl.Cancel = expired.Load
+			cancel = expired.Load
 		}
-		res, err := RunControlled(bench, opt, ctl)
+		res, err := run(bench, opt, cancel)
 		if err != nil {
-			if ctl.Cancel != nil && ctl.Cancel() {
+			if cancel != nil && cancel() {
 				err = fmt.Errorf("timed out after %v: %w", r.timeout, err)
 			}
 			return nil, err
