@@ -85,20 +85,22 @@ type mshr struct {
 // Observer receives architectural commit events (used by the simulation
 // engine for the golden-memory oracle and per-op accounting).
 //
-// OnLoadCommit carries the load's issue cycle because a miss-path load binds
-// its value at the directory (its coherence-order serialization point),
-// which lies anywhere in [issue, commit]: the oracle must accept any value
-// live during that window, not just the one current at commit. Hits
-// serialize at commit and report issue == commit.
+// Every event carries its commit cycle at, which is the engine's current
+// cycle except for hits a run-ahead core commits ahead of it (CommitHit).
+// OnLoadCommit also carries the load's issue cycle because a miss-path load
+// binds its value at the directory (its coherence-order serialization
+// point), which lies anywhere in [issue, at]: the oracle must accept any
+// value live during that window, not just the one current at commit. Hits
+// serialize at commit and report issue == at.
 type Observer interface {
-	OnLoadCommit(core int, addr memsys.Addr, value []byte, issue uint64)
-	OnStoreCommit(core int, addr memsys.Addr, value []byte)
+	OnLoadCommit(core int, addr memsys.Addr, value []byte, issue, at uint64)
+	OnStoreCommit(core int, addr memsys.Addr, value []byte, at uint64)
 	// OnReduceCommit reports a commutative accumulation; deltas commit in
 	// an arbitrary interleaving, so the oracle sums rather than overwrites.
-	OnReduceCommit(core int, addr memsys.Addr, delta []byte)
+	OnReduceCommit(core int, addr memsys.Addr, delta []byte, at uint64)
 	// OnRMWCommit reports an atomic read-modify-write as one access: it
 	// read old and wrote next at commit, holding the line exclusively.
-	OnRMWCommit(core int, addr memsys.Addr, old, next []byte)
+	OnRMWCommit(core int, addr memsys.Addr, old, next []byte, at uint64)
 }
 
 // scheduledDone is a local-hit access whose architectural effects have been
@@ -281,18 +283,15 @@ func (l *L1) Submit(a *Access) SubmitResult {
 	a.Validate(l.params.BlockSize)
 	blk := a.Addr.BlockAlign(l.params.BlockSize)
 
-	if _, busy := l.mshrs[blk]; busy {
-		return SubmitRetry // no coalescing: one transaction per block
-	}
-	if _, inWB := l.wb[blk]; inWB {
-		return SubmitRetry // wait for the writeback ack
+	if l.busy(blk) {
+		return SubmitRetry
 	}
 
 	e := l.cache.Lookup(blk)
 	if e != nil {
-		if res, ok := l.tryLocal(a, blk, e); ok {
+		if l.tryLocal(a, blk, e, l.params.L1HitCycles) {
 			l.stats.IncID(stats.IDL1DAccesses)
-			return res
+			return SubmitHit
 		}
 		// Resident but insufficient permission: upgrade or CHK transaction.
 		if len(l.mshrs) >= l.maxMSHRs {
@@ -335,13 +334,10 @@ func (l *L1) Submit(a *Access) SubmitResult {
 				l.policy.Allocate(blk, false)
 			}
 			l.stats.Inc("l2.hits")
-			if res, ok := l.tryLocal(a, blk, ne); ok {
+			if l.tryLocal(a, blk, ne, l.params.L1HitCycles+l.params.L2HitCycles) {
 				l.stats.IncID(stats.IDL1DAccesses)
 				l.stats.IncID(stats.IDL1DMisses) // an L1 miss, served by the L2
-				if res == SubmitHit && len(l.local) > 0 {
-					l.local[len(l.local)-1].at += l.params.L2HitCycles
-				}
-				return res
+				return SubmitHit
 			}
 			// Permission miss after promotion: fall through to a
 			// transaction against the resident line.
@@ -382,58 +378,103 @@ func (l *L1) Submit(a *Access) SubmitResult {
 	return SubmitMiss
 }
 
-// tryLocal attempts to satisfy the access against a resident line. It returns
-// ok=false when a permission transaction is required.
-func (l *L1) tryLocal(a *Access, blk memsys.Addr, e *memsys.Entry[l1Line]) (SubmitResult, bool) {
+// busy reports whether blk has an MSHR (no coalescing: one transaction per
+// block) or sits in the writeback buffer awaiting its ack; an access to it
+// must wait.
+func (l *L1) busy(blk memsys.Addr) bool {
+	if _, ok := l.mshrs[blk]; ok {
+		return true
+	}
+	_, ok := l.wb[blk]
+	return ok
+}
+
+// tryLocal satisfies the access against the resident line e, committing it
+// now and completing it delay cycles later. It returns false, changing
+// nothing, when a permission transaction is required.
+func (l *L1) tryLocal(a *Access, blk memsys.Addr, e *memsys.Entry[l1Line], delay uint64) bool {
+	var val []byte
+	if a.Kind != AccessPrefetch {
+		var ok bool
+		if val, ok = l.hitAt(a, blk, e, l.now); !ok {
+			return false
+		}
+	}
+	l.local = append(l.local, scheduledDone{done: a.Done, value: val, at: l.now + delay})
+	return true
+}
+
+// CommitHit commits a at cycle at if it is a pure L1 hit: the block resident
+// in the L1 with the permission a needs and no MSHR or writeback-buffer entry
+// for it. It takes Submit's hit path — the LRU refresh, the silent E->M
+// upgrade, the PAM check and update, the commit counters and the observer —
+// but queues no completion: the caller proceeds as if Done had fired
+// L1HitCycles after at. It returns the value read (the pre-RMW value for an
+// atomic, 0 for a store or reduction) and declines (ok=false) prefetches,
+// misses, permission misses and L2 promotions.
+//
+// A run-ahead core commits its hits here ahead of the engine's clock, so at
+// may lie past the L1's last tick; the caller must guarantee that no message
+// reaches this L1 before at.
+func (l *L1) CommitHit(a *Access, at uint64) (v uint64, ok bool) {
+	a.Validate(l.params.BlockSize)
+	blk := a.Addr.BlockAlign(l.params.BlockSize)
+	if a.Kind == AccessPrefetch || l.busy(blk) {
+		return 0, false
+	}
+	e := l.cache.Lookup(blk)
+	if e == nil {
+		return 0, false
+	}
+	val, ok := l.hitAt(a, blk, e, at)
+	if !ok {
+		return 0, false
+	}
+	l.stats.IncID(stats.IDL1DAccesses)
+	if val != nil {
+		v = leVal(val)
+		l.putVal(val)
+	}
+	return v, true
+}
+
+// HitCycles returns the L1 hit latency: Submit fires a hit's Done this many
+// cycles after the commit.
+func (l *L1) HitCycles() uint64 { return l.params.L1HitCycles }
+
+// hitAt is the L1 hit path shared by Submit and CommitHit: when the line's
+// state (and, for a privatized line, the PAM's bits) permit the access, it
+// applies the silent E->M upgrade, counts the hit and commits the access at
+// cycle at, returning the committed value. ok=false means a permission
+// transaction is required; nothing changed.
+func (l *L1) hitAt(a *Access, blk memsys.Addr, e *memsys.Entry[l1Line], at uint64) (val []byte, ok bool) {
 	st := e.Payload.state
 	off := a.Addr.BlockOffset(l.params.BlockSize)
 	switch a.Kind {
-	case AccessPrefetch:
-		l.scheduleLocal(a)
-		return SubmitHit, true
 	case AccessLoad:
-		if st == L1Prv {
-			if l.policy.HasBits(blk, off, a.Size, false) {
-				l.hit(a)
-				return SubmitHit, true
-			}
-			return 0, false
+		if st == L1Prv && !l.policy.HasBits(blk, off, a.Size, false) {
+			return nil, false
 		}
-		l.hit(a)
-		return SubmitHit, true
 	case AccessStore, AccessAtomicRMW, AccessReduce:
 		switch st {
 		case L1Modified:
-			l.hit(a)
-			return SubmitHit, true
 		case L1Exclusive:
 			e.Payload.state = L1Modified // silent E->M upgrade
 			l.traceState(blk, L1Exclusive, L1Modified)
-			l.hit(a)
-			return SubmitHit, true
 		case L1Shared:
-			return 0, false
+			return nil, false
 		case L1Prv:
-			if l.policy.HasBits(blk, off, a.Size, true) {
-				l.hit(a)
-				return SubmitHit, true
+			if !l.policy.HasBits(blk, off, a.Size, true) {
+				return nil, false
 			}
-			return 0, false
+		default:
+			panic("l1: unreachable")
 		}
+	default:
+		panic("l1: unreachable")
 	}
-	panic("l1: unreachable")
-}
-
-func (l *L1) hit(a *Access) {
 	l.stats.IncID(stats.IDL1DHits)
-	l.scheduleLocal(a)
-}
-
-// scheduleLocal applies the access now (its serialization point) and defers
-// the completion callback by the hit latency.
-func (l *L1) scheduleLocal(a *Access) {
-	val := l.commitNow(a, l.now)
-	l.local = append(l.local, scheduledDone{done: a.Done, value: val, at: l.now + l.params.L1HitCycles})
+	return l.commitAt(a, at, at), true
 }
 
 // getVal draws a value buffer from the pool (loads and atomics observe at
@@ -545,13 +586,13 @@ func (l *L1) redispatch(m *network.Msg) {
 	l.net.Release(m)
 }
 
-// commitNow architecturally performs the access against the (resident and
-// permitted) line, updates private metadata and notifies the observer. It
-// returns the value to deliver through Done (nil for stores/prefetches).
-// issue is the access's issue cycle: for a miss-path load that is the cycle
-// the request entered the system (the serialization point lies between it
-// and now); for hits it equals now.
-func (l *L1) commitNow(a *Access, issue uint64) []byte {
+// commitAt architecturally performs the access at cycle at against the
+// (resident and permitted) line, updates private metadata and notifies the
+// observer. It returns the value to deliver through Done (nil for
+// stores/prefetches). issue is the access's issue cycle: for a miss-path load
+// that is the cycle the request entered the system (the serialization point
+// lies between it and at); for hits it equals at.
+func (l *L1) commitAt(a *Access, issue, at uint64) []byte {
 	if a.Kind == AccessPrefetch {
 		return nil
 	}
@@ -570,7 +611,7 @@ func (l *L1) commitNow(a *Access, issue uint64) []byte {
 			l.policy.OnAccess(blk, off, a.Size, false)
 		}
 		if l.obs != nil {
-			l.obs.OnLoadCommit(l.core, a.Addr, val, issue)
+			l.obs.OnLoadCommit(l.core, a.Addr, val, issue, at)
 		}
 		l.stats.IncID(stats.IDLoadsCommitted)
 		return val
@@ -581,7 +622,7 @@ func (l *L1) commitNow(a *Access, issue uint64) []byte {
 			l.policy.OnAccess(blk, off, a.Size, true)
 		}
 		if l.obs != nil {
-			l.obs.OnStoreCommit(l.core, a.Addr, a.StoreData)
+			l.obs.OnStoreCommit(l.core, a.Addr, a.StoreData, at)
 		}
 		l.stats.IncID(stats.IDStoresCommit)
 		return nil
@@ -600,7 +641,7 @@ func (l *L1) commitNow(a *Access, issue uint64) []byte {
 			l.policy.OnAccess(blk, off, a.Size, true)
 		}
 		if l.obs != nil {
-			l.obs.OnReduceCommit(l.core, a.Addr, delta)
+			l.obs.OnReduceCommit(l.core, a.Addr, delta, at)
 		}
 		l.stats.IncID(stats.IDReducesCommit)
 		l.putVal(delta)
@@ -619,7 +660,7 @@ func (l *L1) commitNow(a *Access, issue uint64) []byte {
 			l.policy.OnAccess(blk, off, a.Size, true)
 		}
 		if l.obs != nil {
-			l.obs.OnRMWCommit(l.core, a.Addr, old, next)
+			l.obs.OnRMWCommit(l.core, a.Addr, old, next, at)
 		}
 		l.stats.IncID(stats.IDAtomicsCommit)
 		return old
@@ -751,7 +792,7 @@ func (l *L1) finishTxn(m *mshr) {
 	delete(l.mshrs, m.addr)
 	l.cache.Unpin(m.addr)
 	l.noteMiss(m.addr, m.start)
-	val := l.commitNow(m.access, m.start)
+	val := l.commitAt(m.access, m.start, l.now)
 	if m.access.Done != nil {
 		m.access.Done(val)
 	}
@@ -858,7 +899,7 @@ func (l *L1) commitFromBuffer(tx *mshr, data []byte) {
 	val := make([]byte, a.Size)
 	copy(val, data[off:off+a.Size])
 	if l.obs != nil {
-		l.obs.OnLoadCommit(l.core, a.Addr, val, tx.start)
+		l.obs.OnLoadCommit(l.core, a.Addr, val, tx.start, l.now)
 	}
 	l.stats.IncID(stats.IDLoadsCommitted)
 	if a.Done != nil {

@@ -104,7 +104,14 @@ func TestRacePhantomMetadataDeterministic(t *testing.T) {
 	// §V-D: core 0 holds B in M; it evicts B (writeback in flight, PAM entry
 	// gone) and then receives a late Fwd_GetX with REQ_MD: it must serve the
 	// data from the writeback buffer and send a dataless phantom message.
-	pp := newPuppet(t, FSDetect)
+	// Both protocols that track metadata take the path.
+	for _, mode := range []Protocol{FSDetect, FSLite} {
+		t.Run(mode.String(), func(t *testing.T) { phantomMetadata(t, mode) })
+	}
+}
+
+func phantomMetadata(t *testing.T, mode Protocol) {
+	pp := newPuppet(t, mode)
 	const a = memsys.Addr(0x10000)
 
 	// Acquire M.

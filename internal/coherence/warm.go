@@ -201,7 +201,7 @@ func (w *Warmer) Access(core int, kind AccessKind, a memsys.Addr, size int, stor
 	}
 }
 
-// commit mirrors the detailed commitNow: architectural effect, private
+// commit mirrors the detailed commitAt: architectural effect, private
 // metadata update, commit counter. No commit observer or event tracer is
 // attached by construction (sampling rejects them, and with the tracer the
 // flight recorder that reads its events).

@@ -20,13 +20,17 @@ type Core interface {
 	// NextEvent returns the earliest cycle > now at which the core might make
 	// progress without external input, or NoEvent if it is blocked waiting on
 	// its L1 (whose completions are covered by the L1's and the network's own
-	// wake-up reports). Returning an earlier cycle than necessary is safe
-	// (the engine just ticks an idle round); later is a correctness bug.
+	// wake-up reports). A core that ran ahead on L1 hits reports the cycle
+	// its held op issues at, the cycle the naive loop would issue it.
+	// Returning an earlier cycle than necessary is safe (the engine just
+	// ticks an idle round); later is a correctness bug.
 	NextEvent(now uint64) uint64
 	// SkipIdle accounts for n consecutive cycles the engine fast-forwarded
 	// over: the core must apply exactly the per-cycle bookkeeping (stall
 	// counters) its Tick would have performed in each skipped cycle, so
-	// counter snapshots stay byte-identical to the naive engine.
+	// counter snapshots stay byte-identical to the naive engine. Stall
+	// cycles a run-ahead already credited for its hits are not counted
+	// again.
 	SkipIdle(n uint64)
 	// Stop terminates the core's thread coroutine; a thread parked
 	// mid-operation unwinds cleanly. Must be called when a simulation ends
@@ -53,6 +57,10 @@ type InOrder struct {
 	// slot is the core's single reusable Access (one operation outstanding
 	// at a time), so the issue path performs no heap allocation.
 	slot *accessSlot
+
+	// ahead is the run-ahead state, built when SetLookahead first arms it,
+	// so a core that never runs ahead costs one pointer.
+	ahead *aheadSink
 }
 
 // NewInOrder builds an in-order core running fn.
@@ -60,6 +68,24 @@ func NewInOrder(id int, l1 *coherence.L1, fn ThreadFunc, st *stats.Set) *InOrder
 	c := &InOrder{l1: l1, runner: startThread(id, fn), stats: st}
 	c.slot = newAccessSlot(c.finish)
 	return c
+}
+
+// SetLookahead arms run-ahead on L1 hits (nil disarms it): every fetch then
+// resumes the thread with aheadSink as its warm sink, committing hits and
+// compute bursts inside the coroutine until an operation is neither or would
+// issue at or after look's horizon. That operation is held as the fetched op
+// and issues at the cycle the naive loop would issue it, which becomes the
+// core's wake-up. The engine arms it only where nothing observes the order in
+// which cores commit (see sim's advance).
+func (c *InOrder) SetLookahead(look Lookahead) {
+	if c.ahead == nil {
+		if look == nil {
+			return
+		}
+		// A zero-latency hit's Done fires at the next tick.
+		c.ahead = &aheadSink{c: c, hit: max(c.l1.HitCycles(), 1)}
+	}
+	c.ahead.look = look
 }
 
 // finish completes the outstanding access, unblocking the thread.
@@ -95,8 +121,8 @@ func (c *InOrder) Tick(now uint64) {
 		return // draining at a sampling window boundary: no new issues
 	}
 	if !c.haveOp {
-		if !c.fetch() {
-			return
+		if !c.fetch(now) || c.busyUntil > now {
+			return // thread done, or ran ahead: the held op issues at busyUntil
 		}
 	}
 	op := c.cur
@@ -114,11 +140,11 @@ func (c *InOrder) Tick(now uint64) {
 }
 
 // NextEvent reports the in-order core's wake-up: the end of the current
-// compute burst, the next cycle when an operation is ready to execute, or
-// NoEvent while a memory access is outstanding. A rejected access (retry)
-// also reports NoEvent: the L1 rejection can only clear in response to an
-// external completion, and the per-cycle retry has no architectural or
-// counter side effects until then.
+// compute burst or run-ahead stretch (the cycle its held op issues at), the
+// next cycle when an operation is ready to execute, or NoEvent while a memory
+// access is outstanding. A rejected access (retry) also reports NoEvent: the
+// L1 rejection can only clear in response to an external completion, and the
+// per-cycle retry has no architectural or counter side effects until then.
 func (c *InOrder) NextEvent(now uint64) uint64 {
 	if c.Finished() {
 		return NoEvent
@@ -193,21 +219,37 @@ func (c *InOrder) WarmRun(sink WarmSink, budget uint64) (uint64, bool) {
 // SkipIdle applies the stall accounting of n skipped cycles. The engine only
 // skips cycles in which Tick would have made no progress, so the naive loop
 // would have counted one memory-stall cycle per skipped cycle iff an access
-// was outstanding (a compute burst early-returns without counting).
+// was outstanding (a compute burst early-returns without counting). A
+// run-ahead stretch credited its hits' stall cycles as it committed them, and
+// waits out the rest like a compute burst.
 func (c *InOrder) SkipIdle(n uint64) {
 	if c.waiting {
 		c.stats.AddID(stats.IDStallCycles, n)
 	}
 }
 
-// fetch pulls the next operation from the thread.
-func (c *InOrder) fetch() bool {
+// fetch pulls the next operation from the thread at cycle now. Armed, it
+// runs ahead first; if that moved the issue cycle past now, busyUntil holds
+// it, and a thread that ended during the stretch is found exhausted by the
+// fetch at busyUntil, the cycle the naive loop would find it.
+func (c *InOrder) fetch(now uint64) bool {
 	if c.exhausted {
 		return false
 	}
+	ctx := c.runner.ctx
+	a := c.ahead
+	armed := a != nil && a.look != nil
+	if armed {
+		a.at, a.bound = now, a.look.Horizon(ctx.id, now)
+		ctx.warmSink, ctx.warmBudget = a, ^uint64(0)
+	}
 	op, ok := c.runner.next()
+	if armed {
+		ctx.warmSink = nil
+		c.busyUntil = a.at
+	}
 	if !ok {
-		c.exhausted = true
+		c.exhausted = c.busyUntil <= now
 		return false
 	}
 	c.cur = op

@@ -1,11 +1,13 @@
 // Package cpu models the cores driving the simulated memory hierarchy.
 //
 // Simulated threads are ordinary Go functions (program-driven simulation):
-// each runs in its own goroutine and talks to its core model through a
-// strictly synchronous channel handshake, so the simulation stays fully
-// deterministic. Two core models are provided: a blocking in-order core (the
-// paper's FS-mode configuration) and a simplified 8-wide out-of-order core
-// with non-blocking misses and wide commit (the §VIII-B OOO study).
+// each runs as an iter.Pull coroutine that hands its operations to its core
+// model one at a time, so the simulation stays fully deterministic.
+// Functional warming and the in-order core's run-ahead on L1 hits commit
+// operations inside the coroutine instead. Two core models are provided: a
+// blocking in-order core (the paper's FS-mode configuration) and a simplified
+// 8-wide out-of-order core with non-blocking misses and wide commit (the
+// §VIII-B OOO study).
 package cpu
 
 import (

@@ -323,6 +323,17 @@ func (n *Network) Deliverable(dst NodeID) bool {
 	return q.n > 0 && q.front().readyAt <= n.now
 }
 
+// NextArrivalFor returns the cycle at which dst's next queued message becomes
+// deliverable — the front of its inbox, which is ordered by delivery cycle —
+// or NoArrival when the inbox is empty.
+func (n *Network) NextArrivalFor(dst NodeID) uint64 {
+	q := &n.inboxes[dst]
+	if q.n == 0 {
+		return NoArrival
+	}
+	return q.front().readyAt
+}
+
 // Pending returns the total number of in-flight messages (delivered or not).
 // It is the maintained count, O(1); TestPendingMatchesScan pins it to the
 // per-inbox scan it replaced.

@@ -30,8 +30,11 @@ const (
 	// directory slice with a message deliverable to it — and the loop then
 	// fast-forwards to the cycle before the next wake-up. Cores credit the
 	// stall accounting of elided and skipped ticks via SkipIdle, so neither
-	// is visible. A run with a cycle hook or a zero network latency steps
-	// with the naive full tick instead (see advance).
+	// is visible. An in-order core that ticks may commit its next L1 hits
+	// inside its thread, ahead of the clock, up to the earliest cycle a
+	// message could reach its L1 (Horizon). A run with a cycle hook or a
+	// zero network latency steps with the naive full tick instead (see
+	// advance).
 	EngineSkip Engine = iota
 
 	// EngineNaive ticks every component on every cycle (stepCycle) — the
@@ -198,6 +201,12 @@ type System struct {
 	coreNext []uint64
 	l1Act    []bool
 
+	// horizon is Horizon's per-cycle part, computed for cycle horizonAt;
+	// horizonHook, when set (tests), sees every bound Horizon returns.
+	horizonAt   uint64
+	horizon     uint64
+	horizonHook func(core int, cycle, bound uint64)
+
 	// unsupported is the compatibility table's rejection of cfg (compat.go),
 	// returned by Run.
 	unsupported error
@@ -228,60 +237,62 @@ func (s *System) ensureObserver() {
 func (s *System) SetCycleHook(fn func(cycle uint64)) { s.cycleHook = fn }
 
 // observer adapts the oracle and the commit trace to the coherence.Observer
-// interface. The oracle may be nil (trace-only observer).
+// interface. The oracle may be nil (trace-only observer). Each commit is
+// stamped with the cycle the L1 reports, not s.cycle: a run-ahead core
+// commits its hits ahead of the engine's clock.
 type observer struct {
 	o *memsys.Oracle
 	s *System
 }
 
-func (ob observer) OnLoadCommit(c int, a memsys.Addr, v []byte, issue uint64) {
+func (ob observer) OnLoadCommit(c int, a memsys.Addr, v []byte, issue, at uint64) {
 	if ob.o != nil {
 		// A miss-path load binds its value at the directory, anywhere in
 		// [issue, commit]; the oracle accepts any value live in that window.
-		ob.o.CheckLoadWindow(a, v, issue, ob.s.cycle,
-			fmt.Sprintf("cycle %d core %d load", ob.s.cycle, c))
+		ob.o.CheckLoadWindow(a, v, issue, at,
+			fmt.Sprintf("cycle %d core %d load", at, c))
 	}
-	ob.s.commit(c, "load", a, v)
+	ob.s.commit(at, c, "load", a, v)
 }
-func (ob observer) OnStoreCommit(c int, a memsys.Addr, v []byte) {
+func (ob observer) OnStoreCommit(c int, a memsys.Addr, v []byte, at uint64) {
 	if ob.o != nil {
-		ob.o.CommitStore(a, v, ob.s.cycle)
+		ob.o.CommitStore(a, v, at)
 	}
-	ob.s.commit(c, "store", a, v)
+	ob.s.commit(at, c, "store", a, v)
 }
-func (ob observer) OnReduceCommit(c int, a memsys.Addr, delta []byte) {
+func (ob observer) OnReduceCommit(c int, a memsys.Addr, delta []byte, at uint64) {
 	if ob.o != nil {
-		ob.o.CommitReduce(a, delta, ob.s.cycle)
+		ob.o.CommitReduce(a, delta, at)
 	}
-	ob.s.commit(c, "reduce", a, delta)
+	ob.s.commit(at, c, "reduce", a, delta)
 }
-func (ob observer) OnRMWCommit(c int, a memsys.Addr, old, next []byte) {
+func (ob observer) OnRMWCommit(c int, a memsys.Addr, old, next []byte, at uint64) {
 	if ob.o != nil {
 		// The read serializes with the write at commit: the line is held
 		// exclusively, so strict commit-time checking is exact.
-		ob.o.CheckLoadWindow(a, old, ob.s.cycle, ob.s.cycle,
-			fmt.Sprintf("cycle %d core %d rmw", ob.s.cycle, c))
-		ob.o.CommitStore(a, next, ob.s.cycle)
+		ob.o.CheckLoadWindow(a, old, at, at,
+			fmt.Sprintf("cycle %d core %d rmw", at, c))
+		ob.o.CommitStore(a, next, at)
 	}
-	ob.s.commit(c, "rmw", a, next)
+	ob.s.commit(at, c, "rmw", a, next)
 }
 
-// commit routes one architectural commit to the tracer and the test hook.
-// kind is one of the static strings "load"/"store"/"reduce"/"rmw", so
-// building the event never allocates.
-func (s *System) commit(c int, kind string, a memsys.Addr, v []byte) {
+// commit routes one architectural commit, made at cycle at, to the tracer
+// and the test hook. kind is one of the static strings
+// "load"/"store"/"reduce"/"rmw", so building the event never allocates.
+func (s *System) commit(at uint64, c int, kind string, a memsys.Addr, v []byte) {
 	if t := s.tracer; t != nil {
 		var val uint64
 		for i := 0; i < len(v) && i < 8; i++ {
 			val |= uint64(v[i]) << (8 * i)
 		}
 		t.Emit(obs.Event{
-			Cycle: s.cycle, Kind: obs.KindCommit, Core: int16(c), Slice: -1,
+			Cycle: at, Kind: obs.KindCommit, Core: int16(c), Slice: -1,
 			Addr: a, Name: kind, Arg: val, Arg2: uint64(len(v)),
 		})
 	}
 	if s.commitTrace != nil {
-		s.commitTrace(s.cycle, c, kind, a, v)
+		s.commitTrace(at, c, kind, a, v)
 	}
 }
 
@@ -488,6 +499,15 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 	// Work created outside a tick — issue held or released, warming — is
 	// missing from the wake-up caches.
 	s.wakeAll()
+	// Run-ahead commits a core's hits ahead of the clock. It stays off where
+	// that shows: a budget counts commits after every step, a drain holds
+	// issue, and the tracer, the metrics and the commit trace see commits in
+	// engine order. The oracle takes each commit's own cycle, so Verify keeps
+	// it on.
+	if !full && budget == 0 && !draining && s.tracer == nil && s.metrics == nil && s.commitTrace == nil {
+		s.setLookahead(s)
+		defer s.setLookahead(nil)
+	}
 	start := s.stats.GetID(stats.IDL1DAccesses)
 	for {
 		s.cycle++

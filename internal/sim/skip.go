@@ -1,5 +1,7 @@
 package sim
 
+import "fscoherence/internal/cpu"
+
 // The skip engine's stepping. System caches each component's NextEvent
 // (dirNext, l1Next, coreNext), refreshed after the component ticks: a
 // component's wake-up only moves when it ticks, and zero marks everything
@@ -40,6 +42,43 @@ func (s *System) nextWake() uint64 {
 	return wake
 }
 
+// Horizon implements cpu.Lookahead: the bound of core i's run-ahead at cycle
+// c, the earliest cycle at which a message could reach its L1. It is asked
+// inside stepDue's core phase, after every slice and L1 ticked, and reads
+// the caches stepDue keeps. A message in flight to the L1 arrives no earlier
+// than its inbox's front. Any other message is yet to be sent, and a send
+// arrives no sooner than D = MinDeliveryLatency later. A slice or an L1 sends
+// in reaction to a delivery (no earlier than NextArrival) or on a slice's own
+// wake-up (dirNext); a core's op makes its L1 send to a slice only, at c or
+// later, arriving at c+D or later. What then comes to this L1 takes one more
+// hop. That second part is the same for every core of the cycle — a send
+// made during c arrives at c+D or later — so it is computed once per cycle.
+func (s *System) Horizon(i int, c uint64) uint64 {
+	if s.horizonAt != c {
+		d := s.net.MinDeliveryLatency()
+		h := min(s.net.NextArrival(), c+d)
+		for _, v := range s.dirNext {
+			h = min(h, v)
+		}
+		s.horizonAt, s.horizon = c, h+d
+	}
+	b := min(s.net.NextArrivalFor(s.l1s[i].Node()), s.horizon)
+	if s.horizonHook != nil {
+		s.horizonHook(i, c, b)
+	}
+	return b
+}
+
+// setLookahead arms (look = s) or disarms (nil) every in-order core's
+// run-ahead.
+func (s *System) setLookahead(look cpu.Lookahead) {
+	for _, c := range s.cores {
+		if io, ok := c.(*cpu.InOrder); ok {
+			io.SetLookahead(look)
+		}
+	}
+}
+
 // stepDue runs one cycle in the naive engine's tick order — directory slices,
 // then L1s, then cores — ticking only the components that are due.
 //
@@ -57,7 +96,8 @@ func (s *System) nextWake() uint64 {
 // cycle, each L1 and directory asks the network about its own inbox. A send
 // made within the cycle is never deliverable in it (the latency is at least
 // one cycle), which is why a zero-latency network needs the naive full tick
-// instead.
+// instead. An armed in-order core that ticks may run ahead on L1 hits up to
+// its Horizon; its wake-up is then the cycle its held op issues at.
 func (s *System) stepDue(c uint64) {
 	s.net.SetCycle(c)
 	arrivals := s.net.NextArrival() <= c
