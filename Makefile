@@ -17,7 +17,9 @@
 #   make equiv   — cross-engine equivalence tests only.
 #   make samplecheck — the interval-sampling validation gate: sampled
 #                  estimates must land within tolerance of full reference
-#                  runs, and must be byte-identical across -j worker counts.
+#                  runs, must be byte-identical across -j worker counts, and
+#                  every benchmark must sample under Verify with no oracle
+#                  or SWMR violation.
 #   make resumecheck — the crash-resilience gate: campaign journals must
 #                  resume with completed cells primed and byte-identical
 #                  results, tolerate a torn final record, and rerun a cell
@@ -84,12 +86,13 @@ equiv:
 # coherence misses must recycle their MSHRs and directory transactions.
 allocsmoke:
 	$(GO) test -run 'TestSendRecvDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
-	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestRunAheadDoesNotAllocate|TestWarmingAccessDoesNotAllocate|TestNewMachineAllocates|TestPingPongMissesDoNotAllocate' -count=1 ./internal/sim/
+	$(GO) test -run 'TestSkipLoopDoesNotAllocate|TestRunAheadDoesNotAllocate|TestWarmingAccessDoesNotAllocate|TestNewMachineAllocates|TestPingPongMissesDoNotAllocate' -count=1 ./internal/sim/
 
-# Sampled-vs-full tolerance gate plus cross-worker determinism of the sampled
-# estimates. EXPERIMENTS.md §"Sampled simulation".
+# Sampled-vs-full tolerance gate, cross-worker determinism of the sampled
+# estimates, and every benchmark x protocol sampled under Verify (warming
+# commits reach the oracle). EXPERIMENTS.md §"Sampled simulation".
 samplecheck:
-	$(GO) test -run 'TestSampledVsFull|TestSampledDeterministicAcrossWorkers' -count=1 .
+	$(GO) test -run 'TestSampledVsFull|TestSampledDeterministicAcrossWorkers|TestSampledVerify' -count=1 .
 
 # Campaign-journal resume (journal_test.go), then the SIGKILL-a-real-
 # campaign test, the watchdog-timeout rerun and memo priming under the race

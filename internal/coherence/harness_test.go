@@ -113,11 +113,9 @@ func (h *harness) load(c int, a memsys.Addr, size int) uint64 {
 	h.t.Helper()
 	var val uint64
 	done := false
-	acc := &Access{Kind: AccessLoad, Addr: a, Size: size, Done: func(v []byte) {
+	acc := &Access{Kind: AccessLoad, Addr: a, Size: size, Done: func(v uint64) {
 		done = true
-		for i := len(v) - 1; i >= 0; i-- {
-			val = val<<8 | uint64(v[i])
-		}
+		val = v
 	}}
 	h.submit(c, acc)
 	h.run(100000, func() bool { return done })
@@ -127,13 +125,9 @@ func (h *harness) load(c int, a memsys.Addr, size int) uint64 {
 // store performs a blocking store on core c.
 func (h *harness) store(c int, a memsys.Addr, size int, v uint64) {
 	h.t.Helper()
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(v >> (8 * i))
-	}
 	done := false
-	acc := &Access{Kind: AccessStore, Addr: a, Size: size, StoreData: data,
-		Done: func([]byte) { done = true }}
+	acc := &Access{Kind: AccessStore, Addr: a, Size: size, Value: v,
+		Done: func(uint64) { done = true }}
 	h.submit(c, acc)
 	h.run(100000, func() bool { return done })
 }
@@ -142,7 +136,7 @@ func (h *harness) store(c int, a memsys.Addr, size int, v uint64) {
 func (h *harness) prefetch(c int, a memsys.Addr) {
 	h.t.Helper()
 	done := false
-	acc := &Access{Kind: AccessPrefetch, Addr: a, Done: func([]byte) { done = true }}
+	acc := &Access{Kind: AccessPrefetch, Addr: a, Done: func(uint64) { done = true }}
 	h.submit(c, acc)
 	h.run(100000, func() bool { return done })
 }
@@ -158,13 +152,9 @@ func (h *harness) submit(c int, acc *Access) {
 // startStore submits a store without waiting; returns a *bool completion flag.
 func (h *harness) startStore(c int, a memsys.Addr, size int, v uint64) *bool {
 	h.t.Helper()
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(v >> (8 * i))
-	}
 	done := new(bool)
-	acc := &Access{Kind: AccessStore, Addr: a, Size: size, StoreData: data,
-		Done: func([]byte) { *done = true }}
+	acc := &Access{Kind: AccessStore, Addr: a, Size: size, Value: v,
+		Done: func(uint64) { *done = true }}
 	h.submit(c, acc)
 	return done
 }

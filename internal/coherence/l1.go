@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"fscoherence/internal/memsys"
@@ -91,7 +92,8 @@ type mshr struct {
 // binds its value at the directory (its coherence-order serialization
 // point), which lies anywhere in [issue, at]: the oracle must accept any
 // value live during that window, not just the one current at commit. Hits
-// serialize at commit and report issue == at.
+// serialize at commit and report issue == at. The byte slices are
+// little-endian values of the access's size, valid only during the call.
 type Observer interface {
 	OnLoadCommit(core int, addr memsys.Addr, value []byte, issue, at uint64)
 	OnStoreCommit(core int, addr memsys.Addr, value []byte, at uint64)
@@ -107,8 +109,8 @@ type Observer interface {
 // applied (at issue, which is the access's serialization point) and whose
 // completion callback fires after the L1 access latency.
 type scheduledDone struct {
-	done  func([]byte)
-	value []byte
+	done  func(uint64)
+	value uint64
 	at    uint64
 }
 
@@ -136,11 +138,9 @@ type L1 struct {
 
 	local []scheduledDone // local hits awaiting the hit latency
 
-	// valPool recycles the small (<= 8 byte) value buffers handed to commit
-	// callbacks. Done hooks, the tracer and the oracle all consume the bytes
-	// synchronously, so a buffer returns to the pool as soon as its callback
-	// has run; steady-state hit/miss commits then allocate nothing.
-	valPool [][]byte
+	// obsBuf backs the value bytes commitAt hands the observer when they are
+	// not the line's own (a reduction's delta, an atomic's old value).
+	obsBuf [8]byte
 }
 
 // NewL1 builds the L1 controller for the given core. policy may be nil
@@ -393,14 +393,11 @@ func (l *L1) busy(blk memsys.Addr) bool {
 // now and completing it delay cycles later. It returns false, changing
 // nothing, when a permission transaction is required.
 func (l *L1) tryLocal(a *Access, blk memsys.Addr, e *memsys.Entry[l1Line], delay uint64) bool {
-	var val []byte
-	if a.Kind != AccessPrefetch {
-		var ok bool
-		if val, ok = l.hitAt(a, blk, e, l.now); !ok {
-			return false
-		}
+	v, ok := l.hitAt(a, blk, e, l.now)
+	if !ok {
+		return false
 	}
-	l.local = append(l.local, scheduledDone{done: a.Done, value: val, at: l.now + delay})
+	l.local = append(l.local, scheduledDone{done: a.Done, value: v, at: l.now + delay})
 	return true
 }
 
@@ -426,73 +423,26 @@ func (l *L1) CommitHit(a *Access, at uint64) (v uint64, ok bool) {
 	if e == nil {
 		return 0, false
 	}
-	val, ok := l.hitAt(a, blk, e, at)
-	if !ok {
-		return 0, false
+	if v, ok = l.hitAt(a, blk, e, at); ok {
+		l.stats.IncID(stats.IDL1DAccesses)
 	}
-	l.stats.IncID(stats.IDL1DAccesses)
-	if val != nil {
-		v = leVal(val)
-		l.putVal(val)
-	}
-	return v, true
+	return v, ok
 }
 
 // HitCycles returns the L1 hit latency: Submit fires a hit's Done this many
 // cycles after the commit.
 func (l *L1) HitCycles() uint64 { return l.params.L1HitCycles }
 
-// hitAt is the L1 hit path shared by Submit and CommitHit: when the line's
-// state (and, for a privatized line, the PAM's bits) permit the access, it
-// applies the silent E->M upgrade, counts the hit and commits the access at
-// cycle at, returning the committed value. ok=false means a permission
-// transaction is required; nothing changed.
-func (l *L1) hitAt(a *Access, blk memsys.Addr, e *memsys.Entry[l1Line], at uint64) (val []byte, ok bool) {
-	st := e.Payload.state
-	off := a.Addr.BlockOffset(l.params.BlockSize)
-	switch a.Kind {
-	case AccessLoad:
-		if st == L1Prv && !l.policy.HasBits(blk, off, a.Size, false) {
-			return nil, false
-		}
-	case AccessStore, AccessAtomicRMW, AccessReduce:
-		switch st {
-		case L1Modified:
-		case L1Exclusive:
-			e.Payload.state = L1Modified // silent E->M upgrade
-			l.traceState(blk, L1Exclusive, L1Modified)
-		case L1Shared:
-			return nil, false
-		case L1Prv:
-			if !l.policy.HasBits(blk, off, a.Size, true) {
-				return nil, false
-			}
-		default:
-			panic("l1: unreachable")
-		}
-	default:
-		panic("l1: unreachable")
+// hitAt commits a at cycle at as a hit on the resident entry e — the hit
+// path of Submit and CommitHit: commitAt, plus the L1D hit count, which a
+// prefetch does not take. ok=false means a permission transaction is
+// required; nothing changed.
+func (l *L1) hitAt(a *Access, blk memsys.Addr, e *memsys.Entry[l1Line], at uint64) (v uint64, ok bool) {
+	v, ok = l.commitAt(a, blk, &e.Payload, at, at)
+	if ok && a.Kind != AccessPrefetch {
+		l.stats.IncID(stats.IDL1DHits)
 	}
-	l.stats.IncID(stats.IDL1DHits)
-	return l.commitAt(a, at, at), true
-}
-
-// getVal draws a value buffer from the pool (loads and atomics observe at
-// most 8 bytes).
-func (l *L1) getVal(n int) []byte {
-	if k := len(l.valPool); k > 0 {
-		b := l.valPool[k-1]
-		l.valPool = l.valPool[:k-1]
-		return b[:n]
-	}
-	return make([]byte, n, 8)
-}
-
-// putVal returns a commit-value buffer once its consumers have run.
-func (l *L1) putVal(b []byte) {
-	if cap(b) == 8 {
-		l.valPool = append(l.valPool, b[:8])
-	}
+	return v, ok
 }
 
 // startTxn allocates an MSHR and sends the request.
@@ -545,9 +495,6 @@ func (l *L1) Tick(now uint64) {
 			if sc.done != nil {
 				sc.done(sc.value)
 			}
-			if sc.value != nil {
-				l.putVal(sc.value)
-			}
 		} else {
 			keep = append(keep, sc)
 		}
@@ -586,86 +533,108 @@ func (l *L1) redispatch(m *network.Msg) {
 	l.net.Release(m)
 }
 
-// commitAt architecturally performs the access at cycle at against the
-// (resident and permitted) line, updates private metadata and notifies the
-// observer. It returns the value to deliver through Done (nil for
-// stores/prefetches). issue is the access's issue cycle: for a miss-path load
-// that is the cycle the request entered the system (the serialization point
-// lies between it and at); for hits it equals at.
-func (l *L1) commitAt(a *Access, issue, at uint64) []byte {
-	if a.Kind == AccessPrefetch {
-		return nil
-	}
-	blk := a.Addr.BlockAlign(l.params.BlockSize)
-	e := l.cache.Peek(blk)
-	if e == nil {
-		panic(fmt.Sprintf("l1 %d: commit to non-resident %v", l.core, blk))
-	}
+// commitAt is the L1's one commit path. line is the block blk's line, which
+// the caller looked up. When its state (and, for a privatized line, the PAM's
+// bits) permit a, commitAt applies the silent E->M upgrade and performs a at
+// cycle at: it reads and writes the line's bytes, updates private metadata
+// and the commit counters, notifies the observer, and returns the value read
+// (the pre-RMW value for an atomic, 0 for a store, reduction or prefetch) and
+// ok=true. ok=false means a permission transaction is required; nothing
+// changed. issue is the access's issue cycle: for a miss-path load that is
+// the cycle the request entered the system (the serialization point lies
+// between it and at); for hits it equals at. A line in state L1Invalid stands
+// for a use-once fill (commitFromBuffer): its data is the grant's payload and
+// it has no PAM entry to update.
+func (l *L1) commitAt(a *Access, blk memsys.Addr, line *l1Line, issue, at uint64) (uint64, bool) {
 	off := a.Addr.BlockOffset(l.params.BlockSize)
-	line := &e.Payload
+	switch a.Kind {
+	case AccessPrefetch:
+		return 0, true
+	case AccessLoad:
+		if line.state == L1Prv && !l.policy.HasBits(blk, off, a.Size, false) {
+			return 0, false
+		}
+	default:
+		switch line.state {
+		case L1Modified:
+		case L1Exclusive:
+			line.state = L1Modified // silent E->M upgrade
+			l.traceState(blk, L1Exclusive, L1Modified)
+		case L1Shared:
+			return 0, false
+		case L1Prv:
+			if !l.policy.HasBits(blk, off, a.Size, true) {
+				return 0, false
+			}
+		default:
+			panic("l1: unreachable")
+		}
+	}
+	b := line.data[off : off+a.Size]
+	old := leVal(b)
+	pam := l.policy
+	if line.state == L1Invalid {
+		pam = nil
+	}
 	switch a.Kind {
 	case AccessLoad:
-		val := l.getVal(a.Size)
-		copy(val, line.data[off:off+a.Size])
-		if l.policy != nil {
-			l.policy.OnAccess(blk, off, a.Size, false)
+		if pam != nil {
+			pam.OnAccess(blk, off, a.Size, false)
 		}
 		if l.obs != nil {
-			l.obs.OnLoadCommit(l.core, a.Addr, val, issue, at)
+			l.obs.OnLoadCommit(l.core, a.Addr, b, issue, at)
 		}
 		l.stats.IncID(stats.IDLoadsCommitted)
-		return val
+		return old, true
 	case AccessStore:
-		copy(line.data[off:off+a.Size], a.StoreData)
+		putLEVal(b, a.Value)
 		line.dirty = true
-		if l.policy != nil {
-			l.policy.OnAccess(blk, off, a.Size, true)
+		if pam != nil {
+			pam.OnAccess(blk, off, a.Size, true)
 		}
 		if l.obs != nil {
-			l.obs.OnStoreCommit(l.core, a.Addr, a.StoreData, at)
+			l.obs.OnStoreCommit(l.core, a.Addr, b, at)
 		}
 		l.stats.IncID(stats.IDStoresCommit)
-		return nil
+		return 0, true
 	case AccessReduce:
-		// Little-endian wrap-around accumulation over Size bytes.
-		delta := l.getVal(a.Size)
-		d := a.Delta
-		for i := 0; i < a.Size; i++ {
-			delta[i] = byte(d)
-			d >>= 8
-		}
-		addLE(line.data[off:off+a.Size], delta)
+		putLEVal(b, old+a.Value)
 		line.dirty = true
-		if l.policy != nil {
-			l.policy.OnAccess(blk, off, a.Size, false)
-			l.policy.OnAccess(blk, off, a.Size, true)
+		if pam != nil {
+			pam.OnAccess(blk, off, a.Size, false)
+			pam.OnAccess(blk, off, a.Size, true)
 		}
 		if l.obs != nil {
-			l.obs.OnReduceCommit(l.core, a.Addr, delta, at)
+			l.obs.OnReduceCommit(l.core, a.Addr, l.obsBytes(a.Value, a.Size), at)
 		}
 		l.stats.IncID(stats.IDReducesCommit)
-		l.putVal(delta)
-		return nil
+		return 0, true
 	case AccessAtomicRMW:
-		old := l.getVal(a.Size)
-		copy(old, line.data[off:off+a.Size])
-		next := a.RMW(old)
-		if len(next) != a.Size {
-			panic("l1: RMW result size mismatch")
+		next := old + a.Value
+		if a.RMW != nil {
+			next = a.RMW(old)
 		}
-		copy(line.data[off:off+a.Size], next)
+		putLEVal(b, next)
 		line.dirty = true
-		if l.policy != nil {
-			l.policy.OnAccess(blk, off, a.Size, false)
-			l.policy.OnAccess(blk, off, a.Size, true)
+		if pam != nil {
+			pam.OnAccess(blk, off, a.Size, false)
+			pam.OnAccess(blk, off, a.Size, true)
 		}
 		if l.obs != nil {
-			l.obs.OnRMWCommit(l.core, a.Addr, old, next, at)
+			l.obs.OnRMWCommit(l.core, a.Addr, l.obsBytes(old, a.Size), b, at)
 		}
 		l.stats.IncID(stats.IDAtomicsCommit)
-		return old
+		return old, true
 	}
 	panic("l1: unreachable")
+}
+
+// obsBytes renders v as a size-byte little-endian slice for the observer, in
+// the L1's scratch buffer.
+func (l *L1) obsBytes(v uint64, size int) []byte {
+	b := l.obsBuf[:size]
+	putLEVal(b, v)
+	return b
 }
 
 // fill installs a block, evicting a victim if needed.
@@ -792,12 +761,16 @@ func (l *L1) finishTxn(m *mshr) {
 	delete(l.mshrs, m.addr)
 	l.cache.Unpin(m.addr)
 	l.noteMiss(m.addr, m.start)
-	val := l.commitAt(m.access, m.start, l.now)
-	if m.access.Done != nil {
-		m.access.Done(val)
+	e := l.cache.Peek(m.addr)
+	if e == nil {
+		panic(fmt.Sprintf("l1 %d: commit to non-resident %v", l.core, m.addr))
 	}
-	if val != nil {
-		l.putVal(val)
+	v, ok := l.commitAt(m.access, m.addr, &e.Payload, m.start, l.now)
+	if !ok {
+		panic(fmt.Sprintf("l1 %d: transaction on %v completed without permission", l.core, m.addr))
+	}
+	if m.access.Done != nil {
+		m.access.Done(v)
 	}
 	for _, dm := range m.deferred {
 		l.redispatch(dm)
@@ -886,24 +859,12 @@ func (l *L1) onData(m *network.Msg) {
 // (invalidated-while-pending fill).
 func (l *L1) commitFromBuffer(tx *mshr, data []byte) {
 	a := tx.access
-	if a.Kind == AccessPrefetch {
-		if a.Done != nil {
-			a.Done(nil)
-		}
-		return
-	}
-	if a.Kind != AccessLoad {
+	if a.Kind != AccessLoad && a.Kind != AccessPrefetch {
 		panic("l1: use-once fill for a write")
 	}
-	off := a.Addr.BlockOffset(l.params.BlockSize)
-	val := make([]byte, a.Size)
-	copy(val, data[off:off+a.Size])
-	if l.obs != nil {
-		l.obs.OnLoadCommit(l.core, a.Addr, val, tx.start, l.now)
-	}
-	l.stats.IncID(stats.IDLoadsCommitted)
+	v, _ := l.commitAt(a, tx.addr, &l1Line{data: data}, tx.start, l.now)
 	if a.Done != nil {
-		a.Done(val)
+		a.Done(v)
 	}
 }
 
@@ -1359,13 +1320,29 @@ func (l *L1) onInvPrv(m *network.Msg) {
 	l.send(&network.Msg{Op: network.OpCtrlWB, Dst: m.Src, Addr: m.Addr, Requestor: l.node})
 }
 
-// addLE adds b into a (little-endian, wrap-around), in place.
-func addLE(a, b []byte) {
-	var carry uint16
-	for i := range a {
-		s := uint16(a[i]) + uint16(b[i]) + carry
-		a[i] = byte(s)
-		carry = s >> 8
+// leVal reads a little-endian value of len(b) <= 8 bytes. Full-word values —
+// the overwhelmingly common access size — decode with a single load.
+func leVal(b []byte) uint64 {
+	if len(b) == 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var v uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	return v
+}
+
+// putLEVal writes the low len(b) bytes of v little-endian into b: values
+// truncate to the access width, so commit arithmetic wraps around.
+func putLEVal(b []byte, v uint64) {
+	if len(b) == 8 {
+		binary.LittleEndian.PutUint64(b, v)
+		return
+	}
+	for i := range b {
+		b[i] = byte(v)
+		v >>= 8
 	}
 }
 

@@ -79,9 +79,8 @@ func (pp *puppet) inject(m *network.Msg) {
 
 func (pp *puppet) submitStore(a memsys.Addr, v uint64) *bool {
 	done := new(bool)
-	acc := &Access{Kind: AccessStore, Addr: a, Size: 8,
-		StoreData: []byte{byte(v), 0, 0, 0, 0, 0, 0, 0},
-		Done:      func([]byte) { *done = true }}
+	acc := &Access{Kind: AccessStore, Addr: a, Size: 8, Value: v,
+		Done: func(uint64) { *done = true }}
 	if pp.l1.Submit(acc) == SubmitRetry {
 		pp.t.Fatal("submit rejected")
 	}
@@ -91,7 +90,7 @@ func (pp *puppet) submitStore(a memsys.Addr, v uint64) *bool {
 func (pp *puppet) submitLoad(a memsys.Addr) *bool {
 	done := new(bool)
 	acc := &Access{Kind: AccessLoad, Addr: a, Size: 8,
-		Done: func([]byte) { *done = true }}
+		Done: func(uint64) { *done = true }}
 	if pp.l1.Submit(acc) == SubmitRetry {
 		pp.t.Fatal("submit rejected")
 	}
@@ -346,8 +345,8 @@ func TestRaceInvalidationDuringPendingFill(t *testing.T) {
 
 	var got byte
 	hit := false
-	acc := &Access{Kind: AccessLoad, Addr: a, Size: 1, Done: func(v []byte) {
-		got = v[0]
+	acc := &Access{Kind: AccessLoad, Addr: a, Size: 1, Done: func(v uint64) {
+		got = byte(v)
 		hit = true
 	}}
 	if pp.l1.Submit(acc) == SubmitRetry {

@@ -80,7 +80,7 @@ const (
 	AccessAtomicRMW // atomic read-modify-write (test-and-set, fetch-add, ...)
 	AccessPrefetch  // fetch the block in S without touching any byte
 
-	// AccessReduce is a commutative accumulation (+= Delta) into a word of
+	// AccessReduce is a commutative accumulation (+= Value) into a word of
 	// a declared reduction region (§VII). Under FSLite the region's lines
 	// privatize even though every core writes the same words: each core
 	// accumulates locally and the directory merges the per-core deltas
@@ -105,26 +105,26 @@ func (k AccessKind) String() string {
 }
 
 // Access is one demand memory operation submitted by a core to its L1
-// controller. Accesses never cross a cache-line boundary.
+// controller. Accesses never cross a cache-line boundary. Values are
+// little-endian integers of Size bytes: a commit writes the low Size bytes of
+// its result, so arithmetic wraps around at the access width.
 type Access struct {
 	Kind AccessKind
 	Addr memsys.Addr
 	Size int // 1, 2, 4 or 8 bytes (0 for prefetch)
 
-	// StoreData holds the value to write for AccessStore (len == Size).
-	StoreData []byte
+	// Value is the value to write for AccessStore, the accumulation amount
+	// for AccessReduce and the addend of an AccessAtomicRMW whose RMW is nil.
+	Value uint64
 
-	// RMW computes the new value from the old for AccessAtomicRMW. It must
-	// be a pure function; it runs exactly once, at the commit point.
-	RMW func(old []byte) []byte
+	// RMW computes the new value from the old for AccessAtomicRMW; nil adds
+	// Value (the AtomicAdd rule). It must be a pure function; it runs exactly
+	// once, at the commit point.
+	RMW func(old uint64) uint64
 
-	// Delta is the accumulation amount for AccessReduce (little-endian,
-	// wrap-around arithmetic over Size bytes).
-	Delta uint64
-
-	// Done is invoked when the access commits. For loads and atomics it
-	// receives the bytes observed (for atomics, the pre-RMW value).
-	Done func(value []byte)
+	// Done is invoked when the access commits. It receives the value read
+	// for loads and atomics (for atomics, the pre-RMW value) and 0 otherwise.
+	Done func(v uint64)
 }
 
 // Validate panics if the access is malformed (crossing a line, bad size).
@@ -141,12 +141,6 @@ func (a *Access) Validate(blockSize int) {
 	}
 	if a.Addr.BlockOffset(blockSize)+a.Size > blockSize {
 		panic(fmt.Sprintf("coherence: access crosses line: %v size %d", a.Addr, a.Size))
-	}
-	if a.Kind == AccessStore && len(a.StoreData) != a.Size {
-		panic("coherence: store data length mismatch")
-	}
-	if a.Kind == AccessAtomicRMW && a.RMW == nil {
-		panic("coherence: atomic access without RMW function")
 	}
 }
 

@@ -1,7 +1,6 @@
 package coherence
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"fscoherence/internal/memsys"
@@ -33,6 +32,12 @@ import (
 //     the sampling engine estimates them from detailed windows. Episode
 //     lengths (fs.prv_cycles) accrue in compressed warming time and are
 //     approximate under sampling.
+//   - Every access commits through the detailed L1's own hit check and
+//     commit path, so values, PAM bits and commit counters come from the
+//     same code as in a timed window, and each commit reaches the L1's
+//     commit observer stamped with the warmer's clock: under Verify the
+//     golden-memory oracle checks warming. The event tracer, and the
+//     forensics recorder that reads it, sees no warming transaction.
 //
 // The warmer requires the two-level inclusive configuration (no private L2,
 // no non-inclusive LLC); the sampling front-end rejects other machines.
@@ -43,6 +48,7 @@ type Warmer struct {
 	dirs   []*Dir
 	mem    *memsys.Memory
 	now    uint64
+	acc    Access // the access being warmed
 
 	// pool recycles block-sized byte buffers (line data, PRV base snapshots,
 	// termination merge buffers) so steady-state warming allocates nothing.
@@ -88,43 +94,23 @@ func (w *Warmer) home(blk memsys.Addr) *Dir {
 	return w.dirs[w.params.HomeSlice(uint64(blk))]
 }
 
-// leVal reads a little-endian value of len(b) <= 8 bytes. Full-word values —
-// the overwhelmingly common access size — decode with a single load.
-func leVal(b []byte) uint64 {
-	if len(b) == 8 {
-		return binary.LittleEndian.Uint64(b)
-	}
-	var v uint64
-	for i := len(b) - 1; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-// putLEVal writes v little-endian into b (truncating to len(b) bytes, which
-// matches the wrap-around arithmetic of the detailed commit path).
-func putLEVal(b []byte, v uint64) {
-	if len(b) == 8 {
-		binary.LittleEndian.PutUint64(b, v)
-		return
-	}
-	for i := range b {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}
-
-// Access applies one memory operation functionally and returns the loaded
-// value (the pre-RMW value for atomics, 0 for stores/reduces/prefetches).
-// store is the store value or reduce delta; rmw is the atomic update function
-// (nil for other kinds).
-func (w *Warmer) Access(core int, kind AccessKind, a memsys.Addr, size int, store uint64, rmw func(uint64) uint64) uint64 {
+// Access applies one memory operation functionally and returns the value
+// read (the pre-RMW value for an atomic, 0 for a store, reduction or
+// prefetch). val and rmw are the Value and RMW of a coherence Access. Hits and
+// the commit that ends each transaction take the detailed L1's own
+// permission check and commit path (commitAt) at the warmer's clock, so they
+// reach the commit observer too.
+func (w *Warmer) Access(core int, kind AccessKind, addr memsys.Addr, size int, val uint64, rmw func(uint64) uint64) uint64 {
+	// Field stores, not a composite literal: the literal is built on the
+	// stack and copied in wider loads than its stores, which stalls store
+	// forwarding on every warmed access.
+	a := &w.acc
+	a.Kind, a.Addr, a.Size, a.Value, a.RMW = kind, addr, size, val, rmw
 	l1 := w.l1s[core]
 	st := l1.stats
-	blk := a.BlockAlign(w.params.BlockSize)
-	off := a.BlockOffset(w.params.BlockSize)
-	write := kind == AccessStore || kind == AccessAtomicRMW || kind == AccessReduce
-	toff, tlen := off, size
+	blk := addr.BlockAlign(w.params.BlockSize)
+	write := a.IsWrite()
+	toff, tlen := addr.BlockOffset(w.params.BlockSize), size
 	if kind == AccessPrefetch {
 		toff, tlen = 0, 0
 	}
@@ -132,126 +118,47 @@ func (w *Warmer) Access(core int, kind AccessKind, a memsys.Addr, size int, stor
 	// counted mirrors Msg.Counted: the L1-side access counters and the
 	// policy's fetch-count update fire once per architectural access, no
 	// matter how many times a conflict-triggered termination makes the
-	// request retry.
+	// request retry. A retry always finds the block gone from the L1, so
+	// only a first attempt can hit.
 	counted := false
 	for {
 		e := l1.cache.Lookup(blk)
 		if e != nil {
-			// Local-permission check (the detailed tryLocal).
-			hit := false
-			switch kind {
-			case AccessPrefetch:
-				hit = true
-			case AccessLoad:
-				hit = e.Payload.state != L1Prv || l1.policy.HasBits(blk, off, size, false)
-			default:
-				switch e.Payload.state {
-				case L1Modified:
-					hit = true
-				case L1Exclusive:
-					e.Payload.state = L1Modified // silent E->M upgrade
-					hit = true
-				case L1Shared:
-				case L1Prv:
-					hit = l1.policy.HasBits(blk, off, size, true)
-				}
-			}
-			if hit {
-				if !counted {
-					st.IncID(stats.IDL1DAccesses)
-					if kind != AccessPrefetch {
-						st.IncID(stats.IDL1DHits)
-					}
-				}
-				return w.commit(l1, e, kind, blk, off, size, store, rmw)
-			}
-			if !counted {
+			if v, ok := l1.commitAt(a, blk, &e.Payload, w.now, w.now); ok {
 				st.IncID(stats.IDL1DAccesses)
-				st.IncID(stats.IDL1DMisses)
+				if kind != AccessPrefetch {
+					st.IncID(stats.IDL1DHits)
+				}
+				return v
 			}
-			switch e.Payload.state {
-			case L1Shared:
-				if w.upgrade(l1, core, blk, toff, tlen, counted) {
-					return w.commit(l1, l1.cache.Peek(blk), kind, blk, off, size, store, rmw)
-				}
-			case L1Prv:
-				if !counted {
-					st.IncID(stats.IDFSChkRequests)
-				}
-				if w.chk(l1, core, blk, toff, tlen, write) {
-					return w.commit(l1, l1.cache.Peek(blk), kind, blk, off, size, store, rmw)
-				}
-			default:
-				panic(fmt.Sprintf("warm: permission miss in state %v", e.Payload.state))
-			}
-			counted = true
-			continue
 		}
-
-		// Demand miss.
 		if !counted {
 			st.IncID(stats.IDL1DAccesses)
 			st.IncID(stats.IDL1DMisses)
 		}
-		if w.demand(l1, core, kind, blk, toff, tlen, write, counted) {
-			e := l1.cache.Peek(blk)
-			return w.commit(l1, e, kind, blk, off, size, store, rmw)
+		var granted bool
+		switch {
+		case e == nil:
+			granted = w.demand(l1, core, kind, blk, toff, tlen, write, counted)
+		case e.Payload.state == L1Shared:
+			granted = w.upgrade(l1, core, blk, toff, tlen, counted)
+		case e.Payload.state == L1Prv:
+			if !counted {
+				st.IncID(stats.IDFSChkRequests)
+			}
+			granted = w.chk(l1, core, blk, toff, tlen, write)
+		default:
+			panic(fmt.Sprintf("warm: permission miss in state %v", e.Payload.state))
+		}
+		if granted {
+			v, ok := l1.commitAt(a, blk, &l1.cache.Peek(blk).Payload, w.now, w.now)
+			if !ok {
+				panic(fmt.Sprintf("warm: %v granted without permission", blk))
+			}
+			return v
 		}
 		counted = true
 	}
-}
-
-// commit mirrors the detailed commitAt: architectural effect, private
-// metadata update, commit counter. No commit observer or event tracer is
-// attached by construction (sampling rejects them, and with the tracer the
-// flight recorder that reads its events).
-func (w *Warmer) commit(l1 *L1, e *memsys.Entry[l1Line], kind AccessKind, blk memsys.Addr, off, size int, store uint64, rmw func(uint64) uint64) uint64 {
-	if kind == AccessPrefetch {
-		return 0
-	}
-	line := &e.Payload
-	b := line.data[off : off+size]
-	switch kind {
-	case AccessLoad:
-		v := leVal(b)
-		if l1.policy != nil {
-			l1.policy.OnAccess(blk, off, size, false)
-		}
-		l1.stats.IncID(stats.IDLoadsCommitted)
-		return v
-	case AccessStore:
-		putLEVal(b, store)
-		line.dirty = true
-		if l1.policy != nil {
-			l1.policy.OnAccess(blk, off, size, true)
-		}
-		l1.stats.IncID(stats.IDStoresCommit)
-		return 0
-	case AccessReduce:
-		putLEVal(b, leVal(b)+store)
-		line.dirty = true
-		if l1.policy != nil {
-			l1.policy.OnAccess(blk, off, size, false)
-			l1.policy.OnAccess(blk, off, size, true)
-		}
-		l1.stats.IncID(stats.IDReducesCommit)
-		return 0
-	case AccessAtomicRMW:
-		old := leVal(b)
-		if rmw != nil {
-			putLEVal(b, rmw(old))
-		} else {
-			putLEVal(b, old+store) // nil rmw: the AtomicAdd delta encoding
-		}
-		line.dirty = true
-		if l1.policy != nil {
-			l1.policy.OnAccess(blk, off, size, false)
-			l1.policy.OnAccess(blk, off, size, true)
-		}
-		l1.stats.IncID(stats.IDAtomicsCommit)
-		return old
-	}
-	panic("warm: unreachable")
 }
 
 // lookup brings blk into the directory slice, mirroring handleRequest's

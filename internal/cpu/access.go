@@ -5,82 +5,46 @@ import (
 )
 
 // accessSlot is a reusable coherence.Access plus the operation context its
-// callbacks need. The Done and RMW closures are allocated once per slot (at
-// construction) and close only over the slot, and store/RMW payloads are
-// encoded into an inline buffer, so issuing a memory operation performs no
-// heap allocation. A slot may be reused as soon as its Done callback has
-// fired: the L1 copies StoreData at the commit point and drops the Access
-// when the transaction completes.
+// callback needs. The Done closure is allocated once per slot (at
+// construction) and closes only over the slot, so issuing a memory operation
+// performs no heap allocation. A slot may be reused as soon as its Done
+// callback has fired: the L1 drops the Access when the transaction
+// completes.
 type accessSlot struct {
-	op   Op
 	ent  *robEntry // OOO bookkeeping (nil for the in-order core)
 	sync bool      // OOO: thread consumes the result
-	buf  [8]byte   // backing for StoreData / the RMW result
 	acc  coherence.Access
 
-	// fin receives the decoded result when the access commits; set once by
-	// the owning core.
+	// fin receives the result when the access commits; set once by the
+	// owning core.
 	fin func(v uint64, s *accessSlot)
 }
 
-// newAccessSlot builds a slot completing into fin. The two closures bound
-// here are the only allocations a slot ever makes.
+// newAccessSlot builds a slot completing into fin. The Done closure bound
+// here is the only allocation a slot ever makes.
 func newAccessSlot(fin func(uint64, *accessSlot)) *accessSlot {
 	s := &accessSlot{fin: fin}
-	s.acc.Done = func(v []byte) {
-		switch s.op.Kind {
-		case OpLoad, OpAtomic:
-			s.fin(decodeLE(v), s)
-		default:
-			s.fin(0, s)
-		}
-	}
-	s.acc.RMW = func(old []byte) []byte {
-		v := decodeLE(old)
-		if s.op.Fn != nil {
-			v = s.op.Fn(v)
-		} else {
-			v += s.op.Value // nil Fn: the AtomicAdd encoding
-		}
-		return encodeInto(&s.buf, v, s.op.Size)
-	}
+	s.acc.Done = func(v uint64) { s.fin(v, s) }
 	return s
 }
 
-// prepare populates the slot's Access for op and returns it. The RMW hook
-// stays installed for every kind (Validate only requires it for atomics).
+// prepare populates the slot's Access for op and returns it.
 func (s *accessSlot) prepare(op Op) *coherence.Access {
-	s.op = op
 	a := &s.acc
-	a.Addr = op.Addr
-	a.Size = op.Size
-	a.StoreData = nil
-	a.Delta = 0
+	a.Addr, a.Size, a.Value, a.RMW = op.Addr, op.Size, op.Value, op.Fn
 	switch op.Kind {
 	case OpLoad:
 		a.Kind = coherence.AccessLoad
 	case OpStore:
 		a.Kind = coherence.AccessStore
-		a.StoreData = encodeInto(&s.buf, op.Value, op.Size)
 	case OpAtomic:
 		a.Kind = coherence.AccessAtomicRMW
 	case OpPrefetch:
 		a.Kind = coherence.AccessPrefetch
 	case OpReduce:
 		a.Kind = coherence.AccessReduce
-		a.Delta = op.Value
 	default:
 		panic("cpu: bad op kind for access")
 	}
 	return a
-}
-
-// encodeInto writes v little-endian into the first size bytes of buf and
-// returns that prefix.
-func encodeInto(buf *[8]byte, v uint64, size int) []byte {
-	for i := 0; i < size; i++ {
-		buf[i] = byte(v)
-		v >>= 8
-	}
-	return buf[:size]
 }

@@ -10,11 +10,7 @@
 // §VIII-B OOO study).
 package cpu
 
-import (
-	"encoding/binary"
-
-	"fscoherence/internal/memsys"
-)
+import "fscoherence/internal/memsys"
 
 // OpKind enumerates the operations a simulated thread can issue.
 type OpKind int
@@ -63,20 +59,4 @@ type Op struct {
 	// consume. The out-of-order core overlaps async operations (up to its
 	// window); the in-order core treats every operation as blocking.
 	Async bool
-}
-
-// encodeLE converts v to a Size-byte little-endian slice.
-func encodeLE(v uint64, size int) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	out := make([]byte, size)
-	copy(out, buf[:size])
-	return out
-}
-
-// decodeLE converts a little-endian slice to uint64.
-func decodeLE(b []byte) uint64 {
-	var buf [8]byte
-	copy(buf[:], b)
-	return binary.LittleEndian.Uint64(buf[:])
 }

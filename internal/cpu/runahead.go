@@ -32,17 +32,20 @@ type aheadSink struct {
 	bound uint64    // Lookahead.Horizon at the start of this run-ahead
 	hit   uint64    // cycles from a hit's issue to the next issue
 	acc   coherence.Access
-	buf   [8]byte // StoreData backing
 }
 
-// commit tries the prepared access as an L1 hit at r.at; on success it
-// retires the operation as the naive loop would — one op, and a stall cycle
-// for every cycle but the last of the hit latency.
-func (r *aheadSink) commit() (uint64, bool) {
+// commit tries the access as an L1 hit at r.at; on success it retires the
+// operation as the naive loop would — one op, and a stall cycle for every
+// cycle but the last of the hit latency. The access is filled field by field:
+// a composite literal is copied in wider loads than its stores, which stalls
+// store forwarding.
+func (r *aheadSink) commit(kind coherence.AccessKind, addr memsys.Addr, size int, v uint64) (uint64, bool) {
 	if r.at >= r.bound {
 		return 0, false
 	}
-	v, ok := r.c.l1.CommitHit(&r.acc, r.at)
+	a := &r.acc
+	a.Kind, a.Addr, a.Size, a.Value = kind, addr, size, v
+	v, ok := r.c.l1.CommitHit(a, r.at)
 	if ok {
 		r.c.stats.IncID(stats.IDOpsCommitted)
 		r.c.stats.AddID(stats.IDStallCycles, r.hit-1)
@@ -59,22 +62,15 @@ func (r *aheadSink) yield(op Op) uint64 {
 	return ctx.do(op)
 }
 
-func (r *aheadSink) load(addr memsys.Addr, size int) (uint64, bool) {
-	r.acc = coherence.Access{Kind: coherence.AccessLoad, Addr: addr, Size: size}
-	return r.commit()
-}
-
 func (r *aheadSink) Load(addr memsys.Addr, size int) uint64 {
-	if v, ok := r.load(addr, size); ok {
+	if v, ok := r.commit(coherence.AccessLoad, addr, size, 0); ok {
 		return v
 	}
 	return r.yield(Op{Kind: OpLoad, Addr: addr, Size: size})
 }
 
 func (r *aheadSink) Store(addr memsys.Addr, size int, v uint64) {
-	r.acc = coherence.Access{Kind: coherence.AccessStore, Addr: addr, Size: size,
-		StoreData: encodeInto(&r.buf, v, size)}
-	if _, ok := r.commit(); ok {
+	if _, ok := r.commit(coherence.AccessStore, addr, size, v); ok {
 		return
 	}
 	r.yield(Op{Kind: OpStore, Addr: addr, Size: size, Value: v, Async: true})
@@ -100,7 +96,7 @@ func (r *aheadSink) Compute(n uint64) {
 // run-ahead.
 func (r *aheadSink) ApplyOp(op *Op) uint64 {
 	if op.Kind == OpLoad {
-		if v, ok := r.load(op.Addr, op.Size); ok {
+		if v, ok := r.commit(coherence.AccessLoad, op.Addr, op.Size, 0); ok {
 			return v
 		}
 	}

@@ -21,12 +21,10 @@ func runSampledProgram(t *testing.T, p *Program, spec sample.Spec) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fuzz harness runs the naive engine with continuous oracles; the
-	// sampled engine requires the skip engine and does its own boundary-time
-	// checking instead.
+	// The fuzz harness runs the naive engine; the sampled engine requires
+	// the skip engine. Verify stays on — its oracle checks warming commits
+	// too — and the boundary hook below adds the quiescence checks.
 	cfg.Engine = sim.EngineSkip
-	cfg.Verify = false
-	cfg.SWMRPeriod = 0
 	cfg.Sample = spec
 
 	ref := buildReference(p)
@@ -77,6 +75,9 @@ func runSampledProgram(t *testing.T, p *Program, spec sample.Spec) int {
 	}
 	if res.Sampled == nil {
 		t.Fatalf("seed %d %s: run did not sample", p.Seed, p.Protocol)
+	}
+	for _, v := range append(res.OracleViolations, res.SWMRViolations...) {
+		t.Errorf("seed %d %s: %s", p.Seed, p.Protocol, v)
 	}
 	for i, w := range ref.words {
 		if want := ref.load8(w); got[i] != want {

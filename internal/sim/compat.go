@@ -34,12 +34,11 @@ var (
 	inOrder    = requirement{"in-order cores (no OOO)", func(c Config) bool { return !c.OOO }}
 	twoLevel   = requirement{"a two-level hierarchy (no private L2)", func(c Config) bool { return c.Params.L2Entries == 0 }}
 	inclusive  = requirement{"an inclusive LLC", func(c Config) bool { return !c.Params.NonInclusiveLLC }}
-	noVerify   = requirement{"no load oracle or SWMR scanning (Verify)", func(c Config) bool { return !c.Verify }}
 	noObs      = requirement{"no observability attachment", func(c Config) bool { return c.Obs == nil }}
 )
 
 // compatRules is the table itself, one row per (feature, requirement).
-// Warming commits bypass timing, observers and oracles, and model only the
+// Warming commits bypass timing and the event tracer, and model only the
 // in-order two-level inclusive machine.
 var compatRules = []struct {
 	f feature
@@ -49,7 +48,6 @@ var compatRules = []struct {
 	{sampling, inOrder},
 	{sampling, twoLevel},
 	{sampling, inclusive},
-	{sampling, noVerify},
 	{sampling, noObs},
 }
 
@@ -69,17 +67,4 @@ func Check(cfg Config) (Engine, []string, error) {
 		}
 	}
 	return cfg.Engine, warnings, nil
-}
-
-// supported returns the table's verdict on the system's configuration, then
-// makes the one check no Config carries: a commit observer installed after
-// New.
-func (s *System) supported() error {
-	if s.unsupported != nil {
-		return s.unsupported
-	}
-	if s.commitTrace != nil && sampling.on(s.cfg) {
-		return fmt.Errorf("%w: sampling requires no commit observer", ErrUnsupported)
-	}
-	return nil
 }

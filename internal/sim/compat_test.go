@@ -31,6 +31,7 @@ func TestCheckRows(t *testing.T) {
 		{"parallel+faults", func(c *Config) { c.Engine = EngineParallel; c.Faults = &network.FaultPlan{} }, EngineSkip, true, false},
 		{"naive+verify", func(c *Config) { c.Engine = EngineNaive; c.Verify = true }, EngineNaive, false, false},
 		{"sample", func(c *Config) { c.Sample = spec }, EngineSkip, false, false},
+		{"sample+verify", func(c *Config) { c.Sample = spec; c.Verify = true }, EngineSkip, false, false},
 		{"sample+parallel", func(c *Config) { c.Sample = spec; c.Engine = EngineParallel }, EngineSkip, true, false},
 		{"sample+parallel+ooo", func(c *Config) { c.Sample = spec; c.Engine = EngineParallel; c.OOO = true }, 0, false, true},
 		{"sample+ooo", func(c *Config) { c.Sample = spec; c.OOO = true }, 0, false, true},

@@ -134,6 +134,7 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 			progress := false
 			for i, c := range cores {
 				if n, _ := c.WarmRun(sinks[i], q); n > 0 {
+					st.AddID(stats.IDOpsCommitted, n)
 					progress = true
 				}
 			}
@@ -181,7 +182,8 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 
 // warmSink adapts one core's functional-warming commits to coherence.Warmer.
 // The typed methods are the hot path (no Op is ever built); ApplyOp handles
-// boundary-held ops and the kinds without a typed shortcut.
+// boundary-held ops and the kinds without a typed shortcut. The sampled loop
+// counts committed ops per quantum, from WarmRun's return.
 type warmSink struct {
 	core   int
 	st     *stats.Set
@@ -189,48 +191,39 @@ type warmSink struct {
 }
 
 func (w *warmSink) Load(addr memsys.Addr, size int) uint64 {
-	w.st.IncID(stats.IDOpsCommitted)
 	return w.warmer.Access(w.core, coherence.AccessLoad, addr, size, 0, nil)
 }
 
 func (w *warmSink) Store(addr memsys.Addr, size int, v uint64) {
-	w.st.IncID(stats.IDOpsCommitted)
 	w.warmer.Access(w.core, coherence.AccessStore, addr, size, v, nil)
 }
 
 func (w *warmSink) AtomicAdd(addr memsys.Addr, size int, delta uint64) uint64 {
-	w.st.IncID(stats.IDOpsCommitted)
 	return w.warmer.Access(w.core, coherence.AccessAtomicRMW, addr, size, delta, nil)
 }
 
-func (w *warmSink) Compute(n uint64) {
-	w.st.IncID(stats.IDOpsCommitted)
-	w.st.AddID(stats.IDComputeCycles, n)
-}
+func (w *warmSink) Compute(n uint64) { w.st.AddID(stats.IDComputeCycles, n) }
 
 func (w *warmSink) ApplyOp(op *cpu.Op) uint64 {
-	w.st.IncID(stats.IDOpsCommitted)
 	var kind coherence.AccessKind
-	var store uint64
-	var rmw func(uint64) uint64
 	switch op.Kind {
 	case cpu.OpLoad:
 		kind = coherence.AccessLoad
 	case cpu.OpStore:
-		kind, store = coherence.AccessStore, op.Value
+		kind = coherence.AccessStore
 	case cpu.OpAtomic:
-		kind, store, rmw = coherence.AccessAtomicRMW, op.Value, op.Fn
+		kind = coherence.AccessAtomicRMW
 	case cpu.OpPrefetch:
 		kind = coherence.AccessPrefetch
 	case cpu.OpReduce:
-		kind, store = coherence.AccessReduce, op.Value
+		kind = coherence.AccessReduce
 	case cpu.OpCompute:
-		w.st.AddID(stats.IDComputeCycles, op.Cycles)
+		w.Compute(op.Cycles)
 		return 0
 	default:
 		panic("sim: unknown op kind in warming")
 	}
-	return w.warmer.Access(w.core, kind, op.Addr, op.Size, store, rmw)
+	return w.warmer.Access(w.core, kind, op.Addr, op.Size, op.Value, op.Fn)
 }
 
 // drained reports whether the machine is architecturally quiescent under held

@@ -9,8 +9,8 @@ import (
 	"fscoherence/internal/stats"
 )
 
-// sampledConfig returns a sampling configuration (no oracles: the warming
-// path bypasses commit observers by design).
+// sampledConfig returns a sampling configuration without Verify (the root
+// package's TestSampledVerify runs sampled workloads under the oracle).
 func sampledConfig(mode coherence.Protocol, spec string) Config {
 	cfg := DefaultConfig(mode)
 	cfg.MaxCycles = 50_000_000

@@ -95,8 +95,10 @@ type Config struct {
 	// alternate with functional-warming windows of Sample.Warming accesses (no
 	// timing; see coherence.Warmer). Timing-domain counters are estimated from
 	// the detailed windows with confidence intervals (Result.Sampled); all
-	// other counters accrue exactly. Requires the in-order two-level inclusive
-	// machine with no observers (compat.go holds the full table).
+	// other counters accrue exactly. Warming commits reach the commit
+	// observer, so Verify's oracle checks them too. Requires the in-order
+	// two-level inclusive machine with no Obs attachment (compat.go holds the
+	// full table).
 	Sample sample.Spec
 
 	// Cancel, when non-nil, is polled roughly once per loop iteration in
@@ -463,8 +465,8 @@ func (s *System) Run(name string) (*Result, error) {
 			c.Stop()
 		}
 	}()
-	if err := s.supported(); err != nil {
-		return nil, err
+	if s.unsupported != nil {
+		return nil, s.unsupported
 	}
 	maxCycles := s.cfg.MaxCycles
 	if maxCycles == 0 {

@@ -90,7 +90,8 @@ func TestOptionsMatrix(t *testing.T) {
 // checkMatrixCell runs one cell and checks it against the hand-written rules.
 func checkMatrixCell(t *testing.T, c matrixCell) {
 	t.Helper()
-	attached := c.Verify || c.Obs != nil || c.Forensics != nil
+	// Verify is not an attachment: warming commits reach its oracle.
+	attached := c.Obs != nil || c.Forensics != nil
 	shaped := c.OOO || c.L2KB > 0 // machine shapes the warmer cannot model
 	// "parallel" names the removed parallel engine and always runs skip.
 	reject := c.Sample != "" && (c.Engine == "naive" || shaped || attached)

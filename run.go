@@ -157,8 +157,8 @@ type Options struct {
 	// metrics come back as estimates with confidence intervals
 	// (Result.Sampled); all other counters are exact. Sampling requires the
 	// default machine shape: skip engine, in-order cores, two-level inclusive
-	// hierarchy, no Verify/Obs/Forensics attachments (Validate reports a
-	// violation).
+	// hierarchy, no Obs/Forensics attachments (Validate reports a violation).
+	// Verify composes with it: the oracle checks warming commits too.
 	Sample string
 }
 

@@ -124,3 +124,29 @@ func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledVerify runs every benchmark under every protocol at a fine
+// sampling spec with Verify on (`make samplecheck`): warming commits reach
+// the golden-memory oracle, so a warmer that drifts from the protocol's
+// values shows up as an oracle violation, and the detailed windows it hands
+// over are scanned for SWMR violations as in a full run.
+func TestSampledVerify(t *testing.T) {
+	for _, b := range Benchmarks() {
+		for _, mode := range []Protocol{Baseline, FSDetect, FSLite} {
+			b, mode := b.Name, mode
+			t.Run(fmt.Sprintf("%s-%v", b, mode), func(t *testing.T) {
+				t.Parallel()
+				res, err := Run(b, Options{Protocol: mode, Sample: "2k:6k", Verify: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Sampled == nil || res.Sampled.Detailed == res.Sampled.Accesses {
+					t.Fatalf("no access was warmed (sampled report %+v)", res.Sampled)
+				}
+				for _, v := range res.Violations {
+					t.Error(v)
+				}
+			})
+		}
+	}
+}
