@@ -86,7 +86,7 @@ equiv:
 # coherence misses must recycle their MSHRs and directory transactions.
 allocsmoke:
 	$(GO) test -run 'TestSendRecvDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
-	$(GO) test -run 'TestSkipLoopDoesNotAllocate|TestRunAheadDoesNotAllocate|TestWarmingAccessDoesNotAllocate|TestNewMachineAllocates|TestPingPongMissesDoNotAllocate' -count=1 ./internal/sim/
+	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestRunAheadDoesNotAllocate|TestWarmingAccessDoesNotAllocate|TestNewMachineAllocates|TestPingPongMissesDoNotAllocate' -count=1 ./internal/sim/
 
 # Sampled-vs-full tolerance gate, cross-worker determinism of the sampled
 # estimates, and every benchmark x protocol sampled under Verify (warming

@@ -34,26 +34,31 @@ func allocThreads(n int) []cpu.ThreadFunc {
 	return ths
 }
 
-// TestSkipLoopDoesNotAllocate checks that the skip engine's steady-state
-// stepping loop is allocation-free once message freelists and inbox rings
-// have warmed up. It runs advance over fixed access budgets: the due-component
-// stepping, the wake-up cache reset and the idle skip. `make allocsmoke` runs
-// this alongside the network round-trip check.
-func TestSkipLoopDoesNotAllocate(t *testing.T) {
-	cfg := DefaultConfig(coherence.FSLite)
-	cfg.Params = cfg.Params.ScaleToCores(16)
-	cfg.Params.Topology = network.TopoMesh
-	s := New(cfg, Workload{Name: "alloc", Threads: allocThreads(16)})
-	defer s.Stop()
-	window := func() {
-		if _, err := s.advance("alloc", math.MaxUint64, false, 64); err != nil {
-			t.Fatal(err)
+// TestParallelEpochDoesNotAllocate checks that the skip engine's
+// steady-state stepping loop is allocation-free once message freelists and
+// inbox rings have warmed up. The skip subtest runs advance over fixed access
+// budgets: the due-component stepping, the wake-up cache reset and the idle
+// skip.
+// The name is kept from when the table also measured the removed parallel
+// engine's epoch loop. `make allocsmoke` runs this alongside the network
+// round-trip check.
+func TestParallelEpochDoesNotAllocate(t *testing.T) {
+	t.Run("skip", func(t *testing.T) {
+		cfg := DefaultConfig(coherence.FSLite)
+		cfg.Params = cfg.Params.ScaleToCores(16)
+		cfg.Params.Topology = network.TopoMesh
+		s := New(cfg, Workload{Name: "alloc", Threads: allocThreads(16)})
+		defer s.Stop()
+		window := func() {
+			if _, err := s.advance("alloc", math.MaxUint64, false, 64); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 2000; i++ {
-		window() // warm-up: privatization episodes establish, pools fill
-	}
-	if n := testing.AllocsPerRun(500, window); n > 0 {
-		t.Fatalf("steady-state window allocated %.2f allocs/op", n)
-	}
+		for i := 0; i < 2000; i++ {
+			window() // warm-up: privatization episodes establish, pools fill
+		}
+		if n := testing.AllocsPerRun(500, window); n > 0 {
+			t.Fatalf("steady-state window allocated %.2f allocs/op", n)
+		}
+	})
 }
