@@ -326,3 +326,47 @@ func TestEngineFigTablesIdentical(t *testing.T) {
 		t.Fatalf("figure tables diverge between engines:\n--- naive ---\n%s\n--- skip ---\n%s", naive, skip)
 	}
 }
+
+// TestEngineMetricsIdentical pins the interval metrics across engines: with a
+// metrics-only attachment sampling every 64 cycles, LR and uGRID on a 64-core
+// mesh must write byte-identical metrics CSV under naive and skip. The skip
+// engine credits idle cores' stall cycles lazily, so every mid-run sample
+// checks that they are credited before the counters are read.
+func TestEngineMetricsIdentical(t *testing.T) {
+	cells := []struct {
+		bench string
+		opt   Options
+	}{
+		{"LR", Options{Protocol: FSLite, Scale: engineEquivalenceScale}},
+		{"uGRID", Options{Protocol: FSLite, Scale: 0.1, Cores: 64, Topology: "mesh"}},
+	}
+	for _, cell := range cells {
+		cell := cell
+		t.Run(cell.bench, func(t *testing.T) {
+			t.Parallel()
+			csv := map[string][]byte{}
+			for _, engine := range []string{"naive", "skip"} {
+				o := &obs.Obs{Metrics: obs.NewMetrics(obs.Config{MetricsInterval: 64})}
+				opt := cell.opt
+				opt.Obs, opt.Engine = o, engine
+				if _, err := Run(cell.bench, opt); err != nil {
+					t.Fatalf("%s: %v", engine, err)
+				}
+				var buf bytes.Buffer
+				if err := o.Metrics.WriteCSV(&buf); err != nil {
+					t.Fatal(err)
+				}
+				csv[engine] = buf.Bytes()
+			}
+			if len(csv["naive"]) == 0 || !bytes.Equal(csv["naive"], csv["skip"]) {
+				n, s := bytes.Split(csv["naive"], []byte("\n")), bytes.Split(csv["skip"], []byte("\n"))
+				for i := 0; i < len(n) && i < len(s); i++ {
+					if !bytes.Equal(n[i], s[i]) {
+						t.Fatalf("metrics CSV diverges at line %d:\nnaive: %s\nskip:  %s", i+1, n[i], s[i])
+					}
+				}
+				t.Fatalf("metrics CSV diverges: naive %d lines, skip %d lines", len(n), len(s))
+			}
+		})
+	}
+}

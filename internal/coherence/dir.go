@@ -185,7 +185,7 @@ func NewDir(slice int, p Params, mode Protocol, net *network.Network, mem *memsy
 // while locally queued work exists (retried requests, forced terminations —
 // including ones still queued inside the policy), else the earliest pending
 // memory-fill completion, else NoEvent. Incoming messages are covered by the
-// network's NextArrival report.
+// front of the slice's inbox (Network.NextArrivalFor).
 func (d *Dir) NextEvent(now uint64) uint64 {
 	if len(d.retryq) > 0 || len(d.forced) > 0 {
 		return now + 1

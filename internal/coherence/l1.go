@@ -12,7 +12,7 @@ import (
 
 // NoEvent is the NextEvent sentinel for coherence controllers: no self-driven
 // wake-up is scheduled; the component only acts in response to an incoming
-// message (covered by the network's NextArrival report).
+// message (covered by the front of its inbox, Network.NextArrivalFor).
 const NoEvent = ^uint64(0)
 
 // l1Line is the per-line payload of an L1 data cache.
@@ -513,7 +513,8 @@ func (l *L1) Tick(now uint64) {
 
 // NextEvent returns the earliest cycle > now at which the controller has
 // self-driven work: the next due local-hit completion. Everything else the L1
-// does is a reaction to network delivery (covered by Network.NextArrival) or
+// does is a reaction to network delivery (covered by its inbox's front,
+// Network.NextArrivalFor) or
 // to a core's Submit. NoEvent means no local completions are scheduled.
 func (l *L1) NextEvent(now uint64) uint64 {
 	next := NoEvent

@@ -25,12 +25,15 @@ type Core interface {
 	// Returning an earlier cycle than necessary is safe (the engine just
 	// ticks an idle round); later is a correctness bug.
 	NextEvent(now uint64) uint64
-	// SkipIdle accounts for n consecutive cycles the engine fast-forwarded
+	// SkipIdle accounts for n consecutive cycles in which the engine did
+	// not tick the core, elided within a stepped cycle or fast-forwarded
 	// over: the core must apply exactly the per-cycle bookkeeping (stall
-	// counters) its Tick would have performed in each skipped cycle, so
-	// counter snapshots stay byte-identical to the naive engine. Stall
-	// cycles a run-ahead already credited for its hits are not counted
-	// again.
+	// counters) its Tick would have performed in each of them, so counter
+	// snapshots stay byte-identical to the naive engine. The skip engine
+	// credits them lazily — just before the core and its L1 tick again, or
+	// before the counters are read — so the core's state is still the one
+	// it held in every one of those cycles. Stall cycles a run-ahead already
+	// credited for its hits are not counted again.
 	SkipIdle(n uint64)
 	// Stop terminates the core's thread coroutine; a thread parked
 	// mid-operation unwinds cleanly. Must be called when a simulation ends
@@ -216,12 +219,12 @@ func (c *InOrder) WarmRun(sink WarmSink, budget uint64) (uint64, bool) {
 	return done, true
 }
 
-// SkipIdle applies the stall accounting of n skipped cycles. The engine only
-// skips cycles in which Tick would have made no progress, so the naive loop
-// would have counted one memory-stall cycle per skipped cycle iff an access
-// was outstanding (a compute burst early-returns without counting). A
-// run-ahead stretch credited its hits' stall cycles as it committed them, and
-// waits out the rest like a compute burst.
+// SkipIdle applies the stall accounting of n cycles the engine did not tick
+// the core. The engine only elides or skips ticks that would have made no
+// progress, so the naive loop would have counted one memory-stall cycle per
+// such cycle iff an access was outstanding (a compute burst early-returns
+// without counting). A run-ahead stretch credited its hits' stall cycles as
+// it committed them, and waits out the rest like a compute burst.
 func (c *InOrder) SkipIdle(n uint64) {
 	if c.waiting {
 		c.stats.AddID(stats.IDStallCycles, n)

@@ -217,8 +217,8 @@ func (c *OOO) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// SkipIdle applies the commit-stall accounting of n skipped cycles: in every
-// cycle the engine skipped, Tick would have retired nothing (the skip
+// SkipIdle applies the commit-stall accounting of n cycles the engine did not
+// tick the core: in every one of them, Tick would have retired nothing (the skip
 // happens only when no retirement is possible) and counted one commit stall
 // iff the ROB was non-empty.
 func (c *OOO) SkipIdle(n uint64) {

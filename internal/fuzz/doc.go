@@ -42,6 +42,12 @@
 //   - quiescence agreement: once the system drains, every L1 line must agree
 //     with its directory entry (owner exact, sharer sets consistent, no busy
 //     transactions); see oracle.go.
+//   - engine agreement: the checks above run on the naive engine, because
+//     the watchdog's cycle hook forces the full tick. A program that passes
+//     them runs again on the skip engine without the hook (MaxCycles, set
+//     to the naive run's cycles, is its liveness backstop), and its cycles,
+//     counters and final word values must equal the naive run's
+//     (checkEngines).
 //
 // Campaign drives many seeds across all three protocols; cmd/fsfuzz is the
 // CLI, and `make fuzz` / `make fuzzsmoke` are the entry points (EXPERIMENTS.md

@@ -33,8 +33,8 @@ type ObsAttacher = func(cfg *sim.Config)
 
 // Failure describes one detected protocol violation.
 type Failure struct {
-	// Kind is "panic", "stall", "deadlock", "oracle", "swmr", "value" or
-	// "quiescence", in decreasing severity.
+	// Kind is "panic", "stall", "deadlock", "oracle", "swmr", "value",
+	// "quiescence" or "engine", in decreasing severity.
 	Kind string
 
 	// Detail is a one-line diagnosis; Dump carries the full state dump
@@ -154,7 +154,7 @@ func config(p *Program, opt Options) (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	cfg := sim.DefaultConfig(mode)
-	cfg.Engine = sim.EngineNaive // the watchdog's cycle hook disables skipping anyway
+	cfg.Engine = sim.EngineNaive // the watchdog's cycle hook disables skipping anyway; checkEngines reruns on skip
 	cfg.Verify = true
 	cfg.SWMRPeriod = 16
 	cfg.MaxCycles = opt.MaxCycles
@@ -235,22 +235,10 @@ func threadFunc(t int, ops []OpSpec, bar *cpu.Barrier) cpu.ThreadFunc {
 	}
 }
 
-// Execute runs one program under full oracle supervision and returns the
-// outcome. It never lets a panic escape: protocol panics (handler invariant
-// violations) are converted into a "panic" failure.
-func Execute(p *Program, opt Options) (out *Outcome) {
-	out = &Outcome{}
-	if err := p.Validate(); err != nil {
-		out.Failure = &Failure{Kind: "panic", Detail: err.Error()}
-		return out
-	}
-	cfg, err := config(p, opt)
-	if err != nil {
-		out.Failure = &Failure{Kind: "panic", Detail: err.Error()}
-		return out
-	}
-
-	ref := buildReference(p)
+// start assembles one execution of p under cfg: a fresh workload, whose
+// checker core reads every word of ref into got once the workers joined the
+// final barrier, on a fresh system with p's sabotage installed.
+func start(p *Program, cfg sim.Config, ref *reference) (sys *sim.System, name string, got []uint64, err error) {
 	workers := len(p.Threads)
 	bar := &cpu.Barrier{CountAddr: barCount, SenseAddr: barSense, Threads: workers + 1}
 
@@ -261,7 +249,7 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 	// The checker runs on its own core: it joins the final barrier, then
 	// reads every tracked word. Its loads conflict with any still-open
 	// privatized episode, forcing the byte merge the value check depends on.
-	got := make([]uint64, len(ref.words))
+	got = make([]uint64, len(ref.words))
 	threads = append(threads, func(c *cpu.Ctx) {
 		var sense uint64
 		bar.Wait(c, &sense)
@@ -275,14 +263,40 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 		wl.ReductionRegions = []coherence.AddrRange{{Start: addrOf(blkReduce, 0), Size: blockBytes}}
 	}
 
-	sys := sim.New(cfg, wl)
+	sys = sim.New(cfg, wl)
 	if p.Sabotage != nil {
 		sab, err := p.Sabotage.Sabotage()
 		if err != nil {
-			out.Failure = &Failure{Kind: "panic", Detail: err.Error()}
-			return out
+			sys.Stop()
+			return nil, "", nil, err
 		}
 		sys.Net().SetSabotage(sab)
+	}
+	return sys, wl.Name, got, nil
+}
+
+// Execute runs one program under full oracle supervision and returns the
+// outcome. It never lets a panic escape: protocol panics (handler invariant
+// violations) are converted into a "panic" failure. A program that passes
+// every oracle on the naive engine runs again on the skip engine, which must
+// agree exactly (checkEngines).
+func Execute(p *Program, opt Options) (out *Outcome) {
+	out = &Outcome{}
+	if err := p.Validate(); err != nil {
+		out.Failure = &Failure{Kind: "panic", Detail: err.Error()}
+		return out
+	}
+	cfg, err := config(p, opt)
+	if err != nil {
+		out.Failure = &Failure{Kind: "panic", Detail: err.Error()}
+		return out
+	}
+
+	ref := buildReference(p)
+	sys, name, got, err := start(p, cfg, ref)
+	if err != nil {
+		out.Failure = &Failure{Kind: "panic", Detail: err.Error()}
+		return out
 	}
 
 	stall := opt.StallCycles
@@ -302,7 +316,7 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 		}
 	}()
 
-	res, err := sys.Run(wl.Name)
+	res, err := sys.Run(name)
 	if err != nil {
 		switch {
 		case wd.Tripped():
@@ -339,5 +353,58 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 			Dump: fmt.Sprintf("%d violation(s) total", len(bad))}
 		return out
 	}
+	out.Failure = checkEngines(p, cfg, ref, res, got)
 	return out
+}
+
+// checkEngines runs p a second time on the skip engine and fails with kind
+// "engine" unless its cycles, its counter snapshot and the final values of
+// the tracked words equal the naive run's (want, wantGot). The run has no
+// watchdog: its cycle hook would force the naive full tick, and its commit
+// trace would keep run-ahead off, so stepDue's elision, the wake-up queue
+// and run-ahead all run here. MaxCycles, set to the naive run's cycles, is
+// its liveness backstop: a skip run still going after them has diverged.
+// Verify stays on: the oracle checks every run-ahead commit at its own cycle.
+func checkEngines(p *Program, cfg sim.Config, ref *reference, want *sim.Result, wantGot []uint64) *Failure {
+	cfg.Engine = sim.EngineSkip
+	cfg.MaxCycles = want.Cycles
+	cfg.Obs = nil
+	sys, name, got, err := start(p, cfg, ref)
+	if err != nil {
+		return &Failure{Kind: "panic", Detail: err.Error()}
+	}
+	res, err := sys.Run(name)
+	if err != nil {
+		return &Failure{Kind: "engine", Detail: "skip engine: " + err.Error(), Dump: sys.DumpState()}
+	}
+	if res.Cycles != want.Cycles {
+		return &Failure{Kind: "engine",
+			Detail: fmt.Sprintf("cycles diverge: naive=%d skip=%d", want.Cycles, res.Cycles)}
+	}
+	ws, gs := want.Stats.Snapshot(), res.Stats.Snapshot()
+	names := want.Stats.Names()
+	for _, n := range res.Stats.Names() {
+		if _, ok := ws[n]; !ok {
+			names = append(names, n)
+		}
+	}
+	for _, n := range names {
+		w, wok := ws[n]
+		g, gok := gs[n]
+		if w != g || wok != gok {
+			return &Failure{Kind: "engine",
+				Detail: fmt.Sprintf("counter %s diverges: naive=%d skip=%d", n, w, g)}
+		}
+	}
+	for i, w := range ref.words {
+		if got[i] != wantGot[i] {
+			return &Failure{Kind: "engine",
+				Detail: fmt.Sprintf("word %v diverges: naive=%#x skip=%#x", w, wantGot[i], got[i])}
+		}
+	}
+	if n := len(res.OracleViolations) + len(res.SWMRViolations); n > 0 {
+		return &Failure{Kind: "engine",
+			Detail: fmt.Sprintf("skip engine: %d oracle/SWMR violation(s) the naive run did not see", n)}
+	}
+	return nil
 }

@@ -5,10 +5,11 @@ import (
 
 	"fscoherence/internal/obs"
 	"fscoherence/internal/stats"
+	"fscoherence/internal/wakeq"
 )
 
 // NoArrival is the NextArrival sentinel: no message is queued anywhere.
-const NoArrival = ^uint64(0)
+const NoArrival = wakeq.None
 
 // inflight pairs a queued message with the cycle it becomes deliverable.
 type inflight struct {
@@ -81,22 +82,30 @@ type chanKey struct {
 	class    Class
 }
 
-// Interned per-class and per-opcode counter keys: the "net.msg." + class
-// concatenations used to allocate on every Send.
+// The per-class and per-opcode traffic counters ("net.msg.<class>",
+// "net.bytes.<class>", "net.op.<op>"), registered as counter slots so Send
+// bumps them by index, without hashing their names.
 var (
-	msgClassKey  [classCount]string
-	byteClassKey [classCount]string
-	opKey        [opCount]string
+	msgClassID  [classCount]stats.ID
+	byteClassID [classCount]stats.ID
+	opID        [opCount]stats.ID
 )
 
 func init() {
 	for c := Class(0); c < classCount; c++ {
-		msgClassKey[c] = "net.msg." + c.String()
-		byteClassKey[c] = "net.bytes." + c.String()
+		msgClassID[c] = stats.Register("net.msg." + c.String())
+		byteClassID[c] = stats.Register("net.bytes." + c.String())
 	}
 	for op := Op(0); op < opCount; op++ {
-		opKey[op] = "net.op." + op.String()
+		opID[op] = stats.Register("net.op." + op.String())
 	}
+}
+
+// Waker is told of every message's destination and delivery cycle as the
+// message is sent (SetWaker); the skip engine's wake-up queue lowers the
+// destination's key through it.
+type Waker interface {
+	Wake(dst NodeID, at uint64)
 }
 
 // Network is a deterministic fixed-latency interconnect. Each destination has
@@ -129,12 +138,13 @@ type Network struct {
 
 	inflightNow int // messages currently queued (Pending, peak counter)
 
-	// occ lists inboxes that may be nonempty (lazily deleted as NextArrival
-	// finds them drained), with inOcc as the membership bitmap. It keeps
-	// NextArrival, which the skip engine calls every stepped cycle,
-	// O(active destinations) instead of O(nodes).
-	occ   []NodeID
-	inOcc []bool
+	// fronts keys each inbox by its front's delivery cycle, so NextArrival
+	// is the tree's root; a send that becomes an inbox's front lowers its
+	// key, and a Recv moves it to the next message.
+	fronts wakeq.Tree
+
+	// waker, when non-nil, hears every send (SetWaker).
+	waker Waker
 
 	free []*Msg // Msg freelist (NewMsg / Release)
 
@@ -157,7 +167,7 @@ func New(nodes int, latency uint64, blockSize int, st *stats.Set) *Network {
 		Latency:   latency,
 		nodes:     nodes,
 		inboxes:   make([]inbox, nodes),
-		inOcc:     make([]bool, nodes),
+		fronts:    wakeq.New(nodes),
 		stats:     st,
 		bs:        blockSize,
 		lastReady: make(map[chanKey]uint64),
@@ -209,6 +219,9 @@ func (n *Network) nodeTrack(id NodeID) (core, slice int16) {
 	}
 	return -1, int16(int(id) - n.cores)
 }
+
+// SetWaker installs the hook told of every send.
+func (n *Network) SetWaker(w Waker) { n.waker = w }
 
 // SetCycle advances the network's notion of the current cycle. The simulation
 // engine calls this once per cycle before any component runs.
@@ -267,13 +280,16 @@ func (n *Network) SendAfter(m *Msg, extra uint64) {
 	}
 	n.lastReady[key] = readyAt
 	n.inboxes[m.Dst].push(inflight{msg: m, readyAt: readyAt})
-	n.noteOccupied(m.Dst)
+	n.fronts.Lower(int(m.Dst), readyAt)
+	if n.waker != nil {
+		n.waker.Wake(m.Dst, readyAt)
+	}
 
 	n.stats.IncID(stats.IDNetMessages)
 	n.stats.AddID(stats.IDNetBytes, uint64(size))
-	n.stats.Inc(msgClassKey[class])
-	n.stats.Add(byteClassKey[class], uint64(size))
-	n.stats.Inc(opKey[m.Op])
+	n.stats.IncID(msgClassID[class])
+	n.stats.AddID(byteClassID[class], uint64(size))
+	n.stats.IncID(opID[m.Op])
 	n.inflightNow++
 	n.stats.MaxID(stats.IDNetInflightPeak, uint64(n.inflightNow))
 	if t := n.tracer; t != nil {
@@ -295,6 +311,7 @@ func (n *Network) Recv(dst NodeID) *Msg {
 		return nil
 	}
 	m := q.pop()
+	n.fronts.Set(int(dst), n.NextArrivalFor(dst))
 	n.inflightNow--
 	if t := n.tracer; t != nil {
 		core, slice := n.nodeTrack(dst)
@@ -345,30 +362,6 @@ func (n *Network) PendingFor(dst NodeID) int { return n.inboxes[dst].n }
 // NextArrival returns the earliest cycle at which any queued message becomes
 // deliverable, or NoArrival when nothing is in flight. A value at or before
 // the current cycle means messages are already deliverable (e.g. left over
-// from a MaxMsgsPerCycle-capped tick). The quiescence-skipping engine uses
-// this as the network's wake-up report.
-func (n *Network) NextArrival() uint64 {
-	next := uint64(NoArrival)
-	occ := n.occ[:0]
-	for _, d := range n.occ {
-		q := &n.inboxes[d]
-		if q.n == 0 {
-			n.inOcc[d] = false // drained since: lazy-delete
-			continue
-		}
-		occ = append(occ, d)
-		if r := q.front().readyAt; r < next {
-			next = r
-		}
-	}
-	n.occ = occ
-	return next
-}
-
-// noteOccupied registers dst in the nonempty-inbox list (idempotent).
-func (n *Network) noteOccupied(dst NodeID) {
-	if !n.inOcc[dst] {
-		n.inOcc[dst] = true
-		n.occ = append(n.occ, dst)
-	}
-}
+// from a MaxMsgsPerCycle-capped tick). The skip engine's run-ahead bound
+// reads it (sim's Horizon).
+func (n *Network) NextArrival() uint64 { return n.fronts.Min() }

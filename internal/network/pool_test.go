@@ -15,9 +15,18 @@ func scanPending(n *Network) int {
 	return total
 }
 
+// scanNextArrival recomputes NextArrival by walking every inbox's front.
+func scanNextArrival(n *Network) uint64 {
+	next := uint64(NoArrival)
+	for i := 0; i < n.Nodes(); i++ {
+		next = min(next, n.NextArrivalFor(NodeID(i)))
+	}
+	return next
+}
+
 // TestPendingMatchesScan drives a random send/receive load and checks after
-// every operation that the maintained Pending() counter equals the per-inbox
-// scan it replaced.
+// every operation that the maintained Pending() counter and NextArrival equal
+// the per-inbox scans they replaced.
 func TestPendingMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n, _ := newNet(8, 3)
@@ -33,6 +42,9 @@ func TestPendingMatchesScan(t *testing.T) {
 			if got, want := n.Pending(), scanPending(n); got != want {
 				t.Fatalf("cycle %d after send: Pending()=%d scan=%d", cycle, got, want)
 			}
+			if got, want := n.NextArrival(), scanNextArrival(n); got != want {
+				t.Fatalf("cycle %d after send: NextArrival()=%d scan=%d", cycle, got, want)
+			}
 		}
 		for d := 0; d < 8; d++ {
 			for rng.Intn(2) == 0 {
@@ -43,6 +55,9 @@ func TestPendingMatchesScan(t *testing.T) {
 				n.Release(m)
 				if got, want := n.Pending(), scanPending(n); got != want {
 					t.Fatalf("cycle %d after recv: Pending()=%d scan=%d", cycle, got, want)
+				}
+				if got, want := n.NextArrival(), scanNextArrival(n); got != want {
+					t.Fatalf("cycle %d after recv: NextArrival()=%d scan=%d", cycle, got, want)
 				}
 			}
 		}

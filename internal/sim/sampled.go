@@ -153,7 +153,7 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 			s.boundaryHook(s.cycle)
 		}
 		hold(false)
-		if s.finished() {
+		if s.countFinished(); s.finished() {
 			break
 		}
 	}

@@ -25,16 +25,18 @@ type Engine int
 
 const (
 	// EngineSkip, the default, steps the whole machine with stepDue
-	// (skip.go). A stepped cycle ticks only the components that are due —
-	// those whose cached wake-up (NextEvent) has come, and every L1 and
-	// directory slice with a message deliverable to it — and the loop then
-	// fast-forwards to the cycle before the next wake-up. Cores credit the
-	// stall accounting of elided and skipped ticks via SkipIdle, so neither
-	// is visible. An in-order core that ticks may commit its next L1 hits
-	// inside its thread, ahead of the clock, up to the earliest cycle a
-	// message could reach its L1 (Horizon). A run with a cycle hook or a
-	// zero network latency steps with the naive full tick instead (see
-	// advance).
+	// (skip.go). A wake-up queue keyed by cycle holds each directory slice
+	// and each L1/core pair at the earliest of its cached NextEvent and its
+	// inbox's front; a stepped cycle ticks only the components the queue
+	// holds due, and the loop then fast-forwards to the cycle before the
+	// queue's minimum. Cores credit the stall accounting of elided and
+	// skipped ticks lazily via SkipIdle — a pair for the cycles since it
+	// last ticked, just before it ticks again, and every core before a
+	// metrics sample and when advance returns — so neither is visible. An
+	// in-order core that ticks may commit its next L1 hits inside its
+	// thread, ahead of the clock, up to the earliest cycle a message could
+	// reach its L1 (Horizon). A run with a cycle hook or a zero network
+	// latency steps with the naive full tick instead (see advance).
 	EngineSkip Engine = iota
 
 	// EngineNaive ticks every component on every cycle (stepCycle) — the
@@ -196,12 +198,14 @@ type System struct {
 	// stopReason, when non-empty, aborts the run loop (RequestStop).
 	stopReason string
 
-	// The skip engine's cached NextEvent per component (skip.go), and its
-	// per-step scratch of which L1s ticked.
-	dirNext  []uint64
-	l1Next   []uint64
-	coreNext []uint64
-	l1Act    []bool
+	// wake is the skip engine's wake-up queue (skip.go). stallAt holds, per
+	// core, the cycle through which its stall accounting is credited.
+	// coreDone marks the cores whose threads have run to completion, and
+	// unfinished counts the rest (finished).
+	wake       queue
+	stallAt    []uint64
+	coreDone   []bool
+	unfinished int
 
 	// horizon is Horizon's per-cycle part, computed for cycle horizonAt;
 	// horizonHook, when set (tests), sees every bound Horizon returns.
@@ -376,10 +380,10 @@ func New(cfg Config, wl Workload) *System {
 			s.cores = append(s.cores, cpu.NewInOrder(i, s.l1s[i], fn, st))
 		}
 	}
-	s.dirNext = make([]uint64, len(s.dirs))
-	s.l1Next = make([]uint64, len(s.l1s))
-	s.coreNext = make([]uint64, len(s.cores))
-	s.l1Act = make([]bool, len(s.l1s))
+	s.wake = newQueue(p)
+	s.net.SetWaker(&s.wake)
+	s.stallAt = make([]uint64, p.Cores)
+	s.coreDone = make([]bool, p.Cores)
 	return s
 }
 
@@ -488,6 +492,9 @@ func (s *System) Run(name string) (*Result, error) {
 // A cycle hook or a zero network latency also needs the full tick: a hook
 // may create work outside any tick (Dir.ExternalAccess), and a zero-latency
 // send is consumed within its own cycle, after stepDue read its arrivals.
+// The skip engine's cores are credited the stall cycles of the ticks it
+// elided or skipped before every metrics sample and on every return, so no
+// caller sees the lazy accounting.
 //
 // The loop returns when done (or, draining, drained) holds after a step,
 // with no skip after it; finished reports done. With budget > 0 it also
@@ -499,8 +506,13 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 	}
 	full := s.cfg.Engine == EngineNaive || s.cycleHook != nil || s.net.MinDeliveryLatency() == 0
 	// Work created outside a tick — issue held or released, warming — is
-	// missing from the wake-up caches.
+	// missing from the wake-up queue.
 	s.wakeAll()
+	if !full {
+		// The stall cycles of the cores that did not tick in the last
+		// stepped cycles; past MaxCycles, no cycle is owed.
+		defer func() { s.creditStalls(min(s.cycle, maxCycles)) }()
+	}
 	// Run-ahead commits a core's hits ahead of the clock. It stays off where
 	// that shows: a budget counts commits after every step, a drain holds
 	// issue, and the tracer, the metrics and the commit trace see commits in
@@ -528,6 +540,9 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 			s.checkSWMR()
 		}
 		if m := s.metrics; m != nil && s.cycle%m.Interval == 0 {
+			if !full {
+				s.creditStalls(s.cycle)
+			}
 			m.Sample(s.cycle, s.stats.Snapshot())
 		}
 		s.pollCancel()
@@ -538,10 +553,7 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 			return !draining, nil
 		}
 		if !full {
-			if t := s.lastIdle(maxCycles); t > s.cycle {
-				s.skipIdle(t - s.cycle)
-				s.cycle = t
-			}
+			s.cycle = s.lastIdle(maxCycles)
 		}
 		if budget > 0 && s.stats.GetID(stats.IDL1DAccesses)-start >= budget {
 			return false, nil
@@ -602,8 +614,9 @@ func (s *System) stepCycle() {
 	for _, l := range s.l1s {
 		l.Tick(s.cycle)
 	}
-	for _, c := range s.cores {
+	for i, c := range s.cores {
 		c.Tick(s.cycle)
+		s.noteFinished(i)
 	}
 }
 
@@ -616,7 +629,7 @@ func (s *System) stepCycle() {
 // naive loop.
 func (s *System) lastIdle(maxCycles uint64) uint64 {
 	now := s.cycle
-	wake := s.nextWake()
+	wake := s.wake.next()
 	if wake <= now+1 {
 		return now
 	}

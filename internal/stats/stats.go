@@ -7,10 +7,11 @@
 //
 // Canonical counters (the Ctr* constants below) are stored in index-addressed
 // slots: hot components address them by ID (the ID constants) with a plain
-// array access, no hashing and no allocation. The string map remains for
-// long-tail ad hoc counters (per-opcode network breakdowns, rarely-hit debug
-// counters); the string-keyed methods transparently route canonical names to
-// their slots, so callers never observe the split.
+// array access, no hashing and no allocation. A package may register more
+// slots at init (Register), as the network does for its per-class and
+// per-opcode traffic breakdown. The string map remains for rarely-hit ad hoc
+// counters; the string-keyed methods transparently route slot names to their
+// slots, so callers never observe the split.
 package stats
 
 import (
@@ -19,10 +20,14 @@ import (
 	"strings"
 )
 
-// ID addresses one canonical counter slot. The zero-allocation hot paths in
-// network, coherence and cpu use IDs directly (IncID/AddID/MaxID); IDFor maps
-// a canonical name to its ID for code that starts from a string.
+// ID addresses one counter slot. The zero-allocation hot paths in network,
+// coherence and cpu use IDs directly (IncID/AddID/MaxID); IDFor maps a slot's
+// name to its ID for code that starts from a string. The canonical slots come
+// first, then the registered ones (Register).
 type ID uint8
+
+// maxIDs bounds the slot count: every ID indexes a Set's slot arrays.
+const maxIDs = 1 << 8
 
 // Canonical counter IDs, one per Ctr* constant (same order).
 const (
@@ -83,8 +88,9 @@ const (
 	NumIDs
 )
 
-// idNames maps each ID to its canonical counter name.
-var idNames = [NumIDs]string{
+// idNames maps each ID to its counter name: the canonical names, then the
+// registered ones.
+var idNames = [maxIDs]string{
 	IDL1DAccesses:       CtrL1DAccesses,
 	IDL1DHits:           CtrL1DHits,
 	IDL1DMisses:         CtrL1DMisses,
@@ -141,7 +147,8 @@ var idNames = [NumIDs]string{
 
 var (
 	idByName = make(map[string]ID, NumIDs)
-	idPeak   [NumIDs]bool
+	idPeak   [maxIDs]bool
+	numIDs   = int(NumIDs) // slots in use: canonical plus registered
 )
 
 func init() {
@@ -154,26 +161,46 @@ func init() {
 	}
 }
 
-// IDFor returns the slot ID for a canonical counter name.
+// Register gives the non-canonical counter name a slot and returns its ID
+// (the existing one if name already has a slot), so a hot path can bump it
+// by index. Like a map counter it appears in Snapshot and Names only once
+// written, and Canonical does not list it. Call it from package
+// initialization only: registration is not synchronized.
+func Register(name string) ID {
+	if id, ok := idByName[name]; ok {
+		return id
+	}
+	if numIDs == maxIDs {
+		panic("stats: too many counter slots registering " + name)
+	}
+	id := ID(numIDs)
+	numIDs++
+	idNames[id] = name
+	idByName[name] = id
+	idPeak[id] = IsPeak(name)
+	return id
+}
+
+// IDFor returns the slot ID for a canonical or registered counter name.
 func IDFor(name string) (ID, bool) {
 	id, ok := idByName[name]
 	return id, ok
 }
 
-// Name returns the canonical counter name for a slot ID.
+// Name returns the counter name of a slot ID.
 func (id ID) Name() string { return idNames[id] }
 
 // Set is a collection of named counters.
 //
 // The zero value is not usable; construct with NewSet.
 type Set struct {
-	// slots holds the canonical counters; present tracks which have been
+	// slots holds the slot counters; present tracks which have been
 	// touched, preserving the map semantics of "only counters that were
 	// written appear in Snapshot/Names".
-	slots   [NumIDs]uint64
-	present [NumIDs]bool
+	slots   [maxIDs]uint64
+	present [maxIDs]bool
 
-	counters map[string]uint64 // long-tail (non-canonical) counters
+	counters map[string]uint64 // long-tail counters without a slot
 }
 
 // NewSet returns an empty counter set.
@@ -259,8 +286,8 @@ func (s *Set) Max(name string, v uint64) {
 
 // Names returns the sorted list of counter names present in the set.
 func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.counters)+int(NumIDs))
-	for id := ID(0); id < NumIDs; id++ {
+	names := make([]string, 0, len(s.counters)+numIDs)
+	for id := 0; id < numIDs; id++ {
 		if s.present[id] {
 			names = append(names, idNames[id])
 		}
@@ -274,8 +301,8 @@ func (s *Set) Names() []string {
 
 // Snapshot returns a copy of all counters.
 func (s *Set) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(s.counters)+int(NumIDs))
-	for id := ID(0); id < NumIDs; id++ {
+	out := make(map[string]uint64, len(s.counters)+numIDs)
+	for id := 0; id < numIDs; id++ {
 		if s.present[id] {
 			out[idNames[id]] = s.slots[id]
 		}
@@ -297,8 +324,8 @@ const PeakSuffix = ".peak"
 func IsPeak(name string) bool { return strings.HasSuffix(name, PeakSuffix) }
 
 // MergeMap folds a counter map into s: counters accumulate, except peak
-// counters (names ending in PeakSuffix), which take the maximum. Canonical
-// names route into their slots.
+// counters (names ending in PeakSuffix), which take the maximum. Slot names
+// route into their slots.
 func (s *Set) MergeMap(counters map[string]uint64) {
 	for k, v := range counters {
 		if id, ok := idByName[k]; ok {
@@ -320,15 +347,15 @@ func (s *Set) MergeMap(counters map[string]uint64) {
 
 // Reset removes all counters.
 func (s *Set) Reset() {
-	s.slots = [NumIDs]uint64{}
-	s.present = [NumIDs]bool{}
+	s.slots = [maxIDs]uint64{}
+	s.present = [maxIDs]bool{}
 	s.counters = make(map[string]uint64)
 }
 
 // SumPrefix returns the sum of all counters whose name begins with prefix.
 func (s *Set) SumPrefix(prefix string) uint64 {
 	var sum uint64
-	for id := ID(0); id < NumIDs; id++ {
+	for id := 0; id < numIDs; id++ {
 		if s.present[id] && strings.HasPrefix(idNames[id], prefix) {
 			sum += s.slots[id]
 		}

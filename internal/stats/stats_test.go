@@ -121,3 +121,44 @@ func TestResetAndString(t *testing.T) {
 		t.Fatal("Reset left counters behind")
 	}
 }
+
+// registeredTest is a registered (non-canonical) slot for the test below.
+var registeredTest = Register("test.registered")
+
+// TestRegisteredSlotBehavesLikeMapCounter checks that a registered slot keeps
+// the string-keyed counter semantics: absent from Snapshot and Names until
+// written, reachable by name, merged by sum, and not canonical.
+func TestRegisteredSlotBehavesLikeMapCounter(t *testing.T) {
+	if again := Register("test.registered"); again != registeredTest {
+		t.Fatalf("re-registering gave slot %d, want %d", again, registeredTest)
+	}
+	if id, ok := IDFor("test.registered"); !ok || id != registeredTest || id.Name() != "test.registered" {
+		t.Fatalf("IDFor = %d, %v", id, ok)
+	}
+	s := NewSet()
+	if _, ok := s.Snapshot()["test.registered"]; ok || len(s.Names()) != 0 {
+		t.Fatal("an unwritten registered counter must not appear")
+	}
+	s.IncID(registeredTest)
+	s.Add("test.registered", 2)
+	if got := s.Get("test.registered"); got != 3 {
+		t.Fatalf("Get = %d, want 3", got)
+	}
+	if snap := s.Snapshot(); len(snap) != 1 || snap["test.registered"] != 3 {
+		t.Fatalf("Snapshot = %v", snap)
+	}
+	m := NewSet()
+	m.MergeMap(s.Snapshot())
+	m.MergeMap(s.Snapshot())
+	if got := m.GetID(registeredTest); got != 6 {
+		t.Fatalf("merged = %d, want 6", got)
+	}
+	if got := s.SumPrefix("test."); got != 3 {
+		t.Fatalf("SumPrefix = %d, want 3", got)
+	}
+	for _, c := range Canonical() {
+		if c.Name == "test.registered" {
+			t.Fatal("a registered counter must not be canonical")
+		}
+	}
+}
