@@ -14,7 +14,8 @@
 #                  (run after editing the protocol tables).
 #   make test    — build + unit tests only (fast inner loop).
 #   make race    — race-detector pass only.
-#   make equiv   — cross-engine equivalence tests only.
+#   make equiv   — cross-engine equivalence tests only, plus the liveness
+#                  check tripping on the same cycle on both engines.
 #   make samplecheck — the interval-sampling validation gate: sampled
 #                  estimates must land within tolerance of full reference
 #                  runs, must be byte-identical across -j worker counts, and
@@ -75,9 +76,12 @@ race:
 	$(GO) test -race ./...
 
 # Cross-engine determinism: every workload x protocol under both engines,
-# plus golden-trace and figure-table byte-equality (engine_test.go).
+# plus golden-trace and figure-table byte-equality (engine_test.go), and
+# Verify's liveness check stopping a wedged run at the same cycle on both
+# engines (internal/sim/liveness_test.go).
 equiv:
 	$(GO) test -run 'TestEngine' -count=1 .
+	$(GO) test -run 'TestStallTripsOnBothEngines' -count=1 ./internal/sim/
 
 # The steady-state network round trip, the skip engine's stepping loop, its
 # run-ahead on L1 hits and the functional warmer must not allocate; the

@@ -1,8 +1,8 @@
 // Command fsfuzz drives the protocol fuzzing and fault-injection harness
 // (internal/fuzz): randomized adversarial workloads executed under latency
 // jitter and message reordering, supervised by the full oracle stack
-// (golden memory, SWMR, liveness watchdog, quiescence agreement, SC value
-// check). See EXPERIMENTS.md §"Protocol fuzzing" and PROTOCOL.md.
+// (golden memory, SWMR, liveness, quiescence agreement, SC value check).
+// See EXPERIMENTS.md §"Protocol fuzzing" and PROTOCOL.md.
 //
 // Modes:
 //
@@ -46,7 +46,6 @@ func main() {
 		self     = flag.Bool("selfcheck", false, "verify the oracles detect seeded protocol bugs")
 		out      = flag.String("out", "fuzz-repros", "directory for shrunk repro files")
 		jobs     = flag.Int("jobs", 0, "concurrent executions (0 = GOMAXPROCS, capped at 8)")
-		stall    = flag.Uint64("stall", 0, "watchdog stall threshold in cycles (0 = default)")
 		budget   = flag.Int("shrink", 0, "shrinker execution budget per failure (0 = default)")
 		traceOut = flag.String("trace", "", "replay only: write Chrome trace-event JSON (open in Perfetto)")
 		progress = flag.String("progress", "", "stream JSONL progress records (one per case) to this file; - for stderr")
@@ -54,14 +53,13 @@ func main() {
 	)
 	flag.Parse()
 
-	opt := fuzz.Options{StallCycles: *stall}
 	switch {
 	case *replay != "":
-		os.Exit(doReplay(*replay, *traceOut, opt))
+		os.Exit(doReplay(*replay, *traceOut))
 	case *self:
-		os.Exit(selfcheck(opt, *budget))
+		os.Exit(selfcheck(*budget))
 	default:
-		os.Exit(campaign(*seeds, *start, *seed, *protocol, *out, *jobs, *budget, *progress, *resume, opt))
+		os.Exit(campaign(*seeds, *start, *seed, *protocol, *out, *jobs, *budget, *progress, *resume))
 	}
 }
 
@@ -106,7 +104,7 @@ func protocols(flag string) ([]string, error) {
 	return []string{strings.ToLower(p.String())}, nil
 }
 
-func campaign(seeds int, start, one uint64, protoFlag, out string, jobs, budget int, progress, resume string, opt fuzz.Options) int {
+func campaign(seeds int, start, one uint64, protoFlag, out string, jobs, budget int, progress, resume string) int {
 	protos, err := protocols(protoFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsfuzz:", err)
@@ -143,7 +141,7 @@ func campaign(seeds int, start, one uint64, protoFlag, out string, jobs, budget 
 	fmt.Printf("fuzzing %d seed(s) x %v with fault injection\n", seeds, protos)
 	cfg := fuzz.CampaignConfig{
 		StartSeed: start, Seeds: seeds, Protocols: protos,
-		Opt: opt, Jobs: jobs, ShrinkBudget: budget,
+		Jobs: jobs, ShrinkBudget: budget,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -180,7 +178,7 @@ func campaign(seeds int, start, one uint64, protoFlag, out string, jobs, budget 
 
 // doReplay re-executes one repro file deterministically, optionally with the
 // observability layer attached for a Perfetto trace of the failing run.
-func doReplay(path, traceOut string, opt fuzz.Options) int {
+func doReplay(path, traceOut string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsfuzz:", err)
@@ -192,6 +190,7 @@ func doReplay(path, traceOut string, opt fuzz.Options) int {
 		return 2
 	}
 	var o *obs.Obs
+	var opt fuzz.Options
 	if traceOut != "" {
 		o = obs.New(obs.Config{})
 		opt.Obs = func(cfg *sim.Config) { cfg.Obs = o }
@@ -212,13 +211,10 @@ func doReplay(path, traceOut string, opt fuzz.Options) int {
 
 // selfcheck seeds known protocol bugs through the sabotage hook and demands
 // every oracle in the stack catch its class: drops and wedges must trip the
-// liveness watchdog, payload corruption the golden-memory oracle — and the
+// liveness check, payload corruption the golden-memory oracle — and the
 // shrinker must converge to a small repro. This validates the harness
 // itself; `make fuzzsmoke` runs it in CI.
-func selfcheck(opt fuzz.Options, budget int) int {
-	if opt.StallCycles == 0 {
-		opt.StallCycles = 20_000
-	}
+func selfcheck(budget int) int {
 	cases := []struct {
 		proto string
 		sab   fuzz.SabotageSpec
@@ -238,7 +234,7 @@ func selfcheck(opt fuzz.Options, budget int) int {
 		}
 		sab := tc.sab
 		p.Sabotage = &sab
-		out := fuzz.Execute(p, opt)
+		out := fuzz.Execute(p, fuzz.Options{})
 		name := fmt.Sprintf("%s/%s %s #%d", tc.proto, sab.Mode, sab.Op, sab.Nth)
 		if out.Failure == nil {
 			fmt.Printf("MISS %s: seeded bug not detected\n", name)
@@ -254,7 +250,7 @@ func selfcheck(opt fuzz.Options, budget int) int {
 			bad++
 			continue
 		}
-		sr := fuzz.Shrink(p, out.Failure.Kind, opt, budget)
+		sr := fuzz.Shrink(p, out.Failure.Kind, fuzz.Options{}, budget)
 		ops := 0
 		for _, t := range sr.Program.Threads {
 			ops += len(t)

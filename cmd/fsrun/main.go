@@ -45,7 +45,7 @@ func main() {
 		mode     = flag.String("mode", "", "alias for -protocol")
 		jobs     = flag.Int("j", runtime.NumCPU(), "max concurrent simulations for -compare (1 = serial)")
 		compare  = flag.Bool("compare", false, "run all three protocols and print speedups")
-		verify   = flag.Bool("verify", false, "enable oracle and SWMR verification")
+		verify   = flag.Bool("verify", false, "enable oracle, SWMR and stalled-core verification")
 		list     = flag.Bool("list", false, "list available benchmarks")
 		full     = flag.Bool("stats", false, "dump all counters")
 		counters = flag.Bool("counters", false, "after the run, dump every canonical counter (zeros included) in sorted order")

@@ -40,10 +40,6 @@ func (l *L1) SetObs(o *obs.Obs) {
 	l.missHist = o.GetMetrics().Hist(HistMissLatency)
 }
 
-// SetObserver installs the commit observer after construction (the engine
-// uses this to attach commit tracing lazily).
-func (l *L1) SetObserver(ob Observer) { l.obs = ob }
-
 // traceState records an L1 line state transition.
 func (l *L1) traceState(blk memsys.Addr, from, to L1State) {
 	if t := l.trace; t != nil && from != to {

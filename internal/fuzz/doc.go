@@ -27,10 +27,11 @@
 //
 // Every Execute checks, in severity order:
 //
-//   - liveness: a watchdog trips when any unfinished core stops committing
-//     for Options.StallCycles cycles (deadlock and livelock alike) and dumps
-//     in-flight messages plus per-component FSM states; a hard MaxCycles
-//     budget backstops it.
+//   - liveness: sim.Config.Verify's stall check stops the run with a
+//     *sim.StallError when any unfinished core commits nothing for 200k
+//     cycles (deadlock and livelock alike), with the per-core commit ages and
+//     a dump of in-flight messages plus per-component FSM states; a hard
+//     MaxCycles budget backstops it.
 //   - golden-memory oracle: every load must return the most recently
 //     committed bytes (sim.Config.Verify), byte-granular.
 //   - SWMR: at most one E/M copy of any block, never alongside S/PRV copies
@@ -42,12 +43,11 @@
 //   - quiescence agreement: once the system drains, every L1 line must agree
 //     with its directory entry (owner exact, sharer sets consistent, no busy
 //     transactions); see oracle.go.
-//   - engine agreement: the checks above run on the naive engine, because
-//     the watchdog's cycle hook forces the full tick. A program that passes
-//     them runs again on the skip engine without the hook (MaxCycles, set
-//     to the naive run's cycles, is its liveness backstop), and its cycles,
-//     counters and final word values must equal the naive run's
-//     (checkEngines).
+//   - engine agreement: the checks above run on the default skip engine,
+//     with run-ahead armed. A program that passes them runs again on the
+//     naive engine, the reference (MaxCycles set to the skip run's cycles),
+//     and its cycles, counters and final word values must equal the skip
+//     run's (checkEngines).
 //
 // Campaign drives many seeds across all three protocols; cmd/fsfuzz is the
 // CLI, and `make fuzz` / `make fuzzsmoke` are the entry points (EXPERIMENTS.md

@@ -15,12 +15,9 @@ import (
 
 // Options tunes one Execute.
 type Options struct {
-	// StallCycles is the watchdog threshold: an unfinished core that commits
-	// nothing for this many cycles trips the liveness oracle (0 = 200k).
-	StallCycles uint64
-
-	// MaxCycles is the hard cycle budget backstopping the watchdog
-	// (0 = 8M). Generated programs finish in well under a million cycles.
+	// MaxCycles is the hard cycle budget backstopping Verify's liveness
+	// check (0 = 8M). Generated programs finish in well under a million
+	// cycles.
 	MaxCycles uint64
 
 	// Obs optionally attaches the observability layer (replay under -trace).
@@ -154,7 +151,6 @@ func config(p *Program, opt Options) (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	cfg := sim.DefaultConfig(mode)
-	cfg.Engine = sim.EngineNaive // the watchdog's cycle hook disables skipping anyway; checkEngines reruns on skip
 	cfg.Verify = true
 	cfg.SWMRPeriod = 16
 	cfg.MaxCycles = opt.MaxCycles
@@ -277,9 +273,9 @@ func start(p *Program, cfg sim.Config, ref *reference) (sys *sim.System, name st
 
 // Execute runs one program under full oracle supervision and returns the
 // outcome. It never lets a panic escape: protocol panics (handler invariant
-// violations) are converted into a "panic" failure. A program that passes
-// every oracle on the naive engine runs again on the skip engine, which must
-// agree exactly (checkEngines).
+// violations) are converted into a "panic" failure. The run uses the default
+// skip engine; a program that passes every oracle there runs again on the
+// naive engine, the reference, which must agree exactly (checkEngines).
 func Execute(p *Program, opt Options) (out *Outcome) {
 	out = &Outcome{}
 	if err := p.Validate(); err != nil {
@@ -299,13 +295,6 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 		return out
 	}
 
-	stall := opt.StallCycles
-	if stall == 0 {
-		stall = 200_000
-	}
-	wd := NewWatchdog(sys, cfg.Params.Cores, stall)
-	wd.Install()
-
 	defer func() {
 		if r := recover(); r != nil {
 			out.Failure = &Failure{
@@ -318,13 +307,11 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 
 	res, err := sys.Run(name)
 	if err != nil {
-		switch {
-		case wd.Tripped():
-			out.Cycles = wd.TripCycle()
-			out.Failure = &Failure{Kind: "stall", Detail: wd.Reason(), Dump: wd.Dump()}
-		case errors.Is(err, sim.ErrDeadlock):
-			out.Failure = &Failure{Kind: "deadlock", Detail: err.Error(), Dump: sys.DumpState()}
-		default:
+		var stall *sim.StallError
+		if errors.As(err, &stall) {
+			out.Cycles = stall.Cycle
+			out.Failure = &Failure{Kind: "stall", Detail: stall.Reason, Dump: stall.Ages + stall.State}
+		} else {
 			out.Failure = &Failure{Kind: "deadlock", Detail: err.Error(), Dump: sys.DumpState()}
 		}
 		return out
@@ -357,16 +344,13 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 	return out
 }
 
-// checkEngines runs p a second time on the skip engine and fails with kind
-// "engine" unless its cycles, its counter snapshot and the final values of
-// the tracked words equal the naive run's (want, wantGot). The run has no
-// watchdog: its cycle hook would force the naive full tick, and its commit
-// trace would keep run-ahead off, so stepDue's elision, the wake-up queue
-// and run-ahead all run here. MaxCycles, set to the naive run's cycles, is
-// its liveness backstop: a skip run still going after them has diverged.
-// Verify stays on: the oracle checks every run-ahead commit at its own cycle.
+// checkEngines runs p a second time on the naive engine, the reference, and
+// fails with kind "engine" unless its cycles, its counter snapshot and the
+// final values of the tracked words equal the skip run's (want, wantGot).
+// MaxCycles is set to the skip run's cycles: a naive run still going after
+// them has diverged.
 func checkEngines(p *Program, cfg sim.Config, ref *reference, want *sim.Result, wantGot []uint64) *Failure {
-	cfg.Engine = sim.EngineSkip
+	cfg.Engine = sim.EngineNaive
 	cfg.MaxCycles = want.Cycles
 	cfg.Obs = nil
 	sys, name, got, err := start(p, cfg, ref)
@@ -375,11 +359,11 @@ func checkEngines(p *Program, cfg sim.Config, ref *reference, want *sim.Result, 
 	}
 	res, err := sys.Run(name)
 	if err != nil {
-		return &Failure{Kind: "engine", Detail: "skip engine: " + err.Error(), Dump: sys.DumpState()}
+		return &Failure{Kind: "engine", Detail: "naive engine: " + err.Error(), Dump: sys.DumpState()}
 	}
 	if res.Cycles != want.Cycles {
 		return &Failure{Kind: "engine",
-			Detail: fmt.Sprintf("cycles diverge: naive=%d skip=%d", want.Cycles, res.Cycles)}
+			Detail: fmt.Sprintf("cycles diverge: skip=%d naive=%d", want.Cycles, res.Cycles)}
 	}
 	ws, gs := want.Stats.Snapshot(), res.Stats.Snapshot()
 	names := want.Stats.Names()
@@ -393,18 +377,18 @@ func checkEngines(p *Program, cfg sim.Config, ref *reference, want *sim.Result, 
 		g, gok := gs[n]
 		if w != g || wok != gok {
 			return &Failure{Kind: "engine",
-				Detail: fmt.Sprintf("counter %s diverges: naive=%d skip=%d", n, w, g)}
+				Detail: fmt.Sprintf("counter %s diverges: skip=%d naive=%d", n, w, g)}
 		}
 	}
 	for i, w := range ref.words {
 		if got[i] != wantGot[i] {
 			return &Failure{Kind: "engine",
-				Detail: fmt.Sprintf("word %v diverges: naive=%#x skip=%#x", w, wantGot[i], got[i])}
+				Detail: fmt.Sprintf("word %v diverges: skip=%#x naive=%#x", w, wantGot[i], got[i])}
 		}
 	}
 	if n := len(res.OracleViolations) + len(res.SWMRViolations); n > 0 {
 		return &Failure{Kind: "engine",
-			Detail: fmt.Sprintf("skip engine: %d oracle/SWMR violation(s) the naive run did not see", n)}
+			Detail: fmt.Sprintf("naive engine: %d oracle/SWMR violation(s) the skip run did not see", n)}
 	}
 	return nil
 }

@@ -111,7 +111,7 @@ func TestSabotageDropDetected(t *testing.T) {
 	} {
 		p := Generate(42, tc.proto)
 		p.Sabotage = &SabotageSpec{Mode: "drop", Op: tc.op, Nth: 1}
-		out := Execute(p, Options{StallCycles: 20_000})
+		out := Execute(p, Options{})
 		if out.Failure == nil {
 			t.Fatalf("%s: dropped %s not detected", tc.proto, tc.op)
 		}

@@ -21,10 +21,8 @@ func runSampledProgram(t *testing.T, p *Program, spec sample.Spec) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fuzz harness runs the naive engine; the sampled engine requires
-	// the skip engine. Verify stays on — its oracle checks warming commits
-	// too — and the boundary hook below adds the quiescence checks.
-	cfg.Engine = sim.EngineSkip
+	// Verify stays on — its oracle checks warming commits too — and the
+	// boundary hook below adds the quiescence checks.
 	cfg.Sample = spec
 
 	ref := buildReference(p)

@@ -10,7 +10,7 @@ import "testing"
 func TestShrinkerConvergesOnSeededBug(t *testing.T) {
 	p := Generate(42, "fslite")
 	p.Sabotage = &SabotageSpec{Mode: "drop", Op: "InvAck", Nth: 1}
-	opt := Options{StallCycles: 20_000}
+	opt := Options{}
 
 	out := Execute(p, opt)
 	if out.Failure == nil {

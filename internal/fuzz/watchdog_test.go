@@ -6,13 +6,13 @@ import (
 )
 
 // TestWatchdogDetectsWedge wedges the first Data response in flight (its
-// delivery cycle pushed past any horizon) and checks the watchdog trips with
-// a dump naming the stuck message and the waiting FSM — the artifact a
-// protocol engineer debugs from.
+// delivery cycle pushed past any horizon) and checks Verify's liveness
+// check trips on the skip engine with a dump naming the stuck message and
+// the waiting FSM — the artifact a protocol engineer debugs from.
 func TestWatchdogDetectsWedge(t *testing.T) {
 	p := Generate(42, "fslite")
 	p.Sabotage = &SabotageSpec{Mode: "wedge", Op: "Data", Nth: 1}
-	out := Execute(p, Options{StallCycles: 20_000})
+	out := Execute(p, Options{})
 	if out.Failure == nil {
 		t.Fatal("wedged Data message not detected")
 	}
@@ -32,13 +32,13 @@ func TestWatchdogDetectsWedge(t *testing.T) {
 	}
 }
 
-// TestWatchdogSparesLivelockFreeRun checks the watchdog does not trip on a
-// clean run with heavy jitter (spinners keep committing loads, so per-core
-// commit tracking stays quiet).
+// TestWatchdogSparesLivelockFreeRun checks the liveness check does not trip
+// on a clean run with heavy jitter (spinners keep committing loads, so
+// per-core commit tracking stays quiet).
 func TestWatchdogSparesLivelockFreeRun(t *testing.T) {
 	p := Generate(42, "fslite")
 	p.Faults.MaxJitter = 80
-	out := Execute(p, Options{StallCycles: 20_000})
+	out := Execute(p, Options{})
 	if out.Failure != nil {
 		t.Fatalf("clean jittered run failed: %v", out.Failure)
 	}

@@ -97,8 +97,9 @@ type Engine struct {
 }
 
 // entry is one unique task. val, err and dur are written by exactly one
-// goroutine before done is closed; readers go through Handle.Wait, so the
-// channel close is the only synchronization needed.
+// goroutine, and the progress callback has seen the cell, before done is
+// closed; readers go through Handle.Wait, so the channel close is the only
+// synchronization needed.
 type entry struct {
 	key  any
 	done chan struct{}
@@ -226,8 +227,9 @@ func (e *Engine) run(ent *entry, fn Task) {
 	}()
 	ent.dur = time.Since(start)
 
-	// Count the cell before publishing it, so a Report taken once a handle
-	// resolves already includes that cell.
+	// Count the cell and report its progress before publishing it, so a
+	// Report taken once a handle resolves already includes that cell, and a
+	// callback installed after Wait returns never sees it.
 	e.mu.Lock()
 	e.executed++
 	e.taskTime += ent.dur
@@ -241,13 +243,13 @@ func (e *Engine) run(ent *entry, fn Task) {
 		e.metrics.MergeMap(ms.MetricSummary())
 	}
 	e.mu.Unlock()
-	close(ent.done)
 
 	e.cbMu.Lock()
 	if e.onCell != nil {
 		e.onCell(Cell{Key: ent.key, Val: ent.val, Duration: ent.dur, Err: ent.err})
 	}
 	e.cbMu.Unlock()
+	close(ent.done)
 }
 
 // Wait blocks until every submitted task has finished.

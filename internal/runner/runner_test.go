@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSeedDeterministicPerKey(t *testing.T) {
@@ -161,6 +162,37 @@ func TestProgressCallbackFiresPerExecutedCell(t *testing.T) {
 	if len(seen) != 5 {
 		t.Fatalf("progress saw %d cells, want 5", len(seen))
 	}
+}
+
+// TestWaitFollowsProgressCallback: a handle resolves only after its cell's
+// progress callback has returned, so a caller that installs a new callback
+// once Wait returns never hears about the earlier cell.
+func TestWaitFollowsProgressCallback(t *testing.T) {
+	e := New(2)
+	entered, release := make(chan struct{}), make(chan struct{})
+	e.SetProgress(func(Cell) {
+		close(entered)
+		<-release
+	})
+	h := e.Do("cell", func(uint64) (any, error) { return nil, nil })
+	waited := make(chan struct{})
+	go func() {
+		h.Wait()
+		close(waited)
+	}()
+	<-entered
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while the progress callback was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-waited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait did not return once the progress callback finished")
+	}
+	e.Wait()
 }
 
 // TestPrimeMemo: primed cells are served from the memo without executing, and

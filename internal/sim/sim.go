@@ -35,8 +35,8 @@ const (
 	// metrics sample and when advance returns — so neither is visible. An
 	// in-order core that ticks may commit its next L1 hits inside its
 	// thread, ahead of the clock, up to the earliest cycle a message could
-	// reach its L1 (Horizon). A run with a cycle hook or a zero network
-	// latency steps with the naive full tick instead (see advance).
+	// reach its L1 (Horizon). A run with a zero network latency steps with
+	// the naive full tick instead (see advance).
 	EngineSkip Engine = iota
 
 	// EngineNaive ticks every component on every cycle (stepCycle) — the
@@ -73,8 +73,10 @@ type Config struct {
 	// in-order core has one.
 	OOO bool
 
-	// Verify checks every load against a byte-granular golden memory and
-	// scans coherence states for SWMR every SWMRPeriod cycles.
+	// Verify checks every load against a byte-granular golden memory and,
+	// every SWMRPeriod cycles, scans coherence states for SWMR and checks
+	// liveness: a run in which an unfinished core committed nothing for
+	// stallCycles cycles stops with a *StallError.
 	Verify     bool
 	SWMRPeriod uint64
 
@@ -105,9 +107,8 @@ type Config struct {
 
 	// Cancel, when non-nil, is polled roughly once per loop iteration in
 	// every engine; when it returns true the run aborts with ErrStopped.
-	// Unlike RequestStop it may be flipped from another goroutine (the
-	// runner's watchdog) as long as the func itself is race-free (e.g. an
-	// atomic load).
+	// It may be flipped from another goroutine (the runner's watchdog) as
+	// long as the func itself is race-free (e.g. an atomic load).
 	Cancel func() bool
 }
 
@@ -179,23 +180,17 @@ type System struct {
 	tracer  *obs.Tracer
 	metrics *obs.Metrics
 
-	// observerInstalled records whether the commit observer is wired into
-	// the L1s (done at construction when the oracle or tracer needs it, or
-	// lazily by SetCommitTrace).
-	observerInstalled bool
-
-	// commitTrace, when set (tests), receives every architectural commit.
-	commitTrace func(cycle uint64, core int, kind string, a memsys.Addr, v []byte)
-
-	// cycleHook, when set (tests), runs at the start of every cycle.
-	cycleHook func(cycle uint64)
+	// lastCommit holds, per core, the cycle of its latest commit, kept by
+	// the commit observer (installed under Verify or a tracer) for the
+	// liveness check.
+	lastCommit []uint64
 
 	// boundaryHook, when set (tests), runs at every window boundary of a
 	// sampled run: the machine is architecturally quiescent when it fires,
 	// so invariant oracles may scan freely.
 	boundaryHook func(cycle uint64)
 
-	// stopReason, when non-empty, aborts the run loop (RequestStop).
+	// stopReason, when non-empty, aborts the run loop (Config.Cancel).
 	stopReason string
 
 	// wake is the skip engine's wake-up queue (skip.go). stallAt holds, per
@@ -218,34 +213,10 @@ type System struct {
 	unsupported error
 }
 
-// SetCommitTrace installs a commit hook (testing/debugging). The hook is fed
-// by the same commit observer that drives KindCommit trace events; if the
-// observer was not needed at construction it is installed now.
-func (s *System) SetCommitTrace(fn func(cycle uint64, core int, kind string, a memsys.Addr, v []byte)) {
-	s.commitTrace = fn
-	s.ensureObserver()
-}
-
-// ensureObserver wires the commit observer into every L1 if absent.
-func (s *System) ensureObserver() {
-	if s.observerInstalled {
-		return
-	}
-	s.observerInstalled = true
-	ob := observer{s.oracle, s}
-	for _, l1 := range s.l1s {
-		l1.SetObserver(ob)
-	}
-}
-
-// SetCycleHook installs a function invoked at the start of every cycle
-// (testing: fault injection, external-socket accesses, live inspection).
-func (s *System) SetCycleHook(fn func(cycle uint64)) { s.cycleHook = fn }
-
-// observer adapts the oracle and the commit trace to the coherence.Observer
-// interface. The oracle may be nil (trace-only observer). Each commit is
-// stamped with the cycle the L1 reports, not s.cycle: a run-ahead core
-// commits its hits ahead of the engine's clock.
+// observer adapts the oracle, the tracer and the liveness check to the
+// coherence.Observer interface. The oracle may be nil (trace-only
+// observer). Each commit is stamped with the cycle the L1 reports, not
+// s.cycle: a run-ahead core commits its hits ahead of the engine's clock.
 type observer struct {
 	o *memsys.Oracle
 	s *System
@@ -284,9 +255,10 @@ func (ob observer) OnRMWCommit(c int, a memsys.Addr, old, next []byte, at uint64
 }
 
 // commit routes one architectural commit, made at cycle at, to the tracer
-// and the test hook. kind is one of the static strings
+// and records it as core c's latest. kind is one of the static strings
 // "load"/"store"/"reduce"/"rmw", so building the event never allocates.
 func (s *System) commit(at uint64, c int, kind string, a memsys.Addr, v []byte) {
+	s.lastCommit[c] = at
 	if t := s.tracer; t != nil {
 		var val uint64
 		for i := 0; i < len(v) && i < 8; i++ {
@@ -296,9 +268,6 @@ func (s *System) commit(at uint64, c int, kind string, a memsys.Addr, v []byte) 
 			Cycle: at, Kind: obs.KindCommit, Core: int16(c), Slice: -1,
 			Addr: a, Name: kind, Arg: val, Arg2: uint64(len(v)),
 		})
-	}
-	if s.commitTrace != nil {
-		s.commitTrace(at, c, kind, a, v)
 	}
 }
 
@@ -335,6 +304,11 @@ func New(cfg Config, wl Workload) *System {
 	cc.Now = func() uint64 { return s.cycle }
 	cc.Trace = s.tracer
 
+	var ob coherence.Observer
+	if cfg.Verify || s.tracer != nil {
+		ob = observer{s.oracle, s}
+		s.lastCommit = make([]uint64, p.Cores)
+	}
 	for i := 0; i < p.Cores; i++ {
 		var pol coherence.L1Policy
 		if cfg.Mode != coherence.Baseline {
@@ -342,15 +316,12 @@ func New(cfg Config, wl Workload) *System {
 			s.pams = append(s.pams, pam)
 			pol = pam
 		}
-		l1 := coherence.NewL1(i, p, cfg.Mode, s.net, pol, st, nil)
+		l1 := coherence.NewL1(i, p, cfg.Mode, s.net, pol, st, ob)
 		if cfg.OOO {
 			l1.SetMaxMSHRs(cpu.OOOMSHRs)
 		}
 		l1.SetObs(cfg.Obs)
 		s.l1s = append(s.l1s, l1)
-	}
-	if cfg.Verify || s.tracer != nil {
-		s.ensureObserver()
 	}
 	for i := 0; i < p.Slices; i++ {
 		var pol coherence.DirPolicy
@@ -405,22 +376,8 @@ func (s *System) L1(i int) *coherence.L1 { return s.l1s[i] }
 // Net returns the interconnect (testing and fault-injection hooks).
 func (s *System) Net() *network.Network { return s.net }
 
-// CoreFinished reports whether core i's thread has run to completion
-// (watchdog progress checks).
-func (s *System) CoreFinished(i int) bool { return s.cores[i].Finished() }
-
-// RequestStop asks the run loop to abort at the end of the current cycle
-// with ErrStopped wrapping the given reason. Intended to be called from a
-// cycle hook or commit trace (e.g. the fuzzing watchdog); safe to call more
-// than once — the first reason wins.
-func (s *System) RequestStop(reason string) {
-	if s.stopReason == "" {
-		s.stopReason = reason
-	}
-}
-
-// ErrStopped is returned when a hook aborted the run via RequestStop.
-var ErrStopped = errors.New("sim: stopped by hook")
+// ErrStopped is returned when Config.Cancel aborted the run.
+var ErrStopped = errors.New("sim: stopped")
 
 // ErrDeadlock is returned when the simulation exceeds MaxCycles.
 var ErrDeadlock = errors.New("sim: cycle limit exceeded (deadlock?)")
@@ -489,9 +446,10 @@ func (s *System) Run(name string) (*Result, error) {
 // moves the clock in timed execution. Both engines step one cycle at a
 // time: the skip engine with stepDue, fast-forwarding to the next wake-up
 // after each step, and the naive engine with stepCycle's full tick.
-// A cycle hook or a zero network latency also needs the full tick: a hook
-// may create work outside any tick (Dir.ExternalAccess), and a zero-latency
-// send is consumed within its own cycle, after stepDue read its arrivals.
+// A zero network latency also needs the full tick: a zero-latency send is
+// consumed within its own cycle, after stepDue read its arrivals. Work
+// created between calls (Dir.ExternalAccess, held or released issue) is
+// picked up by wakeAll on entry.
 // The skip engine's cores are credited the stall cycles of the ticks it
 // elided or skipped before every metrics sample and on every return, so no
 // caller sees the lazy accounting.
@@ -504,7 +462,7 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 	if draining && s.drained() {
 		return false, nil
 	}
-	full := s.cfg.Engine == EngineNaive || s.cycleHook != nil || s.net.MinDeliveryLatency() == 0
+	full := s.cfg.Engine == EngineNaive || s.net.MinDeliveryLatency() == 0
 	// Work created outside a tick — issue held or released, warming — is
 	// missing from the wake-up queue.
 	s.wakeAll()
@@ -515,10 +473,10 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 	}
 	// Run-ahead commits a core's hits ahead of the clock. It stays off where
 	// that shows: a budget counts commits after every step, a drain holds
-	// issue, and the tracer, the metrics and the commit trace see commits in
-	// engine order. The oracle takes each commit's own cycle, so Verify keeps
-	// it on.
-	if !full && budget == 0 && !draining && s.tracer == nil && s.metrics == nil && s.commitTrace == nil {
+	// issue, and the tracer and the metrics see commits in engine order. The
+	// oracle and the liveness check take each commit's own cycle, so Verify
+	// keeps it on.
+	if !full && budget == 0 && !draining && s.tracer == nil && s.metrics == nil {
 		s.setLookahead(s)
 		defer s.setLookahead(nil)
 	}
@@ -538,6 +496,9 @@ func (s *System) advance(name string, maxCycles uint64, draining bool, budget ui
 		}
 		if s.cfg.Verify && s.cycle%s.cfg.SWMRPeriod == 0 {
 			s.checkSWMR()
+			if err := s.checkStall(); err != nil {
+				return false, err
+			}
 		}
 		if m := s.metrics; m != nil && s.cycle%m.Interval == 0 {
 			if !full {
@@ -600,14 +561,11 @@ func (s *System) buildResult(name string) *Result {
 	return res
 }
 
-// stepCycle runs one full simulation cycle: the per-cycle hook, then every
-// component's Tick in rank order. It is the naive engine's step, the
-// reference the skip engine's elided step is proven against.
+// stepCycle runs one full simulation cycle: every component's Tick in rank
+// order. It is the naive engine's step, the reference the skip engine's
+// elided step is proven against.
 func (s *System) stepCycle() {
 	s.net.SetCycle(s.cycle)
-	if s.cycleHook != nil {
-		s.cycleHook(s.cycle)
-	}
 	for _, d := range s.dirs {
 		d.Tick(s.cycle)
 	}
@@ -622,11 +580,11 @@ func (s *System) stepCycle() {
 
 // lastIdle returns the last cycle before the machine's next wake-up, the
 // target the skip engine fast-forwards to after a step (s.cycle itself when
-// the next cycle has work). It is clamped so that SWMR-check and
-// metrics-sampling boundary cycles are still stepped (their output embeds
-// cycle numbers, and byte-identical output across engines is the contract)
-// and so the MaxCycles deadlock error fires at the same cycle as under the
-// naive loop.
+// the next cycle has work). It is clamped so that Verify's check cycles
+// (SWMR and liveness) and metrics-sampling boundary cycles are still
+// stepped (their output embeds cycle numbers, and byte-identical output
+// across engines is the contract) and so the MaxCycles deadlock error fires
+// at the same cycle as under the naive loop.
 func (s *System) lastIdle(maxCycles uint64) uint64 {
 	now := s.cycle
 	wake := s.wake.next()
@@ -688,4 +646,63 @@ func (s *System) checkSWMR() {
 			}
 		}
 	}
+}
+
+// stallCycles is the liveness check's threshold: a Verify run stops with a
+// *StallError once an unfinished core has committed nothing for longer.
+// Spinning on a lock or a barrier commits loads, so only a wedged core's
+// commits stop.
+const stallCycles = 200_000
+
+// StallError is returned by a Verify run whose liveness check tripped: at
+// check cycle Cycle, an unfinished core had committed nothing for more than
+// stallCycles cycles. It catches deadlock and livelock alike, including a
+// wedge that loses no value.
+type StallError struct {
+	Cycle  uint64
+	Reason string // one line: "core N committed nothing for … cycles (last commit at …)"
+	Ages   string // the per-core commit-age table
+	State  string // DumpState at the trip
+}
+
+func (e *StallError) Error() string {
+	return fmt.Sprintf("sim: stall at cycle %d: %s", e.Cycle, e.Reason)
+}
+
+// commitAge is core i's cycles since its latest commit. A run-ahead core
+// stamps its commits ahead of the clock, so a commit at or after the current
+// cycle has age 0.
+func (s *System) commitAge(i int) uint64 {
+	if last := s.lastCommit[i]; last < s.cycle {
+		return s.cycle - last
+	}
+	return 0
+}
+
+// checkStall is the liveness check Verify runs every SWMRPeriod cycles: it
+// returns a *StallError for the first unfinished core whose commit age
+// exceeds stallCycles. Both engines step every such cycle (lastIdle), so
+// they trip on the same one.
+func (s *System) checkStall() error {
+	for i := range s.cores {
+		if s.coreDone[i] || s.commitAge(i) <= stallCycles {
+			continue
+		}
+		ages := fmt.Sprintf("watchdog trip at cycle %d (stall threshold %d)\n", s.cycle, stallCycles)
+		for j := range s.cores {
+			state := "running"
+			if s.coreDone[j] {
+				state = "finished"
+			}
+			ages += fmt.Sprintf("  core %d: %s, last commit at cycle %d (age %d)\n",
+				j, state, s.lastCommit[j], s.commitAge(j))
+		}
+		return &StallError{
+			Cycle:  s.cycle,
+			Reason: fmt.Sprintf("core %d committed nothing for %d cycles (last commit at %d)", i, s.commitAge(i), s.lastCommit[i]),
+			Ages:   ages,
+			State:  s.DumpState(),
+		}
+	}
+	return nil
 }

@@ -227,38 +227,53 @@ func TestPrefetchDoesNotDisturb(t *testing.T) {
 
 func TestExternalSocketTerminatesPrivatization(t *testing.T) {
 	// Privatize a line, then simulate an access forwarded from another
-	// socket (§V-C condition iv): the episode must terminate.
-	cfg := testConfig(coherence.FSLite)
-	var ths []cpu.ThreadFunc
-	for i := 0; i < 4; i++ {
-		slot := addr(0, 8*i)
-		ths = append(ths, func(c *cpu.Ctx) {
-			for j := 0; j < 300; j++ {
-				c.AtomicAdd(slot, 8, 1)
+	// socket (§V-C condition iv): the episode must terminate. The access
+	// arrives between budgeted advance windows, as work created outside
+	// any tick, which the skip engine picks up through wakeAll.
+	for _, eng := range []struct {
+		name string
+		e    Engine
+	}{{"naive", EngineNaive}, {"skip", EngineSkip}} {
+		t.Run(eng.name, func(t *testing.T) {
+			cfg := testConfig(coherence.FSLite)
+			cfg.Engine = eng.e
+			var ths []cpu.ThreadFunc
+			for i := 0; i < 4; i++ {
+				slot := addr(0, 8*i)
+				ths = append(ths, func(c *cpu.Ctx) {
+					for j := 0; j < 300; j++ {
+						c.AtomicAdd(slot, 8, 1)
+					}
+				})
+			}
+			s := New(cfg, Workload{Name: "external", Threads: ths})
+			defer s.Stop()
+			target := addr(0, 0).BlockAlign(blk)
+			slice := cfg.Params.HomeSlice(uint64(target))
+			poked := false
+			for {
+				finished, err := s.advance("external", cfg.MaxCycles, false, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if finished {
+					break
+				}
+				if !poked {
+					poked = s.Dir(slice).ExternalAccess(target)
+				}
+			}
+			res := s.buildResult("external")
+			for _, v := range append(res.OracleViolations, res.SWMRViolations...) {
+				t.Errorf("oracle: %s", v)
+			}
+			if !poked {
+				t.Fatal("the line never privatized between windows, so no external access was accepted")
+			}
+			if res.Stats.Get(stats.CtrFSTerminations) == 0 {
+				t.Fatal("external access did not terminate the episode")
 			}
 		})
-	}
-	s := New(cfg, Workload{Name: "external", Threads: ths})
-	target := addr(0, 0).BlockAlign(blk)
-	slice := cfg.Params.HomeSlice(uint64(target))
-	poked := false
-	s.SetCycleHook(func(cycle uint64) {
-		if !poked && cycle%500 == 0 {
-			poked = s.Dir(slice).ExternalAccess(target)
-		}
-	})
-	res, err := s.Run("external")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.OracleViolations {
-		t.Errorf("oracle: %s", v)
-	}
-	if !poked {
-		t.Skip("privatization did not overlap a poke window")
-	}
-	if res.Stats.Get(stats.CtrFSTerminations) == 0 {
-		t.Fatal("external access did not terminate the episode")
 	}
 }
 

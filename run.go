@@ -106,8 +106,8 @@ type Options struct {
 	// OOO selects the 8-wide out-of-order core model (§VIII-B).
 	OOO bool
 
-	// Verify enables the golden-memory oracle and SWMR invariant scanning
-	// (slower; used by tests).
+	// Verify enables the golden-memory oracle, SWMR invariant scanning and
+	// the stalled-core liveness check (slower; used by tests).
 	Verify bool
 
 	// MaxCycles bounds the run (0 = default guard).
