@@ -548,40 +548,34 @@ func (l *L1) redispatch(m *network.Msg) {
 // it has no PAM entry to update.
 func (l *L1) commitAt(a *Access, blk memsys.Addr, line *l1Line, issue, at uint64) (uint64, bool) {
 	off := a.Addr.BlockOffset(l.params.BlockSize)
+	rd, wr := true, a.Kind != AccessLoad
 	switch a.Kind {
 	case AccessPrefetch:
 		return 0, true
 	case AccessLoad:
-		if line.state == L1Prv && !l.policy.HasBits(blk, off, a.Size, false) {
-			return 0, false
-		}
 	default:
 		switch line.state {
-		case L1Modified:
+		case L1Modified, L1Prv:
 		case L1Exclusive:
 			line.state = L1Modified // silent E->M upgrade
 			l.traceState(blk, L1Exclusive, L1Modified)
 		case L1Shared:
 			return 0, false
-		case L1Prv:
-			if !l.policy.HasBits(blk, off, a.Size, true) {
-				return 0, false
-			}
 		default:
 			panic("l1: unreachable")
 		}
+		rd = a.Kind != AccessStore
+	}
+	// One PAM call records the access; on a PRV line it first checks that
+	// the entry's bits already cover it.
+	if l.policy != nil && line.state != L1Invalid &&
+		!l.policy.Commit(blk, off, a.Size, line.state == L1Prv, rd, wr) {
+		return 0, false
 	}
 	b := line.data[off : off+a.Size]
 	old := leVal(b)
-	pam := l.policy
-	if line.state == L1Invalid {
-		pam = nil
-	}
 	switch a.Kind {
 	case AccessLoad:
-		if pam != nil {
-			pam.OnAccess(blk, off, a.Size, false)
-		}
 		if l.obs != nil {
 			l.obs.OnLoadCommit(l.core, a.Addr, b, issue, at)
 		}
@@ -590,9 +584,6 @@ func (l *L1) commitAt(a *Access, blk memsys.Addr, line *l1Line, issue, at uint64
 	case AccessStore:
 		putLEVal(b, a.Value)
 		line.dirty = true
-		if pam != nil {
-			pam.OnAccess(blk, off, a.Size, true)
-		}
 		if l.obs != nil {
 			l.obs.OnStoreCommit(l.core, a.Addr, b, at)
 		}
@@ -601,10 +592,6 @@ func (l *L1) commitAt(a *Access, blk memsys.Addr, line *l1Line, issue, at uint64
 	case AccessReduce:
 		putLEVal(b, old+a.Value)
 		line.dirty = true
-		if pam != nil {
-			pam.OnAccess(blk, off, a.Size, false)
-			pam.OnAccess(blk, off, a.Size, true)
-		}
 		if l.obs != nil {
 			l.obs.OnReduceCommit(l.core, a.Addr, l.obsBytes(a.Value, a.Size), at)
 		}
@@ -617,10 +604,6 @@ func (l *L1) commitAt(a *Access, blk memsys.Addr, line *l1Line, issue, at uint64
 		}
 		putLEVal(b, next)
 		line.dirty = true
-		if pam != nil {
-			pam.OnAccess(blk, off, a.Size, false)
-			pam.OnAccess(blk, off, a.Size, true)
-		}
 		if l.obs != nil {
 			l.obs.OnRMWCommit(l.core, a.Addr, l.obsBytes(old, a.Size), b, at)
 		}
@@ -951,14 +934,14 @@ func (l *L1) onUpgAckPrv(m *network.Msg) {
 	}
 	// The TR_PRV that preceded this grant already moved our line to PRV and
 	// allocated a fresh PAM entry; the grant's conflict check covered the
-	// touched bytes, which OnAccess records.
+	// touched bytes, which Commit records unchecked.
 	e := l.cache.Peek(tx.addr)
 	if e == nil || e.Payload.state != L1Prv {
 		panic("l1: UpgAckPrv without a PRV line")
 	}
 	if l.policy != nil {
 		off := tx.access.Addr.BlockOffset(l.params.BlockSize)
-		l.policy.OnAccess(tx.addr, off, tx.access.Size, true)
+		l.policy.Commit(tx.addr, off, tx.access.Size, false, false, true)
 	}
 	l.finishTxn(tx)
 }
@@ -981,7 +964,8 @@ func (l *L1) onDataPrv(m *network.Msg) {
 	}
 	if l.policy != nil && tx.access.Kind != AccessPrefetch {
 		off := tx.access.Addr.BlockOffset(l.params.BlockSize)
-		l.policy.OnAccess(m.Addr, off, tx.access.Size, tx.access.IsWrite())
+		w := tx.access.IsWrite()
+		l.policy.Commit(m.Addr, off, tx.access.Size, false, !w, w)
 	}
 	l.finishTxn(tx)
 }
@@ -997,7 +981,8 @@ func (l *L1) onAckPrv(m *network.Msg) {
 	}
 	if l.policy != nil {
 		off := tx.access.Addr.BlockOffset(l.params.BlockSize)
-		l.policy.OnAccess(m.Addr, off, tx.access.Size, tx.access.IsWrite())
+		w := tx.access.IsWrite()
+		l.policy.Commit(m.Addr, off, tx.access.Size, false, !w, w)
 	}
 	l.finishTxn(tx)
 }

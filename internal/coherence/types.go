@@ -158,14 +158,12 @@ func (a *Access) IsWrite() bool {
 // FSDetect/FSLite (§IV). The L1 controller notifies it of every architectural
 // event that reads or mutates private metadata.
 type L1Policy interface {
-	// OnAccess records read/write bits for a committed demand access to a
-	// resident line.
-	OnAccess(addr memsys.Addr, off, size int, write bool)
-
-	// HasBits reports whether the PAM entry already covers [off,off+size)
-	// with read (write=false) or write (write=true) bits — the PRV local-hit
-	// check of §V-B.
-	HasBits(addr memsys.Addr, off, size int, write bool) bool
+	// Commit records a committed demand access to a resident line: read
+	// bits over [off,off+size) if rd, write bits if wr, in one entry lookup.
+	// With check set it first applies the PRV local-hit test of §V-B (write
+	// bits cover a write, read-or-write bits a read) and returns false,
+	// changing nothing, when the entry does not cover the range.
+	Commit(addr memsys.Addr, off, size int, check, rd, wr bool) bool
 
 	// SetSendMD sets or clears the SEND_MD bit of the block's PAM entry.
 	SetSendMD(addr memsys.Addr, v bool)

@@ -391,7 +391,7 @@ func (w *Warmer) demand(l1 *L1, core int, kind AccessKind, blk memsys.Addr, toff
 			copy(base, fe.Payload.data)
 			fe.Payload.base = base
 			if l1.policy != nil && kind != AccessPrefetch {
-				l1.policy.OnAccess(blk, toff, tlen, write)
+				l1.policy.Commit(blk, toff, tlen, false, !write, write)
 			}
 			return true
 		}
@@ -581,7 +581,7 @@ func (w *Warmer) chk(l1 *L1, core int, blk memsys.Addr, toff, tlen int, write bo
 	d.stats.IncID(stats.IDLLCHits)
 	if d.policy.CheckBytes(blk, core, toff, tlen, write) == NoConflict {
 		d.policy.RecordBytes(blk, core, toff, tlen, write)
-		l1.policy.OnAccess(blk, toff, tlen, write)
+		l1.policy.Commit(blk, toff, tlen, false, !write, write)
 		return true
 	}
 	d.policy.MarkTrueSharing(blk)
@@ -668,7 +668,7 @@ func (w *Warmer) prvInit(d *Dir, e *memsys.Entry[dirLine], l1 *L1, core int, kin
 		// UPG_Ack_PRV: the TR_PRV above already moved the line to PRV; the
 		// grant's conflict check covered the touched bytes.
 		d.policy.RecordBytes(blk, core, toff, tlen, write)
-		l1.policy.OnAccess(blk, toff, tlen, true)
+		l1.policy.Commit(blk, toff, tlen, false, false, true)
 		return true
 	}
 	d.policy.RecordBytes(blk, core, toff, tlen, write)
@@ -678,7 +678,7 @@ func (w *Warmer) prvInit(d *Dir, e *memsys.Entry[dirLine], l1 *L1, core int, kin
 	copy(base, fe.Payload.data)
 	fe.Payload.base = base
 	if l1.policy != nil && kind != AccessPrefetch {
-		l1.policy.OnAccess(blk, toff, tlen, write)
+		l1.policy.Commit(blk, toff, tlen, false, !write, write)
 	}
 	return true
 }

@@ -183,32 +183,40 @@ func (d *DirSide) snapshotCores(blk memsys.Addr, det *Detection) {
 	if e == nil {
 		return
 	}
-	w := map[int]bool{}
-	r := map[int]bool{}
+	var w, r memsys.CoreSet
 	for _, c := range det.Writers {
-		w[c] = true
+		w.Add(c)
 	}
 	for _, c := range det.Readers {
-		r[c] = true
+		r.Add(c)
 	}
-	for g := 0; g < d.cfg.grains(); g++ {
-		if e.lastWriter[g] != noCore {
-			w[int(e.lastWriter[g])] = true
+	for g, lw := range e.lastWriter {
+		if lw != noCore {
+			w.Add(int(lw))
 		}
-		for _, c := range e.readerSet(d.cfg, g) {
-			r[c] = true
+		// With ReaderOpt only the last reader is known, which is why the
+		// optimization trades away precise reporting (§VI).
+		if d.cfg.ReaderOpt {
+			if lr := e.lastReader[g]; lr != noCore {
+				r.Add(int(lr))
+			}
+		} else {
+			r.Union(&e.readers[g])
 		}
 	}
-	det.Writers = sortedKeys(w)
-	det.Readers = sortedKeys(r)
+	det.Writers = coreList(det.Writers, &w)
+	det.Readers = coreList(det.Readers, &r)
 }
 
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// coreList returns set's members in ascending order. set is a superset of
+// prev, so prev is returned as is when set added no member to it.
+func coreList(prev []int, set *memsys.CoreSet) []int {
+	n := set.Count()
+	if prev != nil && n == len(prev) {
+		return prev
 	}
-	sort.Ints(out)
+	out := make([]int, 0, n)
+	set.ForEach(func(c int) { out = append(out, c) })
 	return out
 }
 

@@ -8,14 +8,15 @@ import (
 )
 
 // Micro-benchmarks for the batched byte-mask hot paths: the closed-form PAM
-// grain mask, the PAM permission check and invalidation take, and the packed
+// grain mask, the PAM checked commit and invalidation take, and the packed
 // SAM merge-mask expansion.
 
 func benchPAM(gran int) *PAM {
 	p := NewPAM(pamCfg(gran), 0, stats.NewSet())
 	p.Allocate(0x1000, false)
 	for off := 0; off < 64; off += 16 {
-		p.OnAccess(0x1000, off, 8, off%32 == 0)
+		w := off%32 == 0
+		p.Commit(0x1000, off, 8, false, !w, w)
 	}
 	return p
 }
@@ -29,11 +30,12 @@ func BenchmarkPAMMask(b *testing.B) {
 	sinkU64 = acc
 }
 
-func BenchmarkPAMHasBits(b *testing.B) {
+func BenchmarkPAMCommit(b *testing.B) {
 	p := benchPAM(1)
 	n := 0
 	for i := 0; i < b.N; i++ {
-		if p.HasBits(0x1000, (i%8)*8, 8, i%2 == 0) {
+		w := i%2 == 0
+		if p.Commit(0x1000, (i%8)*8, 8, true, !w, w) {
 			n++
 		}
 	}
@@ -47,7 +49,7 @@ func BenchmarkPAMTakeEntry(b *testing.B) {
 		r, w, _, _ := p.TakeEntry(0x1000)
 		acc ^= r ^ w
 		p.Allocate(0x1000, false)
-		p.OnAccess(0x1000, 0, 8, true)
+		p.Commit(0x1000, 0, 8, false, false, true)
 	}
 	sinkU64 = acc
 }

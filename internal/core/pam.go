@@ -34,10 +34,15 @@ type PAM struct {
 	// mru is an 8-slot direct-mapped shortcut past the map lookup (slot chosen
 	// by low line-address bits) — the commit path touches a handful of blocks
 	// in a tight rotation (a falsely shared line plus a few streaming lines),
-	// so a small direct-mapped cache captures almost all OnAccess/HasBits
-	// lookups. Slots are invalidated when their block's entry is dropped.
+	// so a small direct-mapped cache captures almost all Commit lookups.
+	// Slots are invalidated when their block's entry is dropped.
 	mruBlks [8]memsys.Addr
 	mruEnts [8]*pamEntry
+
+	// free holds the entries of dropped lines for Allocate to reuse: the
+	// paper's PAM is fixed storage, one entry per L1 line, so a fill need
+	// not allocate.
+	free []*pamEntry
 }
 
 // NewPAM builds the PAM table for one core.
@@ -92,42 +97,54 @@ func (p *PAM) entry(addr memsys.Addr) *pamEntry {
 	return e
 }
 
-// Allocate creates a fresh (cleared) entry for a newly filled line.
+// Allocate creates a fresh (cleared) entry for a newly filled line, reusing
+// a dropped line's entry when there is one.
 func (p *PAM) Allocate(addr memsys.Addr, sendMD bool) {
 	blk := addr.BlockAlign(p.cfg.BlockSize)
-	e := &pamEntry{sendMD: sendMD}
+	var e *pamEntry
+	if n := len(p.free); n > 0 {
+		e = p.free[n-1]
+		p.free = p.free[:n-1]
+		*e = pamEntry{sendMD: sendMD}
+	} else {
+		e = &pamEntry{sendMD: sendMD}
+	}
 	p.entries[blk] = e
 	s := p.mruSlot(blk)
 	p.mruBlks[s], p.mruEnts[s] = blk, e
 }
 
-// OnAccess sets the read or write bits for a committed access.
-func (p *PAM) OnAccess(addr memsys.Addr, off, size int, write bool) {
+// Commit records a committed access to [off,off+size): read bits if rd,
+// write bits if wr, one pam.updates count for each. With check set it first
+// applies the §V-B local-hit test, write bits for a write (wr) and read-or-
+// write bits for a read, and returns false, changing nothing, if the entry
+// does not already cover the range.
+func (p *PAM) Commit(addr memsys.Addr, off, size int, check, rd, wr bool) bool {
 	e := p.entry(addr)
 	if e == nil {
 		panic(fmt.Sprintf("core: PAM access without entry at %v (core %d)", addr, p.core))
 	}
 	m := p.mask(off, size)
-	if write {
-		e.write |= m
-	} else {
+	if check {
+		have := e.write
+		if !wr {
+			have |= e.read
+		}
+		if have&m != m {
+			return false
+		}
+	}
+	var n uint64
+	if rd {
 		e.read |= m
+		n++
 	}
-	p.stats.IncID(stats.IDPAMUpdates)
-}
-
-// HasBits reports whether the entry already covers the range: write bits for
-// writes, read-or-write bits for reads (§V-B first-access test).
-func (p *PAM) HasBits(addr memsys.Addr, off, size int, write bool) bool {
-	e := p.entry(addr)
-	if e == nil {
-		return false
+	if wr {
+		e.write |= m
+		n++
 	}
-	m := p.mask(off, size)
-	if write {
-		return e.write&m == m
-	}
-	return (e.read|e.write)&m == m
+	p.stats.AddID(stats.IDPAMUpdates, n)
+	return true
 }
 
 // SetSendMD updates the SEND_MD bit.
@@ -154,25 +171,31 @@ func (p *PAM) PeekEntry(addr memsys.Addr) (uint64, uint64, bool) {
 
 // TakeEntry returns and clears the entry (invalidation/eviction path).
 func (p *PAM) TakeEntry(addr memsys.Addr) (uint64, uint64, bool, bool) {
-	blk := addr.BlockAlign(p.cfg.BlockSize)
-	e := p.entries[blk]
+	e := p.remove(addr)
 	if e == nil {
 		return 0, 0, false, false
-	}
-	delete(p.entries, blk)
-	if s := p.mruSlot(blk); p.mruBlks[s] == blk {
-		p.mruEnts[s] = nil
 	}
 	return e.read, e.write, e.sendMD, true
 }
 
 // Drop invalidates the entry without reading it.
-func (p *PAM) Drop(addr memsys.Addr) {
+func (p *PAM) Drop(addr memsys.Addr) { p.remove(addr) }
+
+// remove unmaps addr's entry, clears its mru slot and puts the entry on the
+// freelist. It returns the entry, whose fields stay readable until the next
+// Allocate, or nil if the block had none.
+func (p *PAM) remove(addr memsys.Addr) *pamEntry {
 	blk := addr.BlockAlign(p.cfg.BlockSize)
+	e := p.entries[blk]
+	if e == nil {
+		return nil
+	}
 	delete(p.entries, blk)
 	if s := p.mruSlot(blk); p.mruBlks[s] == blk {
 		p.mruEnts[s] = nil
 	}
+	p.free = append(p.free, e)
+	return e
 }
 
 // Has reports whether an entry exists for the block containing addr (the

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"fscoherence/internal/coherence"
+	"fscoherence/internal/memsys"
 	"fscoherence/internal/stats"
 )
 
@@ -18,28 +19,48 @@ func newTestPAM(gran int) *PAM {
 	return NewPAM(pamCfg(gran), 0, stats.NewSet())
 }
 
+// has is the §V-B local-hit test through Commit: a checked commit of the
+// access, after which the entry and the update counter are restored so the
+// probe records nothing.
+func has(p *PAM, addr memsys.Addr, off, size int, write bool) bool {
+	e := p.entry(addr)
+	if e == nil {
+		return false
+	}
+	saved, n := *e, p.stats.GetID(stats.IDPAMUpdates)
+	ok := p.Commit(addr, off, size, true, !write, write)
+	*e = saved
+	p.stats.SetID(stats.IDPAMUpdates, n)
+	return ok
+}
+
+// record is an unchecked commit of one read or one write.
+func record(p *PAM, addr memsys.Addr, off, size int, write bool) {
+	p.Commit(addr, off, size, false, !write, write)
+}
+
 func TestPAMAllocateAndAccess(t *testing.T) {
 	p := newTestPAM(1)
 	p.Allocate(0x1000, false)
-	if p.HasBits(0x1000, 0, 8, false) {
+	if has(p, 0x1000, 0, 8, false) {
 		t.Fatal("fresh entry should have no bits")
 	}
-	p.OnAccess(0x1000, 0, 8, false)
-	if !p.HasBits(0x1000, 0, 8, false) {
+	record(p, 0x1000, 0, 8, false)
+	if !has(p, 0x1000, 0, 8, false) {
 		t.Fatal("read bits not set")
 	}
-	if p.HasBits(0x1000, 0, 8, true) {
+	if has(p, 0x1000, 0, 8, true) {
 		t.Fatal("read must not grant write bits")
 	}
-	p.OnAccess(0x1000, 4, 4, true)
-	if !p.HasBits(0x1000, 4, 4, true) {
+	record(p, 0x1000, 4, 4, true)
+	if !has(p, 0x1000, 4, 4, true) {
 		t.Fatal("write bits not set")
 	}
-	if p.HasBits(0x1000, 0, 8, true) {
+	if has(p, 0x1000, 0, 8, true) {
 		t.Fatal("write bits must cover only the written range")
 	}
 	// §V-B: a read is satisfied by read OR write bits.
-	if !p.HasBits(0x1000, 4, 4, false) {
+	if !has(p, 0x1000, 4, 4, false) {
 		t.Fatal("write bits must satisfy a read check")
 	}
 }
@@ -51,14 +72,14 @@ func TestPAMAccessWithoutEntryPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.OnAccess(0x1000, 0, 8, false)
+	record(p, 0x1000, 0, 8, false)
 }
 
 func TestPAMTakeEntryClears(t *testing.T) {
 	p := newTestPAM(1)
 	p.Allocate(0x1000, true)
-	p.OnAccess(0x1000, 0, 2, false)
-	p.OnAccess(0x1000, 8, 4, true)
+	record(p, 0x1000, 0, 2, false)
+	record(p, 0x1000, 8, 4, true)
 	r, w, sendMD, ok := p.TakeEntry(0x1000)
 	if !ok || !sendMD {
 		t.Fatal("TakeEntry lost the entry or SEND_MD")
@@ -98,8 +119,8 @@ func TestPAMSendMDBit(t *testing.T) {
 func TestPAMBlockAliasing(t *testing.T) {
 	p := newTestPAM(1)
 	p.Allocate(0x1000, false)
-	p.OnAccess(0x103f, 0x3f, 1, true) // same block, last byte
-	if !p.HasBits(0x1000, 63, 1, true) {
+	record(p, 0x103f, 0x3f, 1, true) // same block, last byte
+	if !has(p, 0x1000, 63, 1, true) {
 		t.Fatal("in-block addressing broken")
 	}
 	r, w, ok := p.PeekEntry(0x1010)
@@ -112,18 +133,18 @@ func TestPAMCoarseGranularity(t *testing.T) {
 	for _, g := range []int{2, 4, 8} {
 		p := newTestPAM(g)
 		p.Allocate(0, false)
-		p.OnAccess(0, 1, 1, true) // one byte within the first grain
+		record(p, 0, 1, 1, true) // one byte within the first grain
 		// The whole grain is marked...
-		if !p.HasBits(0, 0, g, true) {
+		if !has(p, 0, 0, g, true) {
 			t.Fatalf("g=%d: grain not covered", g)
 		}
 		// ...but not the next grain.
-		if p.HasBits(0, g, 1, true) {
+		if has(p, 0, g, 1, true) {
 			t.Fatalf("g=%d: next grain spuriously covered", g)
 		}
 		// An access spanning two grains marks both.
-		p.OnAccess(0, g-1, 2, false)
-		if !p.HasBits(0, 0, 2*g, false) {
+		record(p, 0, g-1, 2, false)
+		if !has(p, 0, 0, 2*g, false) {
 			t.Fatalf("g=%d: spanning access not covered", g)
 		}
 	}
@@ -138,7 +159,7 @@ func TestPAMDrop(t *testing.T) {
 	}
 }
 
-// Property: HasBits(range) holds exactly when every byte of the range was
+// Property: a checked Commit of a range succeeds exactly when every byte of the range was
 // covered by a previous access of the right kind.
 func TestPAMCoverageProperty(t *testing.T) {
 	type access struct {
@@ -156,7 +177,7 @@ func TestPAMCoverageProperty(t *testing.T) {
 			if off+size > 64 {
 				off = 64 - size
 			}
-			p.OnAccess(0, off, size, a.Write)
+			record(p, 0, off, size, a.Write)
 			for i := off; i < off+size; i++ {
 				if a.Write {
 					wr[i] = true
@@ -179,9 +200,78 @@ func TestPAMCoverageProperty(t *testing.T) {
 				want = false
 			}
 		}
-		return p.HasBits(0, off, size, qWrite) == want
+		return has(p, 0, off, size, qWrite) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestPAMFailedCheckChangesNothing(t *testing.T) {
+	p := newTestPAM(1)
+	p.Allocate(0x1000, false)
+	record(p, 0x1000, 0, 4, true)
+	n := p.stats.GetID(stats.IDPAMUpdates)
+	// The write bits cover [0,4) only, so a checked store or RMW of [0,8)
+	// must fail and leave both vectors and the counter alone.
+	if p.Commit(0x1000, 0, 8, true, false, true) {
+		t.Fatal("checked store past the write bits succeeded")
+	}
+	if p.Commit(0x1000, 0, 8, true, true, true) {
+		t.Fatal("checked RMW past the write bits succeeded")
+	}
+	if p.Commit(0x1000, 16, 8, true, true, false) {
+		t.Fatal("checked load of untouched bytes succeeded")
+	}
+	r, w, _ := p.PeekEntry(0x1000)
+	if r != 0 || w != 0b1111 {
+		t.Fatalf("failed checks changed the entry: r=%b w=%b", r, w)
+	}
+	if got := p.stats.GetID(stats.IDPAMUpdates); got != n {
+		t.Fatalf("failed checks counted %d pam.updates", got-n)
+	}
+}
+
+func TestPAMRMWCountsTwoUpdates(t *testing.T) {
+	p := newTestPAM(1)
+	p.Allocate(0x1000, false)
+	if !p.Commit(0x1000, 8, 8, false, true, true) {
+		t.Fatal("unchecked commit failed")
+	}
+	if got := p.stats.GetID(stats.IDPAMUpdates); got != 2 {
+		t.Fatalf("an RMW counted %d pam.updates, want 2 (read and write)", got)
+	}
+	r, w, _ := p.PeekEntry(0x1000)
+	if r != 0xff<<8 || w != 0xff<<8 {
+		t.Fatalf("RMW bits r=%b w=%b", r, w)
+	}
+	// A checked RMW over its own write bits succeeds and counts 2 more.
+	if !p.Commit(0x1000, 8, 8, true, true, true) {
+		t.Fatal("checked RMW over its write bits failed")
+	}
+	if got := p.stats.GetID(stats.IDPAMUpdates); got != 4 {
+		t.Fatalf("pam.updates = %d after two RMWs, want 4", got)
+	}
+}
+
+func TestPAMDroppedEntryIsRecycledClean(t *testing.T) {
+	p := newTestPAM(1)
+	p.Allocate(0x1000, true)
+	record(p, 0x1000, 0, 8, true)
+	record(p, 0x1000, 8, 8, false)
+	p.Drop(0x1000)
+	if _, _, _, ok := p.TakeEntry(0x1000); ok {
+		t.Fatal("dropped entry still mapped")
+	}
+	p.Allocate(0x2000, false)
+	if len(p.free) != 0 {
+		t.Fatalf("Allocate left %d entries on the freelist, want the dropped one reused", len(p.free))
+	}
+	r, w, ok := p.PeekEntry(0x2000)
+	if !ok || r != 0 || w != 0 || p.PeekSendMD(0x2000) {
+		t.Fatalf("recycled entry not clean: r=%b w=%b sendMD=%v", r, w, p.PeekSendMD(0x2000))
+	}
+	if p.Has(0x1000) {
+		t.Fatal("the mru slot still maps the dropped block")
 	}
 }

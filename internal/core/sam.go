@@ -76,23 +76,6 @@ func (e *samEntry) hasAnyReader(cfg Config, g int) bool {
 	return !e.readers[g].Empty()
 }
 
-// readerSet returns the known reader cores of grain g (precise only without
-// ReaderOpt; with ReaderOpt it returns the last reader, which is why the
-// optimization trades away precise reporting, §VI).
-func (e *samEntry) readerSet(cfg Config, g int) []int {
-	var out []int
-	if cfg.ReaderOpt {
-		if e.lastReader[g] != noCore {
-			out = append(out, int(e.lastReader[g]))
-		}
-		return out
-	}
-	e.readers[g].ForEach(func(c int) {
-		out = append(out, c)
-	})
-	return out
-}
-
 // clear resets all access information including the TS bit.
 func (e *samEntry) clear(cfg Config) {
 	e.ts = false
@@ -207,6 +190,14 @@ func (s *SAM) ensure(addr memsys.Addr) *samEntry {
 			// Defensive: privatized entries are pinned and should not be
 			// chosen by Insert, but never lose merge history if one is.
 			s.displacePrv(evicted.Tag, evicted.Payload)
+		} else if e := evicted.Payload; e != nil {
+			// The table is fixed storage (fig. 5b): the displaced entry's
+			// history is dropped, so its payload serves the new block.
+			// Callers fetch their entry per call and hold none across an
+			// ensure of another block.
+			e.clear(s.cfg)
+			ent.Payload = e
+			return e
 		}
 	}
 	ent.Payload = newSamEntry(s.cfg)

@@ -27,6 +27,13 @@ func (s *CoreSet) Add(c int) { s[c>>6] |= 1 << uint(c&63) }
 // Remove deletes core c.
 func (s *CoreSet) Remove(c int) { s[c>>6] &^= 1 << uint(c&63) }
 
+// Union adds every member of o.
+func (s *CoreSet) Union(o *CoreSet) {
+	for i := range s {
+		s[i] |= o[i]
+	}
+}
+
 // Count returns the number of cores in the set.
 func (s *CoreSet) Count() int {
 	n := 0

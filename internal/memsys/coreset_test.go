@@ -64,3 +64,29 @@ func TestCoreSetForEach(t *testing.T) {
 		}
 	}
 }
+
+// TestCoreSetUnion checks that Union adds the other set's members in every
+// word and keeps its own.
+func TestCoreSetUnion(t *testing.T) {
+	var a, b CoreSet
+	a.Add(1)
+	a.Add(130)
+	b.Add(1)
+	b.Add(64)
+	b.Add(255)
+	a.Union(&b)
+	var got []int
+	a.ForEach(func(c int) { got = append(got, c) })
+	want := []int{1, 64, 130, 255}
+	if len(got) != len(want) {
+		t.Fatalf("union = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("union = %v, want %v", got, want)
+		}
+	}
+	if b.Count() != 3 {
+		t.Fatalf("Union changed its argument: %v", b.String())
+	}
+}

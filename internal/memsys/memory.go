@@ -244,6 +244,21 @@ func (o *Oracle) CheckLoadWindow(a Addr, observed []byte, issue, commit uint64, 
 	return ok
 }
 
+// LoadLive reports whether every observed byte matches some value the byte
+// held during [issue, commit], recording nothing. A caller whose violation
+// context is costly to build checks with LoadLive first and formats the
+// context for CheckLoadWindow only when it fails.
+func (o *Oracle) LoadLive(a Addr, observed []byte, issue, commit uint64) bool {
+	b := o.block(a)
+	off := a.BlockOffset(o.blockSize)
+	for i, v := range observed {
+		if !b.liveDuring(off+i, v, issue, commit) {
+			return false
+		}
+	}
+	return true
+}
+
 // Expected returns the oracle's current value of the byte at a.
 func (o *Oracle) Expected(a Addr) byte {
 	b := o.blocks[a.BlockAlign(o.blockSize)]

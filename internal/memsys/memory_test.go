@@ -155,6 +155,36 @@ func TestOracleLoadWindow(t *testing.T) {
 	}
 }
 
+// TestOracleLoadLiveRecordsNothing checks that LoadLive gives
+// CheckLoadWindow's verdict without recording a violation.
+func TestOracleLoadLiveRecordsNothing(t *testing.T) {
+	o := NewOracle(64)
+	o.CommitStore(0x40, []byte{1, 1}, 100)
+	o.CommitStore(0x40, []byte{2}, 200)
+	for _, c := range []struct {
+		v             []byte
+		issue, commit uint64
+		want          bool
+	}{
+		{[]byte{1, 1}, 150, 250, true},
+		{[]byte{2, 1}, 150, 250, true},
+		{[]byte{1, 0}, 150, 250, false},
+		{[]byte{1}, 250, 260, false},
+		{[]byte{0, 0}, 0, 100, true},
+	} {
+		if got := o.LoadLive(0x40, c.v, c.issue, c.commit); got != c.want {
+			t.Errorf("LoadLive(%v, %d, %d) = %v, want %v", c.v, c.issue, c.commit, got, c.want)
+		}
+		if n := len(o.Violations()); n != 0 {
+			t.Fatalf("LoadLive recorded %d violation(s)", n)
+		}
+		if got := o.CheckLoadWindow(0x40, c.v, c.issue, c.commit, "x"); got != c.want {
+			t.Errorf("CheckLoadWindow(%v, %d, %d) = %v, LoadLive said %v", c.v, c.issue, c.commit, got, c.want)
+		}
+		o.violations = nil
+	}
+}
+
 func TestOracleWindowHistoryBound(t *testing.T) {
 	o := NewOracle(64)
 	// Far more versions than the history cap; the newest ones must stay
