@@ -87,11 +87,13 @@ equiv:
 # run-ahead on L1 hits and the functional warmer must not allocate; the
 # benchmark's allocs/op and the tests below gate it. Building a machine
 # must stay under 1 MB (cache sets are built on first use), steady
-# coherence misses must recycle their MSHRs and directory transactions, and
-# FSLite's SAM and PAM tables must recycle their entries.
+# coherence misses — ping-pong and contended at the home slice — must
+# allocate nothing (recycled MSHRs, directory transactions and queue
+# arrays; the owner's data handed over), and FSLite's SAM and PAM tables
+# must recycle their entries.
 allocsmoke:
 	$(GO) test -run 'TestSendRecvDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
-	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestRunAheadDoesNotAllocate|TestWarmingAccessDoesNotAllocate|TestNewMachineAllocates|TestPingPongMissesDoNotAllocate|TestMetadataChurnDoesNotAllocate' -count=1 ./internal/sim/
+	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestRunAheadDoesNotAllocate|TestWarmingAccessDoesNotAllocate|TestNewMachineAllocates|TestPingPongMissesDoNotAllocate|TestContendedMissesDoNotAllocate|TestMetadataChurnDoesNotAllocate' -count=1 ./internal/sim/
 
 # Sampled-vs-full tolerance gate, cross-worker determinism of the sampled
 # estimates, and every benchmark x protocol sampled under Verify (warming

@@ -117,6 +117,14 @@ type Dir struct {
 	retryq []*network.Msg
 	forced []memsys.Addr // privatized blocks needing forced termination
 
+	// retrySpare is the second buffer of retryq: Tick swaps it in before
+	// redispatching the queue, and the drained queue becomes the spare.
+	// fillSpare plays the same role for finishMemFill's pending queue. With
+	// the lines' pendq slices, which drainPendq truncates rather than drops,
+	// a contended line queues and retries requests without allocating.
+	retrySpare []*network.Msg
+	fillSpare  []*network.Msg
+
 	// txnFree recycles transaction records: endTxn clears a finished one
 	// and beginTxn draws from here, so a steady miss stream allocates none.
 	txnFree []*dirTxn
@@ -426,10 +434,12 @@ func (d *Dir) Tick(now uint64) {
 	// Retried requests (drained transaction queues).
 	if len(d.retryq) > 0 {
 		q := d.retryq
-		d.retryq = nil
-		for _, m := range q {
+		d.retryq = d.retrySpare
+		for i, m := range q {
+			q[i] = nil
 			d.redispatchRequest(m)
 		}
+		d.retrySpare = q[:0]
 	}
 
 	for i := 0; i < d.params.MaxMsgsPerCycle; i++ {
@@ -920,7 +930,8 @@ func (d *Dir) drainPendq(line *dirLine) {
 		return
 	}
 	d.retryq = append(d.retryq, line.pendq...)
-	line.pendq = nil
+	clear(line.pendq)
+	line.pendq = line.pendq[:0]
 }
 
 // ---------------------------------------------------------------------------
@@ -1316,8 +1327,9 @@ func (d *Dir) finishMemFill(blk memsys.Addr) {
 	d.touchData(e)
 	d.stats.IncID(stats.IDLLCFills)
 	pend := line.pendq
-	line.pendq = nil
-	for _, m := range pend {
+	line.pendq = d.fillSpare
+	for i, m := range pend {
+		pend[i] = nil
 		if line.txn != nil {
 			line.pendq = append(line.pendq, m) // still retained
 			d.stats.MaxID(stats.IDDirPendqPeak, uint64(len(line.pendq)))
@@ -1327,4 +1339,5 @@ func (d *Dir) finishMemFill(blk memsys.Addr) {
 		d.serve(e, m)
 		d.net.Release(m)
 	}
+	d.fillSpare = pend[:0]
 }

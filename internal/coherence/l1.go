@@ -1053,10 +1053,15 @@ func (l *L1) onFwdGetS(m *network.Msg) {
 
 // onFwdGetX: intervention for ownership. The owner supplies data to the
 // requestor, notifies the directory of the ownership transfer, invalidates.
+// The line is invalidated in this handler, so its buffer is handed to the
+// DataExcl message rather than copied: a live line's buffer has no other
+// holder (grants, fills and LLC writebacks all copy), so the requestor's
+// line becomes its only holder. The writeback-buffer path still copies,
+// because the buffer entry and its WB message share that buffer.
 func (l *L1) onFwdGetX(m *network.Msg) {
 	e := l.peekAny(m.Addr)
 	if e != nil && (e.Payload.state == L1Exclusive || e.Payload.state == L1Modified) {
-		l.send(&network.Msg{Op: network.OpDataExcl, Dst: m.Requestor, Addr: m.Addr, Data: cloneBytes(e.Payload.data), Dirty: true, ReqMD: m.ReqMD})
+		l.send(&network.Msg{Op: network.OpDataExcl, Dst: m.Requestor, Addr: m.Addr, Data: e.Payload.data, Dirty: true, ReqMD: m.ReqMD})
 		l.send(&network.Msg{Op: network.OpXferOwnerAck, Dst: m.Src, Addr: m.Addr, Requestor: l.node})
 		l.invalidateAny(m.Addr)
 		l.takeAndReportMD(m.Src, m.Addr, m.ReqMD)

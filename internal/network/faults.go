@@ -6,9 +6,9 @@ package network
 //
 // All perturbation stays within the protocol-legal delivery contract
 // documented in PROTOCOL.md §"Network ordering contract": per-(src,dst,class)
-// FIFO is preserved (the lastReady clamp in SendAfter runs *after* the
-// injected delay, so a jittered message can never overtake an earlier one on
-// the same virtual channel) and every message is eventually delivered.
+// FIFO is preserved (the inbox clamp in SendAfter runs *after* the injected
+// delay, so a jittered message can never overtake an earlier one on the same
+// virtual channel) and every message is eventually delivered.
 // Cross-channel reordering — control overtaking data, messages from different
 // senders arriving in any order, different blocks interleaving arbitrarily —
 // is exactly the freedom a real NoC with separate virtual networks has, and
@@ -55,7 +55,7 @@ func splitmix64(x uint64) uint64 {
 
 // perturb maps a nominal delivery cycle to the perturbed one for message
 // sequence number seq. The mapping is monotone per channel because the
-// caller's lastReady clamp runs afterwards.
+// caller's inbox clamp runs afterwards.
 func (fp *FaultPlan) perturb(readyAt, seq uint64) uint64 {
 	if fp.MaxJitter > 0 {
 		readyAt += splitmix64(fp.Seed^(seq*0x2545f4914f6cdd1d)) % (fp.MaxJitter + 1)

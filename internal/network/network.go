@@ -12,9 +12,13 @@ import (
 const NoArrival = wakeq.None
 
 // inflight pairs a queued message with the cycle it becomes deliverable.
+// src and class copy the message's channel so the FIFO clamp's scan does
+// not follow msg pointers.
 type inflight struct {
 	msg     *Msg
 	readyAt uint64
+	src     NodeID
+	class   Class
 }
 
 // inbox is a growable ring buffer of inflight messages ordered by (readyAt,
@@ -38,6 +42,29 @@ func (b *inbox) grow() {
 	}
 	b.buf = nb
 	b.head = 0
+}
+
+// clamp returns the delivery cycle a message sent now on channel (src,
+// this inbox, class) must take to keep per-channel FIFO: readyAt, raised to
+// the delivery cycle of the latest queued message on the same channel when
+// that one is later. Only queued messages can clamp: a predecessor that
+// already left the inbox was ready at or before the current cycle, which no
+// new delivery cycle precedes. The ring is sorted by readyAt, so the scan
+// walks back from the tail over the messages due after readyAt — the ones
+// push shifts past anyway — and the first same-channel one it meets is the
+// channel's latest.
+func (b *inbox) clamp(src NodeID, class Class, readyAt uint64) uint64 {
+	mask := len(b.buf) - 1
+	for i := b.head + b.n - 1; i >= b.head; i-- {
+		inf := &b.buf[i&mask]
+		if inf.readyAt <= readyAt {
+			break
+		}
+		if inf.src == src && inf.class == class {
+			return inf.readyAt
+		}
+	}
+	return readyAt
 }
 
 // push inserts inf keeping the ring sorted by readyAt, stable for equal
@@ -74,12 +101,6 @@ func (b *inbox) pop() *Msg {
 		b.head = 0
 	}
 	return m
-}
-
-// chanKey identifies one ordered virtual channel.
-type chanKey struct {
-	src, dst NodeID
-	class    Class
 }
 
 // The per-class and per-opcode traffic counters ("net.msg.<class>",
@@ -123,13 +144,6 @@ type Network struct {
 	stats   *stats.Set
 	bs      int // block size for byte accounting
 
-	// lastReady enforces per-(src,dst,class) FIFO ordering: a later message
-	// on the same virtual channel never arrives before an earlier one, even
-	// though large data messages serialize more slowly. Cross-class
-	// overtaking (control passing data) remains possible, as on a real NoC
-	// with separate virtual networks.
-	lastReady map[chanKey]uint64
-
 	// tracer, when non-nil, receives a KindNetSend / KindNetRecv event for
 	// every message entering / leaving the interconnect. cores is the
 	// node-ID split point for mapping NodeID -> core / LLC-slice tracks.
@@ -164,13 +178,12 @@ type Network struct {
 // in cycles, and block size (for wire-size accounting).
 func New(nodes int, latency uint64, blockSize int, st *stats.Set) *Network {
 	return &Network{
-		Latency:   latency,
-		nodes:     nodes,
-		inboxes:   make([]inbox, nodes),
-		fronts:    wakeq.New(nodes),
-		stats:     st,
-		bs:        blockSize,
-		lastReady: make(map[chanKey]uint64),
+		Latency: latency,
+		nodes:   nodes,
+		inboxes: make([]inbox, nodes),
+		fronts:  wakeq.New(nodes),
+		stats:   st,
+		bs:      blockSize,
 	}
 }
 
@@ -249,20 +262,7 @@ func (n *Network) SendAfter(m *Msg, extra uint64) {
 	m.Seq = n.seq
 	class := ClassOf(m.Op)
 	size := SizeOf(m.Op, n.bs)
-	serialization := uint64((size - HeaderBytes) / 16)
-	var readyAt uint64
-	if t := n.topo; t != nil {
-		var hops int
-		var wait uint64
-		readyAt, hops, wait = t.routeLatency(m.Src, m.Dst, n.now+extra, serialization+1)
-		n.stats.AddID(stats.IDNetHops, uint64(hops))
-		n.stats.AddID(stats.IDNetLinkWait, wait)
-	} else {
-		readyAt = n.now + n.Latency + extra + serialization
-	}
-	if n.faults.Enabled() {
-		readyAt = n.faults.perturb(readyAt, n.seq)
-	}
+	readyAt := n.arrival(m, extra, size)
 	if n.sabotage != nil {
 		var drop bool
 		if readyAt, drop = n.applySabotage(m, readyAt); drop {
@@ -271,15 +271,20 @@ func (n *Network) SendAfter(m *Msg, extra uint64) {
 			return
 		}
 	}
-	// The per-channel FIFO clamp runs after any injected perturbation, so a
-	// jittered message can never overtake an earlier one on the same
-	// (src,dst,class) virtual channel — injection stays protocol-legal.
-	key := chanKey{src: m.Src, dst: m.Dst, class: class}
-	if prev := n.lastReady[key]; readyAt < prev {
-		readyAt = prev
+	// Per-(src,dst,class) FIFO: a later message on the same virtual channel
+	// never arrives before an earlier one, even though large data messages
+	// serialize more slowly. Cross-class overtaking (control passing data)
+	// remains possible, as on a real NoC with separate virtual networks. The
+	// clamp runs after any injected perturbation, so a jittered message can
+	// never overtake an earlier one on its channel — injection stays
+	// protocol-legal. It reads the destination's inbox, which is sound only
+	// because no delivery cycle precedes the current one.
+	if readyAt < n.now {
+		panic(fmt.Sprintf("network: %v ready at cycle %d, before the current cycle %d", m, readyAt, n.now))
 	}
-	n.lastReady[key] = readyAt
-	n.inboxes[m.Dst].push(inflight{msg: m, readyAt: readyAt})
+	q := &n.inboxes[m.Dst]
+	readyAt = q.clamp(m.Src, class, readyAt)
+	q.push(inflight{msg: m, readyAt: readyAt, src: m.Src, class: class})
 	n.fronts.Lower(int(m.Dst), readyAt)
 	if n.waker != nil {
 		n.waker.Wake(m.Dst, readyAt)
@@ -300,6 +305,28 @@ func (n *Network) SendAfter(m *Msg, extra uint64) {
 			Arg2: obs.PackSrcDst(int(m.Src), int(m.Dst)),
 		})
 	}
+}
+
+// arrival returns the cycle m, sent now after extra cycles of source-side
+// delay, becomes deliverable before the per-channel FIFO clamp: the flat
+// fabric's latency or the routed one (which reserves the route's links),
+// then any injected perturbation. size is m's wire size.
+func (n *Network) arrival(m *Msg, extra uint64, size int) uint64 {
+	serialization := uint64((size - HeaderBytes) / 16)
+	var readyAt uint64
+	if t := n.topo; t != nil {
+		var hops int
+		var wait uint64
+		readyAt, hops, wait = t.routeLatency(m.Src, m.Dst, n.now+extra, serialization+1)
+		n.stats.AddID(stats.IDNetHops, uint64(hops))
+		n.stats.AddID(stats.IDNetLinkWait, wait)
+	} else {
+		readyAt = n.now + n.Latency + extra + serialization
+	}
+	if n.faults.Enabled() {
+		readyAt = n.faults.perturb(readyAt, m.Seq)
+	}
+	return readyAt
 }
 
 // Recv pops the next deliverable message for node dst at the current cycle,

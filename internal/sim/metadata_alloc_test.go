@@ -13,9 +13,9 @@ import (
 // recycle their entries. Two cores store in turn to the same word of each of
 // 256 lines. Every store misses, and the intervention ships the owner's PAM
 // entry to a SAM that holds far fewer lines, so the SAM replaces entries in
-// every window and every fill takes a fresh PAM entry. A window may
-// allocate at most one object per data-carrying message, the bound of
-// TestPingPongMissesDoNotAllocate. `make allocsmoke` runs it.
+// every window and every fill takes a fresh PAM entry. A window allocates
+// nothing, the bound of TestPingPongMissesDoNotAllocate. `make allocsmoke`
+// runs it.
 func TestMetadataChurnDoesNotAllocate(t *testing.T) {
 	cfg := DefaultConfig(coherence.FSLite)
 	const lines = 256
@@ -54,7 +54,7 @@ func TestMetadataChurnDoesNotAllocate(t *testing.T) {
 	if quiet > 0 {
 		t.Fatalf("%d of %d windows replaced no SAM entry: the workload no longer churns the SAM", quiet, runs+1)
 	}
-	if allocs > data {
+	if allocs > 0 {
 		t.Fatalf("%.1f allocs per window for %.1f data messages: metadata entries are allocated, not recycled", allocs, data)
 	}
 }

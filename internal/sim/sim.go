@@ -172,7 +172,6 @@ type System struct {
 	cycle  uint64
 
 	dirPolicies []*core.DirSide
-	pams        []*core.PAM
 	swmrBad     []string
 	// swmrCounts is checkSWMR's per-block tally, cleared and refilled at
 	// every check so a Verify run does not build a map per period.
@@ -316,9 +315,7 @@ func New(cfg Config, wl Workload) *System {
 	for i := 0; i < p.Cores; i++ {
 		var pol coherence.L1Policy
 		if cfg.Mode != coherence.Baseline {
-			pam := core.NewPAM(cc, i, st)
-			s.pams = append(s.pams, pam)
-			pol = pam
+			pol = core.NewPAM(cc, i, st)
 		}
 		l1 := coherence.NewL1(i, p, cfg.Mode, s.net, pol, st, ob)
 		if cfg.OOO {
